@@ -176,10 +176,6 @@ fn put_stats(out: &mut Vec<u8>, s: &ServeStats) {
         put_u32(out, t);
         put_u64(out, n);
     }
-    put_u64(out, s.waits.len() as u64);
-    for &w in &s.waits {
-        put_f64(out, w);
-    }
 }
 
 fn read_stats(r: &mut Reader<'_>) -> Result<ServeStats, DecoError> {
@@ -216,58 +212,81 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServeStats, DecoError> {
         let n = r.u64()?;
         s.planned_by_tenant.insert(t, n);
     }
-    let waits = r.len("waits")?;
-    s.waits.reserve(waits);
-    for _ in 0..waits {
-        s.waits.push(r.f64()?);
-    }
     Ok(s)
 }
 
+/// Write a block of queue waits (count, then raw bits): the one encoding
+/// of `ServeStats::waits`, shared with the supervisor journal's wait log.
+pub fn put_waits(out: &mut Vec<u8>, waits: &[f64]) {
+    put_u64(out, waits.len() as u64);
+    out.reserve(8 * waits.len());
+    for &w in waits {
+        put_f64(out, w);
+    }
+}
+
+/// Read a block written by [`put_waits`].
+pub fn read_waits(r: &mut Reader<'_>) -> Result<Vec<f64>, DecoError> {
+    let n = r.len("waits")?;
+    Ok(r.take(8 * n)?
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect())
+}
+
 impl ServeCheckpoint {
-    /// Serialize the checkpoint (no framing — the journal frames it).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.next);
-        put_f64(&mut out, self.now);
-        put_u64(&mut out, self.refresh_next);
-        put_u64(&mut out, self.queue.len() as u64);
+    /// Append the checkpoint *head*: every field except `stats.waits`,
+    /// the part that grows with each answer. The journal seals a head per
+    /// cycle and logs the waits separately.
+    pub fn encode_head(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.next);
+        put_f64(out, self.now);
+        put_u64(out, self.refresh_next);
+        put_u64(out, self.queue.len() as u64);
         for q in &self.queue {
-            put_queued(&mut out, q);
+            put_queued(out, q);
         }
-        put_u64(&mut out, self.retries.len() as u64);
+        put_u64(out, self.retries.len() as u64);
         for p in &self.retries {
-            put_u64(&mut out, p.key);
+            put_u64(out, p.key);
             let wf = encode_workflow(&p.workflow);
-            put_u64(&mut out, wf.len() as u64);
+            put_u64(out, wf.len() as u64);
             out.extend_from_slice(&wf);
-            put_f64(&mut out, p.deadline);
-            put_f64(&mut out, p.percentile);
-            encode_budget(&mut out, &p.budget);
+            put_f64(out, p.deadline);
+            put_f64(out, p.percentile);
+            encode_budget(out, &p.budget);
             match p.key_budget {
                 Some(b) => {
-                    put_u8(&mut out, 1);
-                    put_f64(&mut out, b);
+                    put_u8(out, 1);
+                    put_f64(out, b);
                 }
-                None => put_u8(&mut out, 0),
+                None => put_u8(out, 0),
             }
-            put_u32(&mut out, p.attempt);
-            put_f64(&mut out, p.not_before);
-            put_u64(&mut out, p.waiters.len() as u64);
+            put_u32(out, p.attempt);
+            put_f64(out, p.not_before);
+            put_u64(out, p.waiters.len() as u64);
             for w in &p.waiters {
-                put_queued(&mut out, w);
+                put_queued(out, w);
             }
         }
-        put_u64(&mut out, self.shape_costs.len() as u64);
+        put_u64(out, self.shape_costs.len() as u64);
         for (&shape, costs) in &self.shape_costs {
-            put_u64(&mut out, shape);
-            put_u64(&mut out, costs.len() as u64);
+            put_u64(out, shape);
+            put_u64(out, costs.len() as u64);
             for &c in costs {
-                put_f64(&mut out, c);
+                put_f64(out, c);
             }
         }
-        put_stats(&mut out, &self.stats);
-        put_u64(&mut out, self.emitted);
+        put_stats(out, &self.stats);
+        put_u64(out, self.emitted);
+    }
+
+    /// Serialize the whole checkpoint (no framing): the head, then one
+    /// waits block.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_head(&mut out);
+        put_waits(&mut out, &self.stats.waits);
         out
     }
 
@@ -276,13 +295,24 @@ impl ServeCheckpoint {
     /// container, so extra bytes mean in-place corruption.
     pub fn decode(bytes: &[u8]) -> Result<ServeCheckpoint, DecoError> {
         let mut r = Reader::new(bytes);
+        let mut ck = ServeCheckpoint::decode_head(&mut r)?;
+        ck.stats.waits = read_waits(&mut r)?;
+        if !r.done() {
+            return Err(corrupt("trailing bytes"));
+        }
+        Ok(ck)
+    }
+
+    /// Read a head written by [`ServeCheckpoint::encode_head`];
+    /// `stats.waits` comes back empty.
+    pub fn decode_head(r: &mut Reader<'_>) -> Result<ServeCheckpoint, DecoError> {
         let next = r.u64()?;
         let now = r.f64()?;
         let refresh_next = r.u64()?;
         let queue_len = r.len("queue")?;
         let mut queue = Vec::with_capacity(queue_len);
         for _ in 0..queue_len {
-            queue.push(read_queued(&mut r)?);
+            queue.push(read_queued(r)?);
         }
         let retry_len = r.len("retries")?;
         let mut retries = Vec::with_capacity(retry_len);
@@ -292,7 +322,7 @@ impl ServeCheckpoint {
             let workflow = decode_workflow(r.take(wf_len)?)?;
             let deadline = r.f64()?;
             let percentile = r.f64()?;
-            let budget = decode_budget(&mut r)?;
+            let budget = decode_budget(r)?;
             let key_budget = match r.u8()? {
                 0 => None,
                 1 => Some(r.f64()?),
@@ -303,7 +333,7 @@ impl ServeCheckpoint {
             let waiter_len = r.len("retry waiters")?;
             let mut waiters = Vec::with_capacity(waiter_len);
             for _ in 0..waiter_len {
-                waiters.push(read_queued(&mut r)?);
+                waiters.push(read_queued(r)?);
             }
             retries.push(PendingCheckpoint {
                 key,
@@ -328,11 +358,8 @@ impl ServeCheckpoint {
             }
             shape_costs.insert(shape, costs);
         }
-        let stats = read_stats(&mut r)?;
+        let stats = read_stats(r)?;
         let emitted = r.u64()?;
-        if !r.done() {
-            return Err(corrupt("trailing bytes"));
-        }
         Ok(ServeCheckpoint {
             next,
             now,

@@ -702,8 +702,8 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                 backend,
                 &queue,
                 &retries,
-                &shape_costs,
-                &stats,
+                &mut shape_costs,
+                &mut stats,
                 next,
                 now,
                 refresh_next,
@@ -729,8 +729,8 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             backend,
             &queue,
             &retries,
-            &shape_costs,
-            &stats,
+            &mut shape_costs,
+            &mut stats,
             next,
             now,
             refresh_next,
@@ -744,16 +744,18 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     (responses, stats)
 }
 
-/// Build the cycle-commit checkpoint (stats without `cycle_rows`, which
-/// are observability and not digested) and hand it — plus the responses
-/// appended since the previous commit — to the backend.
+/// Build the cycle-commit checkpoint and hand it — plus the responses
+/// appended since the previous commit — to the backend. `stats` and
+/// `shape_costs` grow with the run, so they are lent to the checkpoint
+/// for the call and moved back, never copied; `cycle_rows` stay behind
+/// (observability, not digested, not checkpointed).
 #[allow(clippy::too_many_arguments)]
 fn commit_boundary<B: ServeBackend>(
     backend: &mut B,
     queue: &AdmissionQueue,
     retries: &[PendingSolve],
-    shape_costs: &ShapeCosts,
-    stats: &ServeStats,
+    shape_costs: &mut ShapeCosts,
+    stats: &mut ServeStats,
     next: usize,
     now: f64,
     refresh_next: usize,
@@ -761,21 +763,24 @@ fn commit_boundary<B: ServeBackend>(
     committed: &mut usize,
     responses: &[PlanResponse],
 ) -> bool {
-    let mut ck_stats = stats.clone();
-    ck_stats.cycle_rows = Vec::new();
+    let cycle_rows = std::mem::take(&mut stats.cycle_rows);
     let ck = ServeCheckpoint {
         next: next as u64,
         now,
         refresh_next: refresh_next as u64,
         queue: queue.pending_snapshot(),
         retries: retries.iter().map(|p| p.to_checkpoint()).collect(),
-        shape_costs: shape_costs.clone(),
-        stats: ck_stats,
+        shape_costs: std::mem::take(shape_costs),
+        stats: std::mem::take(stats),
         emitted: emitted_base + responses.len() as u64,
     };
     let new = &responses[*committed..];
     *committed = responses.len();
-    backend.commit_cycle(&ck, new)
+    let go = backend.commit_cycle(&ck, new);
+    *shape_costs = ck.shape_costs;
+    *stats = ck.stats;
+    stats.cycle_rows = cycle_rows;
+    go
 }
 
 /// Classify, solve, and answer one batch (plus any retry jobs whose

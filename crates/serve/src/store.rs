@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 /// Domain-separation seed for frame checksums.
 const FRAME_DOMAIN: u64 = 0x5E72_ECAC_4E00_0002;
 /// Reject frames claiming bodies larger than this (corrupt length word).
-const MAX_FRAME_BODY: usize = 64 * 1024 * 1024;
+pub const MAX_FRAME_BODY: usize = 64 * 1024 * 1024;
 
 const TAG_PUT: u8 = 1;
 const TAG_TOUCH: u8 = 2;
@@ -109,12 +109,24 @@ pub fn frame_checksum(body: &[u8]) -> u64 {
 /// on-disk frame format, reused verbatim by the shard supervisor's pipe
 /// protocol — one codec, two media.
 pub fn encode_frame(body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_FRAME_BODY, "frame body too large");
     let mut out = Vec::with_capacity(body.len() + 12);
-    push_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(body);
-    push_u64(&mut out, frame_checksum(body));
+    frame_into(&mut out, |out| out.extend_from_slice(body));
     out
+}
+
+/// Append one frame to `out` without an intermediate body buffer:
+/// reserve the length slot, let `body` append the body in place, then
+/// patch the length and checksum the body slice. Byte-for-byte what
+/// [`encode_frame`] produces.
+pub fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len() + 4;
+    push_u32(out, 0);
+    body(out);
+    let len = out.len() - start;
+    assert!(len <= MAX_FRAME_BODY, "frame body too large");
+    out[start - 4..start].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = frame_checksum(&out[start..]);
+    push_u64(out, sum);
 }
 
 /// Decode the checksummed frame starting at byte `pos` of `buf`,

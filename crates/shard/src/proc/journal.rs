@@ -9,14 +9,20 @@
 //! replayed with [`replay_frame_file`]'s torn-tail rules), and each
 //! serve cycle is sealed by a [`JournalFrame::Commit`] carrying the
 //! authoritative clock, per-shard seq high-water marks, shard health,
-//! the full [`ServeCheckpoint`] of the cycle loop, and the response
+//! the *head* of the cycle loop's [`ServeCheckpoint`], and the response
 //! lines this commit made emittable.
+//!
+//! **Waits are a log, not a field.** `ServeStats::waits` grows by one
+//! `f64` per answer, so it is journaled like the mirror: a
+//! [`JournalFrame::Waits`] block before each `Commit` carries the values
+//! the cycle added, the `Commit` the length their fold must reach, and
+//! recovery splices the folded log back in once.
 //!
 //! **Commit granularity.** Mutation frames are buffered in memory and
 //! written with their sealing `Commit` in one append, so the on-disk
 //! log is a sequence of commit groups (plus at most one torn tail).
-//! Recovery folds frames in order but only *keeps* state up to the last
-//! complete `Commit`: a torn group is a cycle the supervisor died
+//! Recovery buffers a group's frames and folds them only when its
+//! `Commit` arrives intact: a torn group is a cycle the supervisor died
 //! inside, and the standby re-derives it by re-running the loop
 //! iteration from the sealed checkpoint — deterministically, so the
 //! response stream is byte-identical to a run that never died.
@@ -28,22 +34,24 @@
 //! preserves byte-identity exactly when worker persistence is on — the
 //! same contract worker restarts already carry.
 //!
-//! Compaction follows PR-7 verbatim: a snapshot (per-shard state frames
-//! plus the sealing `Commit`) is published tmp+rename, then the WAL is
-//! truncated. Journal I/O failure is never fatal — the owner counts it
-//! and drops the journal, degrading to the unjournaled tier.
+//! Compaction follows PR-7 verbatim: a snapshot (per-shard state frames,
+//! the wait log from base 0, the sealing `Commit`) is published
+//! tmp+rename, then the WAL is truncated. Journal I/O failure is never fatal
+//! — the owner counts it and drops the journal: the unjournaled tier.
 
 use deco_core::codec::{put_u32, put_u64, put_u8, Reader};
 use deco_core::DecoError;
-use deco_serve::checkpoint::ServeCheckpoint;
-use deco_serve::store::{encode_frame, replay_frame_file, write_frames_atomic_cadenced};
+use deco_serve::checkpoint::{put_waits, read_waits, ServeCheckpoint};
+use deco_serve::store::{
+    encode_frame, frame_into, replay_frame_file, write_frames_atomic_cadenced, MAX_FRAME_BODY,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version byte leading every journal frame body.
-pub const JOURNAL_VERSION: u8 = 1;
+pub const JOURNAL_VERSION: u8 = 2;
 
 /// WAL file name inside the journal directory (public so chaos tests
 /// can truncate and corrupt it from outside).
@@ -61,6 +69,7 @@ const TAG_EPOCH: u8 = 7;
 const TAG_PURGE: u8 = 8;
 const TAG_DROP_SHARD: u8 = 9;
 const TAG_COMMIT: u8 = 10;
+const TAG_WAITS: u8 = 11;
 
 fn corrupt(what: impl Into<String>) -> DecoError {
     DecoError::Store(format!("journal corrupt: {}", what.into()))
@@ -97,14 +106,89 @@ pub struct CommitRecord {
     pub lines: Vec<String>,
 }
 
+/// A [`CommitRecord`] by reference: what the serving path seals.
+#[derive(Debug, Clone, Copy)]
+pub struct CommitRef<'a> {
+    pub cycle: u64,
+    pub clock: u64,
+    pub shard_seqs: &'a [u64],
+    pub shard_health: &'a [ShardHealth],
+    pub serve: &'a ServeCheckpoint,
+    pub lines: &'a [String],
+}
+
+impl CommitRecord {
+    pub fn borrowed(&self) -> CommitRef<'_> {
+        CommitRef {
+            cycle: self.cycle,
+            clock: self.clock,
+            shard_seqs: &self.shard_seqs,
+            shard_health: &self.shard_health,
+            serve: &self.serve,
+            lines: &self.lines,
+        }
+    }
+}
+
+/// Append one journal frame in place: container, version, `fields`.
+fn put_frame(out: &mut Vec<u8>, fields: impl FnOnce(&mut Vec<u8>)) {
+    frame_into(out, |out| {
+        put_u8(out, JOURNAL_VERSION);
+        fields(out);
+    });
+}
+
+fn put_waits_fields(out: &mut Vec<u8>, base: u64, values: &[f64]) {
+    put_u8(out, TAG_WAITS);
+    put_u64(out, base);
+    put_waits(out, values);
+}
+
+/// Append the `Waits` frame continuing the log at `base`; a block past
+/// the container's cap is an error (the owner degrades), not a panic.
+fn put_waits_frame(out: &mut Vec<u8>, base: usize, values: &[f64]) -> Result<(), DecoError> {
+    let n = values.len();
+    if 8 * n + 32 > MAX_FRAME_BODY {
+        return Err(DecoError::Store(format!(
+            "journal: {n} waits exceed a frame"
+        )));
+    }
+    put_frame(out, |out| put_waits_fields(out, base as u64, values));
+    Ok(())
+}
+
+/// `Commit` fields: the checkpoint travels as its head, `waits` (the
+/// length of the wait log it seals) standing in for the values.
+fn put_commit_fields(out: &mut Vec<u8>, c: CommitRef<'_>, waits: u64) {
+    put_u8(out, TAG_COMMIT);
+    put_u64(out, c.cycle);
+    put_u64(out, c.clock);
+    put_u64(out, c.shard_seqs.len() as u64);
+    for &s in c.shard_seqs {
+        put_u64(out, s);
+    }
+    put_u64(out, c.shard_health.len() as u64);
+    for h in c.shard_health {
+        put_u32(out, h.strikes);
+        put_u8(out, h.quarantined as u8);
+    }
+    c.serve.encode_head(out);
+    put_u64(out, waits);
+    put_u64(out, c.lines.len() as u64);
+    for line in c.lines {
+        put_u64(out, line.len() as u64);
+        out.extend_from_slice(line.as_bytes());
+    }
+}
+
 /// One journal frame. Mutations mirror the supervisor→worker mutation
-/// vocabulary (absolute values, so folding is idempotent); `Commit`
-/// seals a group.
+/// vocabulary (absolute values, so folding is idempotent); `Waits`
+/// extends the wait log; `Commit` seals a group.
 ///
 /// `Commit` carries a whole [`CommitRecord`] and dwarfs the bookkeeping
 /// variants — the same inherent WAL asymmetry as
 /// [`deco_serve::store::StoreFrame`], and frames are likewise transient
-/// (encoded immediately), so no boxing.
+/// (decoded, folded, dropped), so no boxing.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum JournalFrame {
@@ -152,14 +236,30 @@ pub enum JournalFrame {
     DropShard {
         shard: u32,
     },
-    Commit(CommitRecord),
+    /// The next block of `ServeStats::waits`: the fold is
+    /// `truncate(base); extend(values)`, a `base` past it is corrupt.
+    Waits {
+        base: u64,
+        values: Vec<f64>,
+    },
+    /// Seals a group. `rec.serve.stats.waits` is neither written nor
+    /// read back: `waits` is the length the `Waits` fold must have.
+    Commit {
+        rec: CommitRecord,
+        waits: u64,
+    },
 }
 
 impl JournalFrame {
     /// Serialize the frame body (no container).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        put_u8(&mut out, JOURNAL_VERSION);
+        let mut out = vec![JOURNAL_VERSION];
+        self.put_fields(&mut out);
+        out
+    }
+
+    /// Tag and fields: the body after its version byte.
+    fn put_fields(&self, out: &mut Vec<u8>) {
         match self {
             JournalFrame::Put {
                 shard,
@@ -167,79 +267,58 @@ impl JournalFrame {
                 epoch,
                 last_use,
             } => {
-                put_u8(&mut out, TAG_PUT);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *last_use);
+                put_u8(out, TAG_PUT);
+                put_u32(out, *shard);
+                put_u64(out, *key);
+                put_u64(out, *epoch);
+                put_u64(out, *last_use);
             }
             JournalFrame::Touch {
                 shard,
                 key,
                 last_use,
             } => {
-                put_u8(&mut out, TAG_TOUCH);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *last_use);
+                put_u8(out, TAG_TOUCH);
+                put_u32(out, *shard);
+                put_u64(out, *key);
+                put_u64(out, *last_use);
             }
             JournalFrame::Del { shard, key } => {
-                put_u8(&mut out, TAG_DEL);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
+                put_u8(out, TAG_DEL);
+                put_u32(out, *shard);
+                put_u64(out, *key);
             }
             JournalFrame::Strike { shard, key, count } => {
-                put_u8(&mut out, TAG_STRIKE);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
-                put_u32(&mut out, *count);
+                put_u8(out, TAG_STRIKE);
+                put_u32(out, *shard);
+                put_u64(out, *key);
+                put_u32(out, *count);
             }
             JournalFrame::ClearKey { shard, key } => {
-                put_u8(&mut out, TAG_CLEAR_KEY);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
+                put_u8(out, TAG_CLEAR_KEY);
+                put_u32(out, *shard);
+                put_u64(out, *key);
             }
             JournalFrame::QuarantineKey { shard, key } => {
-                put_u8(&mut out, TAG_QUARANTINE_KEY);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *key);
+                put_u8(out, TAG_QUARANTINE_KEY);
+                put_u32(out, *shard);
+                put_u64(out, *key);
             }
             JournalFrame::Epoch { epoch } => {
-                put_u8(&mut out, TAG_EPOCH);
-                put_u64(&mut out, *epoch);
+                put_u8(out, TAG_EPOCH);
+                put_u64(out, *epoch);
             }
             JournalFrame::Purge { epoch } => {
-                put_u8(&mut out, TAG_PURGE);
-                put_u64(&mut out, *epoch);
+                put_u8(out, TAG_PURGE);
+                put_u64(out, *epoch);
             }
             JournalFrame::DropShard { shard } => {
-                put_u8(&mut out, TAG_DROP_SHARD);
-                put_u32(&mut out, *shard);
+                put_u8(out, TAG_DROP_SHARD);
+                put_u32(out, *shard);
             }
-            JournalFrame::Commit(rec) => {
-                put_u8(&mut out, TAG_COMMIT);
-                put_u64(&mut out, rec.cycle);
-                put_u64(&mut out, rec.clock);
-                put_u64(&mut out, rec.shard_seqs.len() as u64);
-                for &s in &rec.shard_seqs {
-                    put_u64(&mut out, s);
-                }
-                put_u64(&mut out, rec.shard_health.len() as u64);
-                for h in &rec.shard_health {
-                    put_u32(&mut out, h.strikes);
-                    put_u8(&mut out, h.quarantined as u8);
-                }
-                let ck = rec.serve.encode();
-                put_u64(&mut out, ck.len() as u64);
-                out.extend_from_slice(&ck);
-                put_u64(&mut out, rec.lines.len() as u64);
-                for line in &rec.lines {
-                    put_u64(&mut out, line.len() as u64);
-                    out.extend_from_slice(line.as_bytes());
-                }
-            }
+            JournalFrame::Waits { base, values } => put_waits_fields(out, *base, values),
+            JournalFrame::Commit { rec, waits } => put_commit_fields(out, rec.borrowed(), *waits),
         }
-        out
     }
 
     /// Parse one frame body. Any defect is a store error, never a panic.
@@ -306,8 +385,8 @@ impl JournalFrame {
                         quarantined,
                     });
                 }
-                let ck_len = r.len("checkpoint")?;
-                let serve = ServeCheckpoint::decode(r.take(ck_len)?)?;
+                let serve = ServeCheckpoint::decode_head(&mut r)?;
+                let waits = r.u64()?;
                 let n = r.len("lines")?;
                 let mut lines = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -318,15 +397,22 @@ impl JournalFrame {
                             .map_err(|_| corrupt("line is not UTF-8"))?,
                     );
                 }
-                JournalFrame::Commit(CommitRecord {
-                    cycle,
-                    clock,
-                    shard_seqs,
-                    shard_health,
-                    serve,
-                    lines,
-                })
+                JournalFrame::Commit {
+                    rec: CommitRecord {
+                        cycle,
+                        clock,
+                        shard_seqs,
+                        shard_health,
+                        serve,
+                        lines,
+                    },
+                    waits,
+                }
             }
+            TAG_WAITS => JournalFrame::Waits {
+                base: r.u64()?,
+                values: read_waits(&mut r)?,
+            },
             t => return Err(corrupt(format!("unknown frame tag {t}"))),
         };
         if !r.done() {
@@ -337,7 +423,9 @@ impl JournalFrame {
 
     /// Serialize the full container frame (length, body, checksum).
     pub fn encode(&self) -> Vec<u8> {
-        encode_frame(&self.encode_body())
+        let mut out = Vec::new();
+        put_frame(&mut out, |out| self.put_fields(out));
+        out
     }
 }
 
@@ -351,9 +439,11 @@ pub struct JournalShard {
 }
 
 /// The fold of every frame up to (and including) the last `Commit`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct FoldState {
     shards: Vec<JournalShard>,
+    /// The wait log: `ServeStats::waits` as of the last `Commit`.
+    waits: Vec<f64>,
 }
 
 impl FoldState {
@@ -411,34 +501,34 @@ impl FoldState {
             JournalFrame::DropShard { shard } => {
                 *self.shard(*shard) = JournalShard::default();
             }
-            JournalFrame::Commit(_) => {}
+            JournalFrame::Waits { base, values } => {
+                self.waits.truncate(*base as usize);
+                self.waits.extend_from_slice(values);
+            }
+            JournalFrame::Commit { .. } => {}
         }
     }
 
-    /// Re-encode the state as snapshot frames (no sealing commit).
-    fn state_frames(&self) -> Vec<Vec<u8>> {
-        let mut frames = Vec::new();
+    /// Append the per-shard state as snapshot frames.
+    fn put_shard_frames(&self, out: &mut Vec<u8>) {
+        let mut put = |f: JournalFrame| put_frame(out, |out| f.put_fields(out));
         for (si, s) in self.shards.iter().enumerate() {
             let shard = si as u32;
             for (&key, &(epoch, last_use)) in &s.entries {
-                frames.push(
-                    JournalFrame::Put {
-                        shard,
-                        key,
-                        epoch,
-                        last_use,
-                    }
-                    .encode(),
-                );
+                put(JournalFrame::Put {
+                    shard,
+                    key,
+                    epoch,
+                    last_use,
+                });
             }
             for (&key, &count) in &s.strikes {
-                frames.push(JournalFrame::Strike { shard, key, count }.encode());
+                put(JournalFrame::Strike { shard, key, count });
             }
             for &key in &s.quarantine {
-                frames.push(JournalFrame::QuarantineKey { shard, key }.encode());
+                put(JournalFrame::QuarantineKey { shard, key });
             }
         }
-        frames
     }
 }
 
@@ -449,7 +539,8 @@ impl FoldState {
 pub struct JournalRecovery {
     /// Folded per-shard metadata (empty when no commit was found).
     pub shards: Vec<JournalShard>,
-    /// The last complete commit, `None` for a fresh or fully torn log.
+    /// The last complete commit (the folded wait log spliced back into
+    /// `serve.stats.waits`), `None` for a fresh or fully torn log.
     pub commit: Option<CommitRecord>,
     /// Global response index of `lines[0]`.
     pub lines_start: u64,
@@ -470,22 +561,26 @@ pub struct JournalStats {
     pub commits: u64,
     pub snapshots: u64,
     pub syncs: u64,
+    /// Bytes appended to the WAL (commit groups; snapshots not counted).
+    pub bytes: u64,
 }
 
 /// Append-only journal for one supervisor. See the module docs for the
-/// discipline; the short version: `append` buffers, `commit` seals and
+/// discipline; the short version: `append` buffers, `seal` closes and
 /// writes one group, recovery trusts only sealed groups.
 pub struct SupervisorJournal {
     dir: PathBuf,
     wal: File,
     /// Encoded frames of the open (uncommitted) group.
     buf: Vec<u8>,
-    /// Decoded frames of the open group, folded into `state` at commit.
+    /// Decoded frames of the open group, folded into `state` at its seal.
     pending: Vec<JournalFrame>,
     /// The committed fold — the compaction source.
     state: FoldState,
-    /// The last sealed commit (carried into snapshots).
-    last_commit: Option<CommitRecord>,
+    /// The last sealing `Commit` frame as encoded (carried into snapshots).
+    last_commit: Vec<u8>,
+    /// The next seal starts a new run's wait log (base 0).
+    fresh_run: bool,
     snapshot_every: u64,
     sync_every: u64,
     commits_since_compact: u64,
@@ -508,12 +603,15 @@ impl SupervisorJournal {
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let wal_path = dir.join(WAL_FILE);
 
-        // Fold both files with commit-granularity retention: `tentative`
-        // runs ahead frame by frame; `committed` advances only when a
+        // Fold both files with commit-granularity retention: a group's
+        // frames wait in `open` and reach the fold only when their
         // sealing commit proves the group complete.
-        let mut committed = FoldState::default();
-        let mut tentative = FoldState::default();
+        let mut fold = FoldState::default();
+        let mut open: Vec<JournalFrame> = Vec::new();
+        // Length of the wait log once `open` is applied.
+        let mut open_waits = 0u64;
         let mut last_commit: Option<CommitRecord> = None;
+        let mut sealed = Vec::new();
         let mut lines_start = 0u64;
         let mut lines: Vec<String> = Vec::new();
         let mut frames = 0u64;
@@ -523,21 +621,36 @@ impl SupervisorJournal {
                 let Ok(frame) = JournalFrame::decode_body(body) else {
                     return false; // undecodable body: torn tail from here
                 };
-                tentative.apply(&frame);
-                if let JournalFrame::Commit(rec) = frame {
-                    committed = tentative.clone();
-                    let before =
-                        rec.serve.emitted - (rec.lines.len() as u64).min(rec.serve.emitted);
-                    if lines.is_empty() || before != lines_start + lines.len() as u64 {
-                        // First retained commit — or a discontinuity a
-                        // well-formed log never produces; resync rather
-                        // than serve a misnumbered stream.
-                        lines_start = before;
-                        lines = rec.lines.clone();
-                    } else {
-                        lines.extend(rec.lines.iter().cloned());
+                match frame {
+                    JournalFrame::Commit { rec, waits } => {
+                        if waits != open_waits {
+                            return false; // seals a wait log this file does not hold
+                        }
+                        for f in open.drain(..) {
+                            fold.apply(&f);
+                        }
+                        sealed = encode_frame(body);
+                        let before =
+                            rec.serve.emitted - (rec.lines.len() as u64).min(rec.serve.emitted);
+                        if lines.is_empty() || before != lines_start + lines.len() as u64 {
+                            // First retained commit — or a discontinuity a
+                            // well-formed log never produces; resync rather
+                            // than serve a misnumbered stream.
+                            lines_start = before;
+                            lines = rec.lines.clone();
+                        } else {
+                            lines.extend(rec.lines.iter().cloned());
+                        }
+                        last_commit = Some(rec);
                     }
-                    last_commit = Some(rec);
+                    JournalFrame::Waits { base, ref values } => {
+                        if base > open_waits {
+                            return false; // a gap in the wait log
+                        }
+                        open_waits = base + values.len() as u64;
+                        open.push(frame);
+                    }
+                    mutation => open.push(mutation),
                 }
                 true
             };
@@ -546,9 +659,12 @@ impl SupervisorJournal {
             torn += t;
         }
 
+        if let Some(rec) = &mut last_commit {
+            rec.serve.stats.waits = fold.waits.clone();
+        }
         let recovery = JournalRecovery {
-            shards: committed.shards.clone(),
-            commit: last_commit.clone(),
+            shards: fold.shards.clone(),
+            commit: last_commit,
             lines_start,
             lines,
             frames,
@@ -565,8 +681,9 @@ impl SupervisorJournal {
             wal,
             buf: Vec::new(),
             pending: Vec::new(),
-            state: committed,
-            last_commit,
+            state: fold,
+            last_commit: sealed,
+            fresh_run: false,
             snapshot_every,
             sync_every,
             commits_since_compact: 0,
@@ -588,7 +705,7 @@ impl SupervisorJournal {
         self.buf.clear();
         self.pending.clear();
         self.state = FoldState::default();
-        self.last_commit = None;
+        self.last_commit.clear();
         self.commits_since_compact = 0;
         self.commits_since_sync = 0;
         self.compact()
@@ -603,31 +720,55 @@ impl SupervisorJournal {
     }
 
     /// Buffer one mutation frame into the open group. Infallible by
-    /// design: the bytes become durable at the sealing [`commit`]
-    /// (Self::commit), and a crash before that loses exactly the frames
+    /// design: the bytes become durable at the sealing [`seal`]
+    /// (Self::seal), and a crash before that loses exactly the frames
     /// recovery would discard as a torn group anyway.
     pub fn append(&mut self, frame: &JournalFrame) {
         self.stats.appends += 1;
-        self.buf.extend_from_slice(&frame.encode());
+        put_frame(&mut self.buf, |out| frame.put_fields(out));
         self.pending.push(frame.clone());
     }
 
-    /// Seal the open group with `rec` and write it to the WAL in one
-    /// append, then fsync / compact on their cadences. An error means
-    /// the group may not be durable — the owner degrades (drops the
-    /// journal) rather than serving under a false durability claim.
-    pub fn commit(&mut self, rec: CommitRecord) -> Result<(), DecoError> {
-        self.buf
-            .extend_from_slice(&JournalFrame::Commit(rec.clone()).encode());
+    /// A new run starts: its first seal restarts the wait log at base 0.
+    pub fn restart_waits(&mut self) {
+        self.fresh_run = true;
+    }
+
+    /// Seal the open group with `c` and write it to the WAL in one
+    /// append, then fsync / compact on their cadences. Only the waits
+    /// past the sealed log are written: a group costs what its cycle
+    /// changed. An error means the group may not be durable — the owner
+    /// degrades (drops the journal) rather than serving under a false
+    /// durability claim.
+    pub fn seal(&mut self, c: CommitRef<'_>) -> Result<(), DecoError> {
+        let waits = &c.serve.stats.waits;
+        let base = if self.fresh_run {
+            0
+        } else {
+            self.state.waits.len()
+        };
+        let new = waits
+            .get(base..)
+            .ok_or_else(|| corrupt("checkpoint is shorter than the sealed wait log"))?;
+        put_waits_frame(&mut self.buf, base, new)?;
+        let commit_at = self.buf.len();
+        put_frame(&mut self.buf, |out| {
+            put_commit_fields(out, c, waits.len() as u64)
+        });
         let wal_path = self.dir.join(WAL_FILE);
         self.wal
             .write_all(&self.buf)
             .map_err(|e| journal_err("append", &wal_path, e))?;
+        self.stats.bytes += self.buf.len() as u64;
+        self.last_commit.clear();
+        self.last_commit.extend_from_slice(&self.buf[commit_at..]);
         self.buf.clear();
-        for f in std::mem::take(&mut self.pending) {
+        for f in self.pending.drain(..) {
             self.state.apply(&f);
         }
-        self.last_commit = Some(rec);
+        self.state.waits.truncate(base);
+        self.state.waits.extend_from_slice(new);
+        self.fresh_run = false;
         self.stats.commits += 1;
         self.commits_since_sync += 1;
         if self.sync_every > 0 && self.commits_since_sync >= self.sync_every {
@@ -644,20 +785,34 @@ impl SupervisorJournal {
         Ok(())
     }
 
+    /// [`seal`](Self::seal) for an owned record outside a run (unit
+    /// tests, the layer benchmark): it continues the sealed wait log when
+    /// it starts with it, value for value, and restarts it otherwise.
+    pub fn commit(&mut self, rec: CommitRecord) -> Result<(), DecoError> {
+        let (sealed, waits) = (&self.state.waits, &rec.serve.stats.waits);
+        let same = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+        if waits.len() < sealed.len() || !waits.iter().zip(sealed).all(same) {
+            self.restart_waits();
+        }
+        self.seal(rec.borrowed())
+    }
+
     /// Publish the committed fold as a fresh snapshot (tmp+rename) and
-    /// truncate the WAL.
+    /// truncate the WAL: shard state, the whole wait log, the commit.
     ///
     /// The snapshot is fsynced only when `sync_every > 0`: an unsynced
     /// WAL cadence already trades power-loss durability for throughput,
     /// and compaction honors the same trade — tmp+rename alone is
     /// enough for the supervisor-kill failover the journal exists for.
     pub fn compact(&mut self) -> Result<(), DecoError> {
-        let mut frames = self.state.state_frames();
-        if let Some(rec) = &self.last_commit {
-            frames.push(JournalFrame::Commit(rec.clone()).encode());
+        let mut snapshot = Vec::new();
+        self.state.put_shard_frames(&mut snapshot);
+        if !self.last_commit.is_empty() {
+            put_waits_frame(&mut snapshot, 0, &self.state.waits)?;
+            snapshot.extend_from_slice(&self.last_commit);
         }
         let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        if frames.is_empty() {
+        if snapshot.is_empty() {
             // Nothing committed yet: an absent snapshot is the canonical
             // empty one.
             if snapshot_path.exists() {
@@ -665,7 +820,7 @@ impl SupervisorJournal {
                     .map_err(|e| journal_err("remove snapshot", &snapshot_path, e))?;
             }
         } else {
-            write_frames_atomic_cadenced(&snapshot_path, &frames, self.sync_every > 0)?;
+            write_frames_atomic_cadenced(&snapshot_path, &[snapshot], self.sync_every > 0)?;
         }
         let wal_path = self.dir.join(WAL_FILE);
         self.wal = OpenOptions::new()
@@ -741,7 +896,14 @@ mod tests {
             JournalFrame::Epoch { epoch: 4 },
             JournalFrame::Purge { epoch: 4 },
             JournalFrame::DropShard { shard: 1 },
-            JournalFrame::Commit(sample_commit(3, 5, vec!["seq=5 ok".into()])),
+            JournalFrame::Waits {
+                base: 2,
+                values: vec![0.0, -1.5, f64::MAX],
+            },
+            JournalFrame::Commit {
+                rec: sample_commit(3, 5, vec!["seq=5 ok".into()]),
+                waits: 5,
+            },
         ];
         for frame in &frames {
             let body = frame.encode_body();
@@ -753,11 +915,12 @@ mod tests {
             );
         }
         // Container round trip through the shared codec.
-        let wire = frames[9].encode();
+        let wire = frames[10].encode();
         let (body, next) = deco_serve::store::raw_frame_at(&wire, 0).expect("container");
         assert_eq!(next, wire.len());
         match JournalFrame::decode_body(body).expect("decode") {
-            JournalFrame::Commit(rec) => {
+            JournalFrame::Commit { rec, waits } => {
+                assert_eq!(waits, 5);
                 assert_eq!(rec.cycle, 3);
                 assert_eq!(rec.lines, vec!["seq=5 ok".to_string()]);
                 assert_eq!(rec.serve.emitted, 6);
@@ -787,9 +950,21 @@ mod tests {
         body.push(0);
         assert!(JournalFrame::decode_body(&body).is_err(), "trailing");
         // And an arbitrary prefix of a commit frame never panics.
-        let full = JournalFrame::Commit(sample_commit(1, 0, vec!["a".into()])).encode_body();
-        for cut in 0..full.len() {
-            let _ = JournalFrame::decode_body(&full[..cut]);
+        let commit = JournalFrame::Commit {
+            rec: sample_commit(1, 0, vec!["a".into()]),
+            waits: 2,
+        };
+        let waits = JournalFrame::Waits {
+            base: 0,
+            values: vec![1.0, 2.0],
+        };
+        for full in [commit.encode_body(), waits.encode_body()] {
+            for cut in 0..full.len() {
+                assert!(
+                    JournalFrame::decode_body(&full[..cut]).is_err(),
+                    "cut {cut}"
+                );
+            }
         }
     }
 
@@ -874,7 +1049,13 @@ mod tests {
             .encode(),
         );
         let group_start = bytes.len();
-        bytes.extend_from_slice(&JournalFrame::Commit(sample_commit(3, 2, vec![])).encode());
+        bytes.extend_from_slice(
+            &JournalFrame::Commit {
+                rec: sample_commit(3, 2, vec![]),
+                waits: 0,
+            }
+            .encode(),
+        );
         for cut in group_start..bytes.len() {
             std::fs::write(&wal, &bytes[..cut]).expect("write torn wal");
             let (_j, rec) = SupervisorJournal::open(&dir, 0, 0).expect("recover never fails");
@@ -931,5 +1112,139 @@ mod tests {
         assert!(rec.shards.is_empty());
         assert_eq!(rec.lines.len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fresh_run_restarts_the_wait_log_and_loses_nothing_before_its_first_seal() {
+        let dir = temp_journal_dir("fresh");
+        let (mut j, _) = SupervisorJournal::open(&dir, 0, 0).expect("open");
+        let mut rec = sample_commit(1, 0, vec![]);
+        rec.serve.stats.waits = vec![1.0, 2.0, 3.0];
+        j.seal(rec.borrowed()).expect("seal run 1");
+        // A new run is announced, then a compaction lands before it
+        // seals anything: run 1's commit must survive whole.
+        j.restart_waits();
+        j.compact().expect("compact");
+        drop(j);
+        let (mut j, got) = SupervisorJournal::open(&dir, 0, 0).expect("reopen");
+        assert_eq!(
+            got.commit.expect("run 1").serve.stats.waits,
+            vec![1.0, 2.0, 3.0]
+        );
+        // Run 2's first cycle answers more requests than run 1 ever did:
+        // only the announcement tells the journal it is not a suffix.
+        j.restart_waits();
+        rec.serve.stats.waits = vec![9.0, 8.0, 7.0, 6.0];
+        j.seal(rec.borrowed()).expect("seal run 2");
+        // A checkpoint shorter than the sealed log, unannounced, is
+        // refused rather than sliced.
+        rec.serve.stats.waits = vec![9.0];
+        assert!(j.seal(rec.borrowed()).is_err());
+        drop(j);
+        let (_, got) = SupervisorJournal::open(&dir, 0, 0).expect("final reopen");
+        assert_eq!(
+            got.commit.expect("run 2").serve.stats.waits,
+            vec![9.0, 8.0, 7.0, 6.0]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_wait_block_past_the_frame_cap_is_an_error_not_a_panic() {
+        let dir = temp_journal_dir("cap");
+        let (mut j, _) = SupervisorJournal::open(&dir, 0, 0).expect("open");
+        let mut rec = sample_commit(1, 0, vec![]);
+        // Never written or read: the check precedes the encode.
+        rec.serve.stats.waits = vec![0.0; MAX_FRAME_BODY / 8];
+        assert!(j.commit(rec).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The checkpoint a writer hands the journal, as the property below
+    /// evolves it: `fresh` restarts the run, otherwise `k` more waits.
+    fn advance(ck: &mut ServeCheckpoint, fresh: bool, k: u8, salt: u64) {
+        if fresh {
+            *ck = ServeCheckpoint::default();
+        }
+        ck.next += u64::from(k);
+        ck.emitted += u64::from(k);
+        ck.now += 1.5;
+        ck.stats.cycles += 1;
+        ck.stats.planned += u64::from(k);
+        *ck.stats.planned_by_tenant.entry(k as u32 % 3).or_default() += 1;
+        let n = ck.stats.waits.len() as u64;
+        ck.stats
+            .waits
+            .extend((0..u64::from(k)).map(|i| (salt * 1000 + n + i) as f64 * 0.25));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Delta fold equals full state: over any interleaving of
+        /// continuing seals, fresh-run restarts, by-value commits,
+        /// compactions and reopens, what `open` recovers re-encodes byte
+        /// for byte to the full checkpoint the writer was handed last.
+        #[test]
+        fn recovered_checkpoint_equals_the_last_one_sealed(
+            ops in proptest::collection::vec((0u8..10, 0u8..40), 1..40)
+        ) {
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = temp_journal_dir(&format!("prop{case}"));
+            let check = |rec: &JournalRecovery, sealed: &Option<ServeCheckpoint>| {
+                match (&rec.commit, sealed) {
+                    (None, None) => {}
+                    (Some(c), Some(ck)) => {
+                        assert_eq!(c.serve.encode(), ck.encode());
+                        assert_eq!(c.serve.stats.digest(), ck.stats.digest());
+                    }
+                    (got, want) => panic!("recovered {got:?}, sealed {want:?}"),
+                }
+            };
+            // snapshot_every = 5: cadence compactions land mid-sequence too.
+            let (mut j, rec) = SupervisorJournal::open(&dir, 5, 0).expect("open");
+            check(&rec, &None);
+            let mut ck = ServeCheckpoint::default();
+            let mut sealed: Option<ServeCheckpoint> = None;
+            for (step, &(op, k)) in ops.iter().enumerate() {
+                match op {
+                    // A cycle of the same run / the first cycle of a fresh one.
+                    0..=5 => {
+                        let fresh = op == 5;
+                        advance(&mut ck, fresh, k, step as u64);
+                        if fresh {
+                            j.restart_waits();
+                        }
+                        let rec = sample_commit(step as u64, 0, vec![]);
+                        j.seal(CommitRef { serve: &ck, ..rec.borrowed() }).expect("seal");
+                        sealed = Some(ck.clone());
+                    }
+                    // The by-value adapter, continuing or restarting.
+                    6 | 7 => {
+                        advance(&mut ck, op == 7, k, step as u64);
+                        let mut rec = sample_commit(step as u64, 0, vec![]);
+                        rec.serve = ck.clone();
+                        j.commit(rec).expect("commit");
+                        sealed = Some(ck.clone());
+                    }
+                    8 => j.compact().expect("compact"),
+                    // A takeover: the standby resumes what it recovered.
+                    _ => {
+                        drop(j);
+                        let (reopened, rec) = SupervisorJournal::open(&dir, 5, 0).expect("reopen");
+                        check(&rec, &sealed);
+                        j = reopened;
+                        if let Some(c) = rec.commit {
+                            ck = c.serve;
+                        }
+                    }
+                }
+            }
+            drop(j);
+            let (_, rec) = SupervisorJournal::open(&dir, 0, 0).expect("final reopen");
+            check(&rec, &sealed);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -27,8 +27,8 @@ pub mod wire;
 pub mod worker;
 
 pub use journal::{
-    CommitRecord, JournalFrame, JournalRecovery, JournalStats, ShardHealth, SupervisorJournal,
-    SNAPSHOT_FILE, WAL_FILE,
+    CommitRecord, CommitRef, JournalFrame, JournalRecovery, JournalStats, ShardHealth,
+    SupervisorJournal, SNAPSHOT_FILE, WAL_FILE,
 };
 pub use monitor::{Liveness, LivenessMonitor};
 pub use supervisor::{

@@ -28,7 +28,7 @@
 //!   the cycle barrier is enforced only at integration time, which is
 //!   all run-cycle needs for byte-identity.
 
-use super::journal::{CommitRecord, JournalFrame, ShardHealth, SupervisorJournal};
+use super::journal::{CommitRef, JournalFrame, ShardHealth, SupervisorJournal};
 use super::monitor::{Liveness, LivenessMonitor};
 use super::wire::{Frame, Hello, RecoverReport, Sabotage, WireJob, WorkerStoreStats, WORKER_ARG};
 use crate::faults::ShardFaultPlan;
@@ -291,8 +291,13 @@ pub struct SuperviseStats {
     pub journal_snapshots: u64,
     /// Supervisor-journal fsyncs.
     pub journal_syncs: u64,
+    /// Bytes appended to the supervisor journal's WAL.
+    pub journal_bytes: u64,
     /// Journal I/O failures — each permanently degrades to unjournaled.
     pub journal_failures: u64,
+    /// The supervisor cycle whose commit failed: from there on the run
+    /// has no failover cover. `None` while the journal is intact.
+    pub journal_lost_at_cycle: Option<u64>,
     /// Valid journal frames folded during [`ShardSupervisor::recover`].
     pub journal_frames_recovered: u64,
     /// Journal bytes discarded as torn (uncommitted) tails on recovery.
@@ -1652,6 +1657,7 @@ impl ShardSupervisor {
             s.journal_commits += t.commits;
             s.journal_snapshots += t.snapshots;
             s.journal_syncs += t.syncs;
+            s.journal_bytes += t.bytes;
         }
         s
     }
@@ -1766,6 +1772,11 @@ impl ShardSupervisor {
             let inner = self.inner_mut();
             inner.fault_plan = session.shard_faults.clone();
             inner.chaos_kills = session.chaos_kills.clone();
+            // A resumed run continues the wait log the journal
+            // recovered; a fresh one restarts it.
+            if let (None, Some(j)) = (&resume, inner.journal.as_mut()) {
+                j.restart_waits();
+            }
         }
         let workers = self.config.workers_per_shard;
         // A resumed run has already committed (and re-emitted) every
@@ -1915,7 +1926,7 @@ impl ServeBackend for ShardSupervisor {
 
 /// The journaled replay's backend: full delegation to the supervisor,
 /// plus cycle commits. Each `commit_cycle` seals the pending mutation
-/// frames behind a [`CommitRecord`] (the serve-loop continuation, every
+/// frames behind a commit record (the serve-loop continuation, every
 /// shard's seq high-water mark and health verdict, and the cycle's
 /// canonical response lines), *then* fires any scheduled supervisor
 /// crash, *then* emits — so everything the caller ever sees is provable
@@ -2001,35 +2012,39 @@ impl ServeBackend for JournaledRun<'_> {
         new_responses: &[PlanResponse],
     ) -> bool {
         // 1. Seal the cycle. A journal write failure degrades the run to
-        //    unjournaled (counted, never fatal): serving availability
-        //    outranks failover cover, and the torn tail stays harmless —
-        //    recovery discards anything after the last sealed commit.
-        {
-            let inner = self.sup.inner_mut();
-            if inner.journal.is_some() {
-                let rec = CommitRecord {
-                    cycle: inner.cycle,
-                    clock: inner.clock,
-                    shard_seqs: inner.children.iter().map(|c| c.seq).collect(),
-                    shard_health: inner
-                        .children
-                        .iter()
-                        .map(|c| ShardHealth {
-                            strikes: c.monitor.strikes(),
-                            quarantined: c.monitor.state() == Liveness::Quarantined,
-                        })
-                        .collect(),
-                    serve: checkpoint.clone(),
-                    lines: new_responses.iter().map(|r| r.canonical_line()).collect(),
-                };
-                let failed = match inner.journal.as_mut() {
-                    Some(j) => j.commit(rec).is_err(),
-                    None => false,
-                };
-                if failed {
-                    inner.stats.journal_failures += 1;
-                    inner.journal = None;
-                }
+        //    unjournaled (counted and reported, never fatal): serving
+        //    availability outranks failover cover, and the torn tail
+        //    stays harmless — recovery discards anything after the last
+        //    sealed commit.
+        let inner = self.sup.inner_mut();
+        if let Some(j) = inner.journal.as_mut() {
+            let shard_seqs: Vec<u64> = inner.children.iter().map(|c| c.seq).collect();
+            let shard_health: Vec<ShardHealth> = inner
+                .children
+                .iter()
+                .map(|c| ShardHealth {
+                    strikes: c.monitor.strikes(),
+                    quarantined: c.monitor.state() == Liveness::Quarantined,
+                })
+                .collect();
+            let lines: Vec<String> = new_responses.iter().map(|r| r.canonical_line()).collect();
+            let rec = CommitRef {
+                cycle: inner.cycle,
+                clock: inner.clock,
+                shard_seqs: &shard_seqs,
+                shard_health: &shard_health,
+                serve: checkpoint,
+                lines: &lines,
+            };
+            if let Err(e) = j.seal(rec) {
+                eprintln!(
+                    "deco-shard: supervisor journal lost at cycle {}, serving on \
+                     without failover cover: {e}",
+                    inner.cycle
+                );
+                inner.stats.journal_failures += 1;
+                inner.stats.journal_lost_at_cycle = Some(inner.cycle);
+                inner.journal = None;
             }
         }
         // 2. Scheduled self-crash: after the durable commit, before any

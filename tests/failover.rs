@@ -21,13 +21,14 @@
 use deco::cloud::{CloudSpec, MetadataStore};
 use deco::engine::estimate::deadline_anchors;
 use deco::engine::Deco;
+use deco::serve::store::{encode_frame, raw_frame_at};
 use deco::serve::{
     Arrival, ArrivalTrace, CalibrationRefresh, PlanRequest, PlanResponse, PlanServer, Priority,
     ServeConfig, ServeSession, ServeStats, WorkerFaultPlan,
 };
 use deco::shard::proc::{
-    RecoveredRun, ShardSupervisor, SuperviseConfig, SuperviseSession, SupervisorFaultPlan,
-    SupervisorJournal, WAL_FILE,
+    JournalFrame, RecoveredRun, ShardSupervisor, SuperviseConfig, SuperviseSession,
+    SupervisorFaultPlan, SupervisorJournal, SNAPSHOT_FILE, WAL_FILE,
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -144,6 +145,49 @@ fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("deco_failover_{}_{}", std::process::id(), name));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// One commit group of a journal file, as its bytes lay it out.
+struct Group {
+    /// Byte offsets of the group's first frame and past its `Commit`.
+    start: usize,
+    end: usize,
+    cycle: u64,
+    /// The wait-log length the commit seals.
+    waits: u64,
+    /// `(base, values)` of each `Waits` frame in the group.
+    wait_blocks: Vec<(u64, usize)>,
+    /// Mutation frames (everything but `Waits` and the `Commit`).
+    mutations: u64,
+}
+
+/// Split journal bytes into commit groups (a well-formed file has no
+/// tail past the last one).
+fn journal_groups(bytes: &[u8]) -> Vec<Group> {
+    let mut groups = Vec::new();
+    let (mut pos, mut start) = (0usize, 0usize);
+    let mut wait_blocks = Vec::new();
+    let mut mutations = 0u64;
+    while let Some((body, next)) = raw_frame_at(bytes, pos) {
+        match JournalFrame::decode_body(body).expect("a journal the tier wrote decodes") {
+            JournalFrame::Waits { base, values } => wait_blocks.push((base, values.len())),
+            JournalFrame::Commit { rec, waits } => {
+                groups.push(Group {
+                    start,
+                    end: next,
+                    cycle: rec.cycle,
+                    waits,
+                    wait_blocks: std::mem::take(&mut wait_blocks),
+                    mutations: std::mem::take(&mut mutations),
+                });
+                start = next;
+            }
+            _ => mutations += 1,
+        }
+        pos = next;
+    }
+    assert_eq!(start, bytes.len(), "the file ends on a sealed group");
+    groups
 }
 
 // ---------------------------------------------------------------------------
@@ -435,6 +479,26 @@ fn chained_takeovers_under_worker_faults_are_byte_identical() {
     let _ = std::fs::remove_file(&out);
 }
 
+/// `Halt` at `halt_at` + `abandon()`, no child driver: returns what the
+/// primary printed, leaving the journal and persist directories for a
+/// standby.
+fn halted_primary(n: u32, halt_at: u64, journal: &Path, persist: &Path) -> Vec<String> {
+    let deco = small_deco();
+    let trace = spread_trace(&deco.store.spec, n);
+    let config = supervise_config(2, persist.to_path_buf(), journal.to_path_buf(), None);
+    let mut primary = ShardSupervisor::new(deco, config).expect("primary");
+    let session = SuperviseSession {
+        supervisor: SupervisorFaultPlan::halt_at_cycles([halt_at]),
+        ..SuperviseSession::default()
+    };
+    let mut printed: Vec<String> = Vec::new();
+    let mut emit = |_: u64, r: &PlanResponse| printed.push(r.canonical_line());
+    let (_, _, halted) = primary.serve_trace_journaled(&trace, &session, None, &mut emit);
+    assert!(halted, "the primary must halt mid-trace");
+    primary.abandon();
+    printed
+}
+
 /// In-process drill of the same machinery: `Halt` + `abandon()` +
 /// `recover()`, no child driver. This is the loop the failover bench
 /// times, so it gets its own correctness pin.
@@ -443,21 +507,51 @@ fn halt_abandon_recover_in_process_is_byte_identical() {
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
     let journal = temp_dir("halt_j");
     let persist = temp_dir("halt_p");
-    let deco = small_deco();
-    let trace = spread_trace(&deco.store.spec, n);
-    let config = supervise_config(2, persist.clone(), journal.clone(), None);
-    let mut primary = ShardSupervisor::new(deco, config).expect("primary");
-    let session = SuperviseSession {
-        supervisor: SupervisorFaultPlan::halt_at_cycles([7]),
-        ..SuperviseSession::default()
-    };
-    let mut printed: Vec<String> = Vec::new();
-    let mut emit = |_: u64, r: &PlanResponse| printed.push(r.canonical_line());
-    let (_, _, halted) = primary.serve_trace_journaled(&trace, &session, None, &mut emit);
-    assert!(halted, "the primary must halt mid-trace");
-    primary.abandon();
-    drop(primary);
+    let mut printed = halted_primary(n, 7, &journal, &persist);
     assert!(!printed.is_empty() && printed.len() < ref_lines.len());
+    let (tier, stats, halted) =
+        standby_takeover(2, &journal, &persist, n, false, None, &mut printed);
+    assert!(!halted);
+    assert_eq!(printed, ref_lines);
+    assert_eq!(stats.digest(), ref_stats.digest());
+    drop(tier);
+    for d in [&journal, &persist] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// The wait log split across both files: the primary halts two commits
+/// after a compaction (`snapshot_every: 4`, ten commits), so the
+/// snapshot holds the whole log from base 0 and the WAL only the
+/// suffixes sealed since. The standby folds one onto the other and the
+/// takeover still splices to the reference, equal digests included.
+fn takeover_folds_snapshot_waits_and_wal_suffixes() {
+    let n = 22;
+    let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
+    let journal = temp_dir("split_j");
+    let persist = temp_dir("split_p");
+    let mut printed = halted_primary(n, 9, &journal, &persist);
+    let snapshot = journal_groups(&std::fs::read(journal.join(SNAPSHOT_FILE)).expect("snapshot"));
+    let [sealed] = &snapshot[..] else {
+        panic!("a snapshot is one group, got {}", snapshot.len());
+    };
+    assert_eq!(sealed.wait_blocks, vec![(0, sealed.waits as usize)]);
+    assert!(sealed.waits > 0, "the snapshot carries the log so far");
+    let wal = journal_groups(&std::fs::read(journal.join(WAL_FILE)).expect("wal"));
+    assert_eq!(wal.len(), 2, "two commits since the compaction");
+    let mut folded = sealed.waits;
+    for group in &wal {
+        let [(base, added)] = group.wait_blocks[..] else {
+            panic!("one wait block a group");
+        };
+        assert_eq!(base, folded, "each group continues the log where it stood");
+        folded += added as u64;
+        assert_eq!(group.waits, folded);
+    }
+    assert!(
+        folded > sealed.waits,
+        "the WAL holds waits the snapshot lacks"
+    );
     let (tier, stats, halted) =
         standby_takeover(2, &journal, &persist, n, false, None, &mut printed);
     assert!(!halted);
@@ -516,8 +610,8 @@ fn a_saturated_touch_backlog_still_replays_byte_identically() {
 }
 
 /// Satellite: truncate a *real* journal (written by a real run) at
-/// every byte offset across its final region — recovery must never
-/// panic and never resurrect a cycle past the last sealed commit.
+/// every byte offset of its last two commit groups — recovery must
+/// never panic and must report exactly the last group left whole.
 fn journal_truncation_fuzz_never_panics() {
     let n = 10;
     let journal = temp_dir("fuzz_j");
@@ -536,9 +630,17 @@ fn journal_truncation_fuzz_never_panics() {
     };
     let wal_path = journal.join(WAL_FILE);
     let wal = std::fs::read(&wal_path).expect("journal wal exists");
-    assert!(!wal.is_empty(), "the run must have journaled commits");
-    let snapshot_path = journal.join(deco::shard::proc::SNAPSHOT_FILE);
-    let first_cut = wal.len().saturating_sub(600);
+    let groups = journal_groups(&wal);
+    assert!(groups.len() >= 3, "the run must have journaled commits");
+    assert!(groups.last().expect("groups").cycle <= final_cycle);
+    assert!(
+        groups.iter().all(|g| !g.wait_blocks.is_empty()),
+        "every group carries its block of the wait log"
+    );
+    let snapshot_path = journal.join(SNAPSHOT_FILE);
+    // Every offset of the last three groups (two serving cycles and the
+    // end-of-trace flush): mutation frames, wait blocks, commits.
+    let first_cut = groups[groups.len() - 3].start;
     for cut in first_cut..=wal.len() {
         // Each open() compacts; restore the pristine torn state so every
         // cut is judged against the same WAL + no snapshot.
@@ -546,14 +648,185 @@ fn journal_truncation_fuzz_never_panics() {
         std::fs::write(&wal_path, &wal[..cut]).expect("write truncated wal");
         let (_, rec) = SupervisorJournal::open(&journal, 0, 0)
             .unwrap_or_else(|e| panic!("recovery must not fail at cut {cut}: {e}"));
-        if let Some(c) = rec.commit {
-            assert!(
-                c.cycle <= final_cycle,
-                "cut {cut} resurrected cycle {} past the end",
-                c.cycle
-            );
+        // Exactly the last group the cut left whole — its cycle and its
+        // wait log, nothing of the torn one.
+        let sealed = groups
+            .iter()
+            .rfind(|g| g.end <= cut)
+            .expect("a whole group");
+        let c = rec.commit.expect("the sealed prefix survives");
+        assert_eq!(c.cycle, sealed.cycle, "cut {cut}");
+        assert_eq!(c.serve.stats.waits.len() as u64, sealed.waits, "cut {cut}");
+    }
+    for d in [&journal, &persist] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// A long hit-dominated trace: `n` requests over four shapes, sixteen
+/// arrivals a tick, so after four solves every cycle is sixteen hits.
+fn hot_trace(spec: &CloudSpec, n: u32) -> ArrivalTrace {
+    let arrivals: Vec<Arrival> = (0..n)
+        .map(|i| Arrival {
+            at_tick: f64::from(i / 16) * 1e9,
+            request: request_for(
+                deco::workflow::generators::montage(1, u64::from(40 + i % 4)),
+                i % 3,
+                spec,
+            ),
+        })
+        .collect();
+    ArrivalTrace::new(arrivals)
+}
+
+/// Satellite: what a commit appends to the journal follows what its
+/// cycle changed, not how long the run has been. Counts bytes, not
+/// time: the last tenth of the commits seals no more than 1.1x the
+/// first tenth (the v1 format sealed ~10x: every commit carried every
+/// wait so far), and the whole WAL stays inside a bound linear in
+/// requests and commits with the constants spelled out.
+fn journal_bytes_per_commit_do_not_grow_with_the_run() {
+    let n = 4096u32;
+    let journal = temp_dir("bytes_j");
+    let persist = temp_dir("bytes_p");
+    let deco = small_deco();
+    let trace = hot_trace(&deco.store.spec, n);
+    let mut config = supervise_config(2, persist.clone(), journal.clone(), None);
+    config.serve.batch_size = 16;
+    config.snapshot_every = 0; // keep every commit group in the WAL
+    let mut tier = ShardSupervisor::new(deco, config).expect("tier");
+    let mut line_bytes = 0u64;
+    let mut emit = |_: u64, r: &PlanResponse| line_bytes += r.canonical_line().len() as u64;
+    let (responses, stats, _) =
+        tier.serve_trace_journaled(&trace, &SuperviseSession::default(), None, &mut emit);
+    assert_eq!(responses.len(), n as usize);
+    assert!(
+        stats.hits * 10 >= u64::from(n) * 9 && stats.waits.len() == n as usize,
+        "the trace must be hit-dominated and fully answered ({stats:?})"
+    );
+    let sup = tier.stats();
+    drop(tier);
+
+    let wal = std::fs::read(journal.join(WAL_FILE)).expect("journal wal exists");
+    let groups = journal_groups(&wal);
+    let commits = groups.len() as u64;
+    assert_eq!(
+        sup.journal_bytes,
+        wal.len() as u64,
+        "the counter is the WAL"
+    );
+    assert_eq!(sup.journal_commits, commits);
+    assert_eq!(
+        sup.journal_appends,
+        groups.iter().map(|g| g.mutations).sum::<u64>(),
+        "wait blocks ride in the seal, not through `append`"
+    );
+    assert_eq!(groups.last().expect("groups").waits, u64::from(n));
+
+    let sealed = |gs: &[Group]| gs.iter().map(|g| (g.end - g.start) as u64).sum::<u64>();
+    let tenth = groups.len() / 10;
+    assert!(tenth >= 20, "enough commits for a tenth to mean something");
+    let (first, last) = (
+        sealed(&groups[..tenth]),
+        sealed(&groups[groups.len() - tenth..]),
+    );
+    assert!(
+        last * 10 <= first * 11,
+        "the last {tenth} commits sealed {last} B, the first {tenth} {first} B"
+    );
+    // Per request: its canonical line, 8 B of line length, one 34 B
+    // `Touch` frame, one 8 B wait — 128 B covers the rest. Per commit:
+    // one checkpoint head and one `Waits` frame header, under 1 KiB.
+    let bound = line_bytes + 128 * u64::from(n) + 1024 * commits;
+    assert!(
+        sup.journal_bytes <= bound,
+        "{} B journaled for {n} requests in {commits} commits (bound {bound})",
+        sup.journal_bytes
+    );
+    for d in [&journal, &persist] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// Satellite: losing the journal mid-run is loud and harmless. After
+/// the first commit the WAL path is swapped for `/dev/full`; the next
+/// compaction reopens it, the commit after that cannot write, and the
+/// run degrades to unjournaled — counted, stamped with the cycle, and
+/// byte-identical to the reference all the same.
+fn a_failing_journal_commit_degrades_to_unjournaled_with_identical_bytes() {
+    let n = 16;
+    let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
+    let journal = temp_dir("full_j");
+    let persist = temp_dir("full_p");
+    let deco = small_deco();
+    let trace = spread_trace(&deco.store.spec, n);
+    let config = supervise_config(2, persist.clone(), journal.clone(), None);
+    let mut tier = ShardSupervisor::new(deco, config).expect("tier");
+    let wal_path = journal.join(WAL_FILE);
+    let mut printed: Vec<String> = Vec::new();
+    let mut emit = |idx: u64, r: &PlanResponse| {
+        if idx == 0 {
+            std::fs::remove_file(&wal_path).expect("unlink the wal");
+            std::os::unix::fs::symlink("/dev/full", &wal_path).expect("wal -> /dev/full");
+        }
+        printed.push(r.canonical_line());
+    };
+    let (_, stats, halted) =
+        tier.serve_trace_journaled(&trace, &SuperviseSession::default(), None, &mut emit);
+    assert!(!halted);
+    assert_eq!(printed, ref_lines, "degrading never changes a byte");
+    assert_eq!(stats.digest(), ref_stats.digest());
+    let sup = tier.stats();
+    assert_eq!(sup.journal_failures, 1, "{sup:?}");
+    // Four commits reached the old inode (the fourth compacts and
+    // reopens the path); the fifth — cycle 4, counting from 0 — fails.
+    assert_eq!(sup.journal_lost_at_cycle, Some(4), "{sup:?}");
+    drop(tier);
+    for d in [&journal, &persist] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// Satellite: a journal in format version 1 is no journal. `recover`
+/// refuses every frame, finds no sealed cycle, and the supervisor
+/// starts fresh on it — serving the whole trace, reference bytes.
+fn a_version_1_journal_starts_the_supervisor_fresh() {
+    let n = 8;
+    let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
+    let journal = temp_dir("v1_j");
+    let persist = temp_dir("v1_p");
+    drop(halted_primary(n, 5, &journal, &persist));
+    // Re-stamp what the primary sealed as version 1, valid checksums and
+    // all, in both files.
+    let mut v1 = Vec::new();
+    for file in [SNAPSHOT_FILE, WAL_FILE] {
+        let bytes = std::fs::read(journal.join(file)).expect("journal file");
+        let mut pos = 0;
+        while let Some((body, next)) = raw_frame_at(&bytes, pos) {
+            let mut body = body.to_vec();
+            body[0] = 1;
+            v1.extend(encode_frame(&body));
+            pos = next;
         }
     }
+    assert!(!v1.is_empty());
+    for file in [SNAPSHOT_FILE, WAL_FILE] {
+        std::fs::write(journal.join(file), &v1).expect("write v1 journal");
+    }
+    let _ = std::fs::remove_dir_all(&persist); // a fresh world to be fresh in
+    let deco = small_deco();
+    let trace = spread_trace(&deco.store.spec, n);
+    let config = supervise_config(2, persist.clone(), journal.clone(), None);
+    let (mut tier, run) = ShardSupervisor::recover(deco, config, &[]).expect("recover");
+    assert!(run.is_none(), "a v1 log holds no cycle a v2 reader accepts");
+    assert_eq!(tier.stats().journal_frames_recovered, 0);
+    let mut printed: Vec<String> = Vec::new();
+    let mut emit = |_: u64, r: &PlanResponse| printed.push(r.canonical_line());
+    let (_, stats, _) =
+        tier.serve_trace_journaled(&trace, &SuperviseSession::default(), None, &mut emit);
+    assert_eq!(printed, ref_lines);
+    assert_eq!(stats.digest(), ref_stats.digest());
+    drop(tier);
     for d in [&journal, &persist] {
         let _ = std::fs::remove_dir_all(d);
     }
@@ -594,6 +867,22 @@ fn main() {
         (
             "journal_truncation_fuzz_never_panics",
             journal_truncation_fuzz_never_panics,
+        ),
+        (
+            "takeover_folds_snapshot_waits_and_wal_suffixes",
+            takeover_folds_snapshot_waits_and_wal_suffixes,
+        ),
+        (
+            "journal_bytes_per_commit_do_not_grow_with_the_run",
+            journal_bytes_per_commit_do_not_grow_with_the_run,
+        ),
+        (
+            "a_failing_journal_commit_degrades_to_unjournaled_with_identical_bytes",
+            a_failing_journal_commit_degrades_to_unjournaled_with_identical_bytes,
+        ),
+        (
+            "a_version_1_journal_starts_the_supervisor_fresh",
+            a_version_1_journal_starts_the_supervisor_fresh,
         ),
     ];
 

@@ -9,7 +9,8 @@ use deco::engine::supervisor::plan_with_fallback;
 use deco::engine::Deco;
 use deco::serve::checkpoint::ServeCheckpoint;
 use deco::shard::proc::{
-    CommitRecord, JournalFrame, ShardHealth, SupervisorJournal, SNAPSHOT_FILE, WAL_FILE,
+    CommitRecord, JournalFrame, JournalRecovery, ShardHealth, SupervisorJournal, SNAPSHOT_FILE,
+    WAL_FILE,
 };
 use deco::solver::{EvalBackend, SearchBudget};
 use deco::wlog::program::WlogProgram;
@@ -107,17 +108,16 @@ fn mutate(src: &str, picks: &[(usize, u8, u8)]) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// A well-formed two-commit-group supervisor WAL every journal mutation
-/// starts from, so the fuzz population reaches the fold logic and not
-/// just the container checksum.
-fn seed_wal() -> Vec<u8> {
-    let commit = |cycle: u64, emitted: u64| {
-        let mut serve = ServeCheckpoint {
-            emitted,
-            ..ServeCheckpoint::default()
-        };
-        serve.stats.planned = emitted;
-        JournalFrame::Commit(CommitRecord {
+/// One sealing commit: `waits` is the wait-log length it seals (the
+/// values travel in `Waits` frames), `emitted` the stream length.
+fn seed_commit(cycle: u64, emitted: u64, waits: u64) -> JournalFrame {
+    let mut serve = ServeCheckpoint {
+        emitted,
+        ..ServeCheckpoint::default()
+    };
+    serve.stats.planned = emitted;
+    JournalFrame::Commit {
+        rec: CommitRecord {
             cycle,
             clock: 10 * cycle,
             shard_seqs: vec![3 * cycle, cycle],
@@ -130,9 +130,21 @@ fn seed_wal() -> Vec<u8> {
             ],
             serve,
             lines: vec![format!("line {cycle}")],
-        })
-    };
-    let frames = [
+        },
+        waits,
+    }
+}
+
+fn encode_all(frames: &[JournalFrame]) -> Vec<u8> {
+    frames.iter().flat_map(JournalFrame::encode).collect()
+}
+
+/// A well-formed two-commit-group supervisor WAL every journal mutation
+/// starts from, so the fuzz population reaches the fold logic — the
+/// wait log included — and not just the container checksum. Returns the
+/// bytes and the offset at which the final group starts.
+fn seed_wal() -> (Vec<u8>, usize) {
+    let first = encode_all(&[
         JournalFrame::Put {
             shard: 0,
             key: 7,
@@ -149,7 +161,13 @@ fn seed_wal() -> Vec<u8> {
             key: 7,
             count: 2,
         },
-        commit(1, 1),
+        JournalFrame::Waits {
+            base: 0,
+            values: vec![0.0, 1.5, 3.25],
+        },
+        seed_commit(1, 1, 3),
+    ]);
+    let second = encode_all(&[
         JournalFrame::Put {
             shard: 1,
             key: 11,
@@ -157,15 +175,22 @@ fn seed_wal() -> Vec<u8> {
             last_use: 8,
         },
         JournalFrame::Del { shard: 0, key: 7 },
-        commit(2, 2),
-    ];
-    frames.iter().flat_map(JournalFrame::encode).collect()
+        JournalFrame::Waits {
+            base: 3,
+            values: vec![7.0, 0.125],
+        },
+        seed_commit(2, 2, 5),
+    ]);
+    let final_group = first.len();
+    ([first, second].concat(), final_group)
 }
 
-/// Recover a journal directory holding exactly `wal` and (optionally)
-/// `snapshot`. Open may reject the directory, never panic; a recovered
-/// fold must not invent commits the bytes cannot contain.
-fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) {
+/// `open` on a directory holding exactly `wal` and (optionally)
+/// `snapshot`; the directory is removed again.
+fn open_journal(
+    wal: &[u8],
+    snapshot: Option<&[u8]>,
+) -> Result<JournalRecovery, deco::engine::DecoError> {
     static CASE: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "deco_np_journal_{}_{}",
@@ -177,8 +202,17 @@ fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) {
     if let Some(bytes) = snapshot {
         std::fs::write(dir.join(SNAPSHOT_FILE), bytes).expect("write snapshot");
     }
-    match SupervisorJournal::open(&dir, 0, 0) {
-        Ok((_, rec)) => {
+    let opened = SupervisorJournal::open(&dir, 0, 0).map(|(_, rec)| rec);
+    let _ = std::fs::remove_dir_all(&dir);
+    opened
+}
+
+/// Recover a journal directory holding exactly `wal` and (optionally)
+/// `snapshot`. Open may reject the directory, never panic; a recovered
+/// fold must not invent commits the bytes cannot contain.
+fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) {
+    match open_journal(wal, snapshot) {
+        Ok(rec) => {
             // Whatever the fold kept must at least render and stay
             // internally consistent with the line accounting the serve
             // splice relies on.
@@ -191,7 +225,96 @@ fn drive_journal(wal: &[u8], snapshot: Option<&[u8]>) {
             let _ = e.to_string();
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sealed state a recovery of `seed_wal` must report when only the
+/// first group, or both, survive.
+fn assert_seed_recovery(rec: &JournalRecovery, groups: u64, what: &str) {
+    let commit = rec
+        .commit
+        .as_ref()
+        .unwrap_or_else(|| panic!("{what}: a sealed cycle"));
+    assert_eq!(commit.cycle, groups, "{what}");
+    let waits: &[f64] = if groups == 1 {
+        &[0.0, 1.5, 3.25]
+    } else {
+        &[0.0, 1.5, 3.25, 7.0, 0.125]
+    };
+    assert_eq!(commit.serve.stats.waits, waits, "{what}: the wait log");
+}
+
+/// Truncating the final group — mutations, its `Waits` block, its
+/// `Commit` — at every byte offset leaves exactly the first group's
+/// sealed state, wait log included; the intact log recovers both.
+#[test]
+fn a_torn_wait_log_group_recovers_the_sealed_prefix_at_every_offset() {
+    let (wal, final_group) = seed_wal();
+    for cut in final_group..wal.len() {
+        let rec = open_journal(&wal[..cut], None).expect("torn tails never fail recovery");
+        assert_seed_recovery(&rec, 1, &format!("cut {cut}"));
+    }
+    let rec = open_journal(&wal, None).expect("recover");
+    assert_seed_recovery(&rec, 2, "intact");
+}
+
+/// The ways a checksum-valid group can still lie about the wait
+/// log each end replay at that group, as any undecodable body does.
+#[test]
+fn inconsistent_wait_log_groups_are_refused_not_folded() {
+    let (wal, final_group) = seed_wal();
+    let first = &wal[..final_group];
+    let waits = |base: u64, values: Vec<f64>| JournalFrame::Waits { base, values };
+    // An f64 payload cut mid-value, re-framed so the container accepts it.
+    let mut cut_body = waits(3, vec![7.0, 0.125]).encode_body();
+    cut_body.truncate(cut_body.len() - 3);
+    let bad_groups = [
+        (
+            "base beyond the folded length",
+            encode_all(&[waits(4, vec![7.0]), seed_commit(2, 2, 5)]),
+        ),
+        (
+            "commit count disagrees with the fold",
+            encode_all(&[waits(3, vec![7.0, 0.125]), seed_commit(2, 2, 6)]),
+        ),
+        (
+            "commit with no wait block to back its count",
+            encode_all(&[seed_commit(2, 2, 5)]),
+        ),
+        (
+            "value cut mid-f64",
+            [
+                deco::serve::store::encode_frame(&cut_body),
+                seed_commit(2, 2, 5).encode(),
+            ]
+            .concat(),
+        ),
+    ];
+    for (what, group) in &bad_groups {
+        let rec = open_journal(&[first, group.as_slice()].concat(), None).expect("recover");
+        assert_seed_recovery(&rec, 1, what);
+        assert!(rec.torn_bytes > 0, "{what}: the bad group counts as torn");
+    }
+}
+
+/// A journal written by format version 1 is refused frame by frame:
+/// recovery reports no sealed cycle and no state, without an error.
+#[test]
+fn a_version_1_journal_recovers_as_empty() {
+    let (wal, _) = seed_wal();
+    let mut v1 = Vec::new();
+    let mut pos = 0;
+    while let Some((body, next)) = deco::serve::store::raw_frame_at(&wal, pos) {
+        let mut body = body.to_vec();
+        body[0] = 1;
+        v1.extend(deco::serve::store::encode_frame(&body));
+        pos = next;
+    }
+    assert_eq!(v1.len(), wal.len(), "every frame re-stamped");
+    for snapshot in [None, Some(v1.as_slice())] {
+        let rec = open_journal(&v1, snapshot).expect("a v1 log is not an error");
+        assert!(rec.commit.is_none() && rec.shards.is_empty() && rec.lines.is_empty());
+        assert_eq!(rec.frames, 0);
+    }
 }
 
 proptest! {
@@ -253,7 +376,7 @@ proptest! {
     fn mutated_wals_never_panic_journal(
         picks in proptest::collection::vec((0usize..65536, 0u8..3, 0u8..255), 1..6)
     ) {
-        let mut wal = seed_wal();
+        let (mut wal, _) = seed_wal();
         for &(pos, op, byte) in &picks {
             if wal.is_empty() {
                 break;
@@ -278,7 +401,7 @@ proptest! {
         cut in 0usize..65536,
         snapshot in proptest::collection::vec(0u8..255, 0..64)
     ) {
-        let wal = seed_wal();
+        let (wal, _) = seed_wal();
         drive_journal(&wal[..cut % (wal.len() + 1)], Some(&snapshot));
     }
 }
