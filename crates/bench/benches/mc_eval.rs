@@ -1,7 +1,8 @@
-//! Single-state Monte-Carlo evaluation throughput: the reference
-//! Algorithm 1 loop (`mc_evaluate_plan_reference`, fresh topological sort
-//! and O(bins) linear-scan sampling per realization) against the compiled
-//! fast path (`CompiledPlan` + reusable `EvalScratch`).
+//! Monte-Carlo evaluation throughput of the one kernel
+//! (`CompiledFrontier`), against the reference Algorithm 1 loop
+//! (`mc_evaluate_plan_reference`: fresh topological sort and O(bins)
+//! linear-scan sampling per realization) for a single plan, and against
+//! itself at K = 1 for a whole frontier.
 //!
 //! Beyond the criterion output, the bench writes `BENCH_mc_eval.json` at
 //! the repository root with the measured medians and speedups so future
@@ -10,8 +11,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deco_cloud::{CloudSpec, MetadataStore, Plan};
 use deco_core::estimate::{
-    mc_evaluate_plan_reference, mc_evaluate_plan_scratch, CompiledFrontier, CompiledPlan,
-    EvalScratch, ExecTimeTable, FrontierScratch, FrontierSkeleton,
+    mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier, ExecTimeTable, FrontierScratch,
+    FrontierSkeleton,
 };
 use deco_workflow::generators;
 use deco_workflow::Workflow;
@@ -88,11 +89,66 @@ fn median_secs(mut f: impl FnMut(), samples: usize, budget: Duration) -> f64 {
     medians[medians.len() / 2]
 }
 
+/// Median seconds per call of `f(false)` and of `f(true)`, and the median
+/// of their per-sample ratio, over `samples` back-to-back pairs of samples
+/// (which side goes first alternates), each sized like [`median_secs`].
+/// Pairing keeps drift on a shared core from landing on one side of the
+/// comparison.
+fn paired_median_secs(
+    mut f: impl FnMut(bool),
+    samples: usize,
+    budget: Duration,
+) -> (f64, f64, f64) {
+    let per_sample = [false, true].map(|side| {
+        let t = Instant::now();
+        f(side);
+        let once = t.elapsed().as_secs_f64().max(1e-9);
+        ((budget.as_secs_f64() / samples as f64 / once).floor() as u64).max(1)
+    });
+    let mut times = [Vec::new(), Vec::new()];
+    for s in 0..samples {
+        for side in [s % 2 == 1, s % 2 == 0] {
+            let n = per_sample[side as usize];
+            let t = Instant::now();
+            for _ in 0..n {
+                f(side);
+            }
+            times[side as usize].push(t.elapsed().as_secs_f64() / n as f64);
+        }
+    }
+    let ratios: Vec<f64> = times[0].iter().zip(&times[1]).map(|(a, b)| a / b).collect();
+    let [a, b, ratio] = [times[0].clone(), times[1].clone(), ratios].map(|mut v| {
+        v.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        v[v.len() / 2]
+    });
+    (a, b, ratio)
+}
+
+/// One compile-and-evaluate pass over `plans` as a single frontier — the
+/// unit of work `SchedulingProblem::evaluate_frontier` performs per block.
+fn frontier_pass(
+    skel: &FrontierSkeleton,
+    spec: &CloudSpec,
+    plans: &[Plan],
+    deadline: f64,
+    iters: usize,
+    seeds: &[u64],
+    scratch: &mut FrontierScratch,
+) -> Vec<deco_core::estimate::McEval> {
+    CompiledFrontier::compile(skel, spec, plans)
+        .expect("packer plans conform")
+        .evaluate(deadline, 0.9, iters, seeds, scratch)
+}
+
 fn mc_eval(c: &mut Criterion) {
     // Quick mode (CI): skip the criterion groups and the reference
-    // medians, measure only the per-plan vs batched-frontier comparison
-    // with small budgets, and fail if the frontier path is ever slower
-    // than evaluating the same candidates one compiled plan at a time.
+    // medians, measure only the K=1 vs K=32 frontier comparison with small
+    // budgets, and fail if a wide frontier costs materially more per
+    // candidate than evaluating the same candidates one column at a time.
+    // The kernel does the same work per column at any K, so the ratio sits
+    // near 1; the floor allows 10% for run-to-run noise and catches a
+    // wide frontier blowing up (allocation or cache footprint growing
+    // faster than K).
     let quick = std::env::var("MC_EVAL_QUICK").is_ok();
     let spec = CloudSpec::amazon_ec2();
     let store = MetadataStore::from_ground_truth(spec.clone(), 30);
@@ -102,32 +158,23 @@ fn mc_eval(c: &mut Criterion) {
     for case in cases() {
         let wf = &case.wf;
         let table = ExecTimeTable::build(wf, &store, HIST_BINS);
+        let skel = FrontierSkeleton::build(wf, &table);
+        let mut scratch = FrontierScratch::new();
         let plan = Plan::packed(wf, &vec![1; wf.len()], 0, &spec);
+        let one = std::slice::from_ref(&plan);
         let deadline = 0.75
             * mc_evaluate_plan_reference(wf, &plan, &table, &spec, f64::INFINITY, 0.9, 32, SEED)
                 .quantile_makespan;
 
-        // Sanity: both paths must give the same verdict before we time them.
+        // Sanity: the kernel must give the reference verdict before we
+        // time it.
         let a = mc_evaluate_plan_reference(wf, &plan, &table, &spec, deadline, 0.9, 64, SEED);
-        let mut scratch = EvalScratch::new();
-        let b = mc_evaluate_plan_scratch(
-            wf,
-            &plan,
-            &table,
-            &spec,
-            deadline,
-            0.9,
-            64,
-            SEED,
-            &mut scratch,
-        );
-        assert_eq!(a, b, "{}: compiled path diverged from reference", case.name);
+        let b = frontier_pass(&skel, &spec, one, deadline, 64, &[SEED], &mut scratch);
+        assert_eq!(a, b[0], "{}: kernel diverged from reference", case.name);
 
-        // ---- Batched frontier vs per-plan compiled evaluation ----
-        let skel = FrontierSkeleton::build(wf, &table);
-        let mut fscratch = FrontierScratch::new();
+        // ---- K-column frontier vs the same candidates at K = 1 ----
         let (budget, samples) = if quick {
-            (Duration::from_millis(250), 3)
+            (Duration::from_millis(250), 7)
         } else {
             (Duration::from_millis(1500), 7)
         };
@@ -135,42 +182,48 @@ fn mc_eval(c: &mut Criterion) {
         for &k in ks {
             let plans = beam_plans(wf, &spec, k);
             let seeds = frontier_seeds(k);
-            let frontier =
-                CompiledFrontier::compile(&skel, &spec, &plans).expect("packer plans conform");
 
-            // Sanity: bit-identical to the per-plan compiled path.
-            let batched = frontier.evaluate(deadline, 0.9, 64, &seeds, &mut fscratch);
+            // Sanity: a wide frontier is bit-identical to its columns.
+            let batched = frontier_pass(&skel, &spec, &plans, deadline, 64, &seeds, &mut scratch);
             for (i, (p, s)) in plans.iter().zip(&seeds).enumerate() {
-                let one = mc_evaluate_plan_scratch(
-                    wf,
-                    p,
-                    &table,
+                let single = frontier_pass(
+                    &skel,
                     &spec,
+                    std::slice::from_ref(p),
                     deadline,
-                    0.9,
                     64,
-                    *s,
+                    &[*s],
                     &mut scratch,
                 );
                 assert_eq!(
-                    one, batched[i],
-                    "{} k={k}: frontier diverged from per-plan at candidate {i}",
+                    single[0], batched[i],
+                    "{} k={k}: frontier diverged from K=1 at candidate {i}",
                     case.name
                 );
             }
 
-            let per_plan_s = median_secs(
-                || {
-                    for (p, s) in plans.iter().zip(&seeds) {
-                        black_box(mc_evaluate_plan_scratch(
-                            wf,
-                            p,
-                            &table,
+            let (k1_s, frontier_s, speedup) = paired_median_secs(
+                |wide| {
+                    if wide {
+                        black_box(frontier_pass(
+                            &skel,
                             &spec,
+                            &plans,
                             deadline,
-                            0.9,
                             MC_ITERS,
-                            *s,
+                            &seeds,
+                            &mut scratch,
+                        ));
+                        return;
+                    }
+                    for (p, s) in plans.iter().zip(&seeds) {
+                        black_box(frontier_pass(
+                            &skel,
+                            &spec,
+                            std::slice::from_ref(p),
+                            deadline,
+                            MC_ITERS,
+                            &[*s],
                             &mut scratch,
                         ));
                     }
@@ -178,39 +231,30 @@ fn mc_eval(c: &mut Criterion) {
                 samples,
                 budget,
             );
-            let frontier_s = median_secs(
-                || {
-                    let f = CompiledFrontier::compile(&skel, &spec, &plans)
-                        .expect("packer plans conform");
-                    black_box(f.evaluate(deadline, 0.9, MC_ITERS, &seeds, &mut fscratch));
-                },
-                samples,
-                budget,
-            );
-            let speedup = per_plan_s / frontier_s;
             println!(
-                "mc_eval {:<12} k={:<4} per_plan {:>10.1} us/cand  frontier {:>10.1} us/cand  speedup {:.2}x",
+                "mc_eval {:<12} k={:<4} k1 {:>10.1} us/cand  frontier {:>10.1} us/cand  speedup {:.2}x",
                 case.name,
                 k,
-                per_plan_s / k as f64 * 1e6,
+                k1_s / k as f64 * 1e6,
                 frontier_s / k as f64 * 1e6,
                 speedup
             );
             frontier_rows.push(format!(
                 "    {{\"name\": \"{}\", \"tasks\": {}, \"k\": {}, \"mc_iters\": {}, \
-                 \"per_plan_us_per_cand\": {:.3}, \"frontier_us_per_cand\": {:.3}, \"speedup\": {:.3}}}",
+                 \"k1_us_per_cand\": {:.3}, \"frontier_us_per_cand\": {:.3}, \"speedup\": {:.3}}}",
                 case.name,
                 wf.len(),
                 k,
                 MC_ITERS,
-                per_plan_s / k as f64 * 1e6,
+                k1_s / k as f64 * 1e6,
                 frontier_s / k as f64 * 1e6,
                 speedup
             ));
             if quick {
                 assert!(
-                    speedup >= 1.0,
-                    "{} k={k}: batched frontier slower than per-plan ({speedup:.2}x)",
+                    speedup >= 1.0 / 1.1,
+                    "{} k={k}: a {k}-wide frontier costs over 10% more per candidate than K=1 \
+                     ({speedup:.2}x)",
                     case.name
                 );
             }
@@ -239,27 +283,25 @@ fn mc_eval(c: &mut Criterion) {
                 )
             })
         });
-        group.bench_function("compiled", |bch| {
+        group.bench_function("frontier_k1", |bch| {
             bch.iter(|| {
-                mc_evaluate_plan_scratch(
-                    wf,
-                    &plan,
-                    &table,
+                frontier_pass(
+                    &skel,
                     &spec,
+                    one,
                     black_box(deadline),
-                    0.9,
                     MC_ITERS,
-                    SEED,
+                    &[SEED],
                     &mut scratch,
                 )
             })
         });
-        group.bench_function("compile_only", |bch| {
-            bch.iter(|| CompiledPlan::compile(wf, &plan, &table, &spec))
-        });
         group.finish();
 
-        // Independent medians for the JSON record.
+        // Independent medians for the JSON record: the reference loop, the
+        // one-column frontier over the problem-wide skeleton (what a search
+        // pays per state), and `mc_evaluate_plan` (what a one-off caller
+        // pays: it also lays out a fresh skeleton).
         let budget = Duration::from_millis(1500);
         let ref_s = median_secs(
             || {
@@ -270,47 +312,58 @@ fn mc_eval(c: &mut Criterion) {
             7,
             budget,
         );
-        let fast_s = median_secs(
+        let k1_s = median_secs(
             || {
-                black_box(mc_evaluate_plan_scratch(
-                    wf,
-                    &plan,
-                    &table,
+                black_box(frontier_pass(
+                    &skel,
                     &spec,
+                    one,
                     deadline,
-                    0.9,
                     MC_ITERS,
-                    SEED,
+                    &[SEED],
                     &mut scratch,
                 ));
             },
             7,
             budget,
         );
-        let speedup = ref_s / fast_s;
+        let fresh_s = median_secs(
+            || {
+                black_box(mc_evaluate_plan(
+                    wf, &plan, &table, &spec, deadline, 0.9, MC_ITERS, SEED,
+                ));
+            },
+            7,
+            budget,
+        );
+        let speedup = ref_s / k1_s;
         println!(
-            "mc_eval {:<12} tasks={:<5} slots={:<5} reference {:>10.1} us  compiled {:>10.1} us  speedup {:.2}x",
+            "mc_eval {:<12} tasks={:<5} slots={:<5} reference {:>10.1} us  frontier_k1 {:>10.1} us  \
+             mc_evaluate_plan {:>10.1} us  speedup {:.2}x",
             case.name,
             wf.len(),
             plan.slots.len(),
             ref_s * 1e6,
-            fast_s * 1e6,
+            k1_s * 1e6,
+            fresh_s * 1e6,
             speedup
         );
         rows.push(format!(
             "    {{\"name\": \"{}\", \"tasks\": {}, \"mc_iters\": {}, \
-             \"reference_us\": {:.3}, \"compiled_us\": {:.3}, \"speedup\": {:.3}}}",
+             \"reference_us\": {:.3}, \"frontier_k1_us\": {:.3}, \"mc_evaluate_plan_us\": {:.3}, \
+             \"speedup\": {:.3}}}",
             case.name,
             wf.len(),
             MC_ITERS,
             ref_s * 1e6,
-            fast_s * 1e6,
+            k1_s * 1e6,
+            fresh_s * 1e6,
             speedup
         ));
     }
 
     if quick {
-        println!("mc_eval quick mode: frontier >= per-plan on every case, skipping JSON");
+        println!("mc_eval quick mode: K=32 per-candidate cost within 10% of K=1, skipping JSON");
         return;
     }
     let json = format!(

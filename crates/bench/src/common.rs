@@ -48,7 +48,6 @@ impl Env {
             beam_width: 4,
             wlog_bins: 5,
             retry: None,
-            ..Default::default()
         }
     }
 

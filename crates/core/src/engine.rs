@@ -53,10 +53,6 @@ pub struct DecoOptions {
     /// expected retry overhead under the store's `fail_rate` facts and this
     /// retry policy. `None` keeps the reliable-cloud estimates.
     pub retry: Option<deco_cloud::RetryConfig>,
-    /// Candidate-block width of the batched frontier evaluator on the
-    /// typed path (see `SchedulingProblem::frontier_block`). `1` disables
-    /// batching; verdicts are bit-identical either way.
-    pub frontier_block: usize,
 }
 
 impl Default for DecoOptions {
@@ -67,7 +63,6 @@ impl Default for DecoOptions {
             beam_width: 4,
             wlog_bins: 5,
             retry: None,
-            frontier_block: 4 * crate::estimate::FRONTIER_LANES,
         }
     }
 }
@@ -125,7 +120,6 @@ impl Deco {
             None => SchedulingProblem::new(wf, self.spec(), &self.store, deadline, percentile),
         };
         problem.mc_iters = self.options.mc_iters;
-        problem.frontier_block = self.options.frontier_block;
         let result = problem.solve_beam(&self.options.search, self.options.beam_width, backend);
         result.best.map(|(types, evaluation)| DecoPlan {
             plan: problem.plan_of(&types),

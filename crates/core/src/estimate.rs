@@ -11,7 +11,7 @@ use deco_cloud::plan::{exec_time_hist, Plan};
 use deco_cloud::{CloudSpec, MetadataStore, RetryConfig};
 use deco_prob::rng::split_indexed;
 use deco_prob::{BinSampler, DecoRng, Histogram};
-use deco_workflow::Workflow;
+use deco_workflow::{TaskId, Workflow};
 
 /// Precomputed per-(task, type) execution-time histograms for one
 /// workflow — the `T_ij(t)` table of Equation (2).
@@ -207,292 +207,6 @@ pub fn sampled_schedule(
     (makespan, cost.total())
 }
 
-/// A plan compiled for repeated Monte-Carlo realization: everything that
-/// does not depend on the sampled durations is hoisted out of the
-/// per-realization loop.
-///
-/// Per *plan* (once): the dispatch order (a full topological sort), the
-/// parent adjacency as a flat CSR array with each edge's constant transfer
-/// seconds baked in, the total cross-region traffic, per-slot prices, and
-/// a precomputed CDF sampler per task. Per *realization* (hot loop): one
-/// uniform draw + binary search per task, adds and maxes — no heap, no
-/// `dyn` dispatch, no allocation (buffers live in [`EvalScratch`]).
-///
-/// The arithmetic — addition order, max folds, the sampler's bin
-/// selection — exactly mirrors [`sampled_schedule`], so for the same RNG
-/// stream a compiled realization returns bit-for-bit the same
-/// `(makespan, cost)` as the reference. `estimate::tests` and
-/// `tests/properties.rs` enforce this.
-#[derive(Debug, Clone)]
-pub struct CompiledPlan {
-    n_tasks: usize,
-    n_slots: usize,
-    /// Tasks in dispatch order (`Plan::dispatch_order`, computed once).
-    order: Vec<u32>,
-    /// CSR row offsets into `parent_edges`, length `n_tasks + 1`, indexed
-    /// by task id.
-    parent_off: Vec<u32>,
-    /// `(parent task id, constant transfer seconds)` per dependency edge,
-    /// grouped by child task. Transfer time depends only on edge bytes and
-    /// the slot pair, never on sampled durations, so it is a per-plan
-    /// constant.
-    parent_edges: Vec<(u32, f64)>,
-    /// `assign[task]` = slot index, as `u32`.
-    assign: Vec<u32>,
-    /// CSR row offsets into `samp_cum`, length `n_tasks + 1`, indexed by
-    /// task id.
-    samp_off: Vec<u32>,
-    /// Every task's duration-histogram CDF (inclusive prefix sums, the
-    /// exact bits a [`BinSampler`] would hold — except each row's last
-    /// entry, which is rewritten to `+∞` so the count of entries `< u`
-    /// lands on the last bin by itself, exactly reproducing the clamped
-    /// `partition_point`), flattened into one contiguous array: the hot
-    /// loop walks a single allocation instead of chasing a per-task `Vec`
-    /// through the cache.
-    samp_cum: Vec<f64>,
-    /// `(lo, width)` bin geometry per task.
-    samp_geom: Vec<(f64, f64)>,
-    /// Hourly price of each slot (type × region resolved once).
-    slot_price: Vec<f64>,
-    billing_quantum: f64,
-    /// Total inter-region bytes — constant across realizations.
-    cross_bytes: f64,
-    inter_region_price_per_gb: f64,
-}
-
-/// Reusable buffers for [`CompiledPlan`] realizations. One scratch per
-/// worker thread makes the steady-state evaluation loop allocation-free;
-/// buffers grow to the largest (tasks, slots, iters) seen and are reused.
-#[derive(Debug, Clone, Default)]
-pub struct EvalScratch {
-    /// Finish time per task.
-    finish: Vec<f64>,
-    /// Next free time per slot.
-    slot_free: Vec<f64>,
-    /// `(first start, last finish)` per slot; `(INFINITY, NEG_INFINITY)`
-    /// marks an unused slot (equivalent to the reference's `None`).
-    slot_span: Vec<(f64, f64)>,
-    /// Sampled task durations of the current realization, indexed by
-    /// dispatch-order position.
-    durs: Vec<f64>,
-    /// Sampled makespans across the realizations of one evaluation.
-    makespans: Vec<f64>,
-    /// Buffers of the batched frontier evaluator ([`CompiledFrontier`]),
-    /// carried here so search workers thread one scratch through both the
-    /// per-plan and the frontier path.
-    pub(crate) frontier: FrontierScratch,
-}
-
-impl EvalScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reset(&mut self, n_tasks: usize, n_slots: usize) {
-        // `finish` and `durs` need the right length but no refill: every
-        // entry is written before it is read (parents precede children in
-        // dispatch order; the sampling pass fills `durs` first).
-        self.finish.resize(n_tasks, 0.0);
-        self.durs.resize(n_tasks, 0.0);
-        self.slot_free.clear();
-        self.slot_free.resize(n_slots, 0.0);
-        self.slot_span.clear();
-        self.slot_span
-            .resize(n_slots, (f64::INFINITY, f64::NEG_INFINITY));
-    }
-}
-
-impl CompiledPlan {
-    /// Hoist every realization-invariant quantity out of `plan`. Costs one
-    /// topological sort plus O(tasks + edges + bins) — amortized over all
-    /// `iters` realizations of the state evaluation.
-    pub fn compile(wf: &Workflow, plan: &Plan, table: &ExecTimeTable, spec: &CloudSpec) -> Self {
-        let n_tasks = wf.len();
-        let n_slots = plan.slots.len();
-        let order: Vec<u32> = plan.dispatch_order(wf).into_iter().map(|t| t.0).collect();
-
-        let mut parent_off = Vec::with_capacity(n_tasks + 1);
-        let mut parent_edges = Vec::new();
-        let mut cross_bytes = 0.0f64;
-        // Iterate tasks in *dispatch order* so `cross_bytes` accumulates in
-        // exactly the order the reference evaluator adds it (f64 addition
-        // is not associative; same order → same bits). The CSR is indexed
-        // by task id, so rows are filled id-ordered below.
-        let mut edges_by_task: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_tasks];
-        for &raw in &order {
-            let t = deco_workflow::TaskId(raw);
-            let my_slot = plan.assign[t.index()];
-            for p in wf.parents(t) {
-                let p_slot = plan.assign[p.index()];
-                let mut transfer = 0.0;
-                if p_slot != my_slot {
-                    let bytes = wf.edge_bytes(p, t).unwrap_or(0.0);
-                    let from = plan.slots[p_slot];
-                    let to = plan.slots[my_slot];
-                    if from.region != to.region {
-                        transfer = deco_cloud::dynamics::phase_seconds_mean(
-                            bytes,
-                            &spec.cross_region_net(),
-                        );
-                        cross_bytes += bytes;
-                    } else {
-                        transfer = deco_cloud::dynamics::phase_seconds_mean(
-                            bytes,
-                            &spec.pair_net(from.itype, to.itype),
-                        );
-                    }
-                }
-                edges_by_task[t.index()].push((p.0, transfer));
-            }
-        }
-        parent_off.push(0u32);
-        for row in &edges_by_task {
-            parent_edges.extend_from_slice(row);
-            parent_off.push(parent_edges.len() as u32);
-        }
-
-        let mut samp_off = Vec::with_capacity(n_tasks + 1);
-        let mut samp_cum = Vec::new();
-        let mut samp_geom = Vec::with_capacity(n_tasks);
-        samp_off.push(0u32);
-        for t in 0..n_tasks {
-            let s: BinSampler = table.hist(t, plan.slots[plan.assign[t]].itype).sampler();
-            samp_cum.extend_from_slice(s.cum());
-            // `index_for` clamps to the last bin when `u` exceeds the total
-            // mass; an infinite last entry folds that clamp into the count
-            // itself (`∞ < u` is never true, and once every finite entry is
-            // below `u` the count is already len - 1).
-            *samp_cum.last_mut().expect("histogram has at least one bin") = f64::INFINITY;
-            samp_geom.push((s.lo(), s.width()));
-            samp_off.push(samp_cum.len() as u32);
-        }
-        let slot_price: Vec<f64> = plan
-            .slots
-            .iter()
-            .map(|s| spec.price(s.itype, s.region))
-            .collect();
-
-        CompiledPlan {
-            n_tasks,
-            n_slots,
-            order,
-            parent_off,
-            parent_edges,
-            assign: plan.assign.iter().map(|&s| s as u32).collect(),
-            samp_off,
-            samp_cum,
-            samp_geom,
-            slot_price,
-            billing_quantum: spec.billing_quantum,
-            cross_bytes,
-            inter_region_price_per_gb: spec.inter_region_price_per_gb,
-        }
-    }
-
-    pub fn n_tasks(&self) -> usize {
-        self.n_tasks
-    }
-
-    /// One Monte-Carlo realization — the compiled equivalent of
-    /// [`sampled_schedule`], allocation-free given a scratch.
-    pub fn realize(&self, scratch: &mut EvalScratch, rng: &mut DecoRng) -> (f64, f64) {
-        scratch.reset(self.n_tasks, self.n_slots);
-        let finish = &mut scratch.finish[..];
-        let slot_free = &mut scratch.slot_free[..];
-        let slot_span = &mut scratch.slot_span[..];
-
-        // Pass 1 — draw every task's duration, in dispatch order (one `u`
-        // per task: exactly the stream the reference consumes). Inlined
-        // `BinSampler::sample`: counting the CDF entries below `u` over a
-        // non-decreasing row equals the clamped `partition_point` (the
-        // row's last entry is `+∞`, see `compile`) — same bin, same center
-        // — but compiles branch-free, and keeping the draws in their own
-        // pass frees them from the schedule's dependency chain.
-        let durs = &mut scratch.durs[..];
-        for (i, &raw) in self.order.iter().enumerate() {
-            let t = raw as usize;
-            let u: f64 = rand::Rng::gen(rng);
-            let row = &self.samp_cum[self.samp_off[t] as usize..self.samp_off[t + 1] as usize];
-            let mut bin = 0usize;
-            for &c in row {
-                bin += (c < u) as usize;
-            }
-            let (blo, bw) = self.samp_geom[t];
-            durs[i] = (blo + (bin as f64 + 0.5) * bw).max(0.0);
-        }
-
-        // Pass 2 — the schedule itself.
-        let mut makespan = 0.0f64;
-        for (i, &raw) in self.order.iter().enumerate() {
-            let t = raw as usize;
-            let my_slot = self.assign[t] as usize;
-            let mut ready = 0.0f64;
-            let lo = self.parent_off[t] as usize;
-            let hi = self.parent_off[t + 1] as usize;
-            for &(p, transfer) in &self.parent_edges[lo..hi] {
-                ready = ready.max(finish[p as usize] + transfer);
-            }
-            let start = ready.max(slot_free[my_slot]);
-            let end = start + durs[i];
-            finish[t] = end;
-            slot_free[my_slot] = end;
-            let (a, b) = slot_span[my_slot];
-            slot_span[my_slot] = (a.min(start), b.max(end));
-            // `max` over non-negative floats is order-independent, so
-            // folding in dispatch order here gives the identical value to
-            // the reference's id-order pass over `finish`.
-            makespan = makespan.max(end);
-        }
-
-        let mut cost = deco_cloud::billing::CostLedger::default();
-        for (i, &(a, b)) in slot_span.iter().enumerate() {
-            if a <= b {
-                cost.add_instance(b - a, self.billing_quantum, self.slot_price[i]);
-            }
-        }
-        cost.add_transfer(self.cross_bytes, self.inter_region_price_per_gb);
-        (makespan, cost.total())
-    }
-
-    /// Monte-Carlo evaluation over `iters` realizations — Algorithm 1 on
-    /// the compiled fast path. Identical results to [`mc_evaluate_plan`]
-    /// for the same arguments and seed.
-    pub fn mc_evaluate(
-        &self,
-        spec_deadline: f64,
-        percentile: f64,
-        iters: usize,
-        seed: u64,
-        scratch: &mut EvalScratch,
-    ) -> McEval {
-        assert!(iters > 0);
-        let mut rng: DecoRng = split_indexed(seed, 0x65737431);
-        let mut hits = 0usize;
-        let mut cost_sum = 0.0;
-        scratch.makespans.clear();
-        for _ in 0..iters {
-            // `realize` borrows the other scratch buffers; `makespans`
-            // stays out of its way.
-            let mut makespans = std::mem::take(&mut scratch.makespans);
-            let (makespan, cost) = self.realize(scratch, &mut rng);
-            if makespan <= spec_deadline {
-                hits += 1;
-            }
-            cost_sum += cost;
-            makespans.push(makespan);
-            scratch.makespans = makespans;
-        }
-        McEval {
-            prob: hits as f64 / iters as f64,
-            mean_cost: cost_sum / iters as f64,
-            quantile_makespan: deco_prob::stats::quantile(
-                &scratch.makespans,
-                percentile.clamp(0.0, 1.0),
-            ),
-        }
-    }
-}
-
 /// Monte-Carlo evaluation of a plan over `iters` realizations (Algorithm 1
 /// with the typed evaluator).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -509,9 +223,12 @@ pub struct McEval {
 /// Monte-Carlo evaluation of a plan: deadline probability, mean cost and
 /// the `percentile`-quantile makespan.
 ///
-/// Compiles the plan once and runs the fast realization loop; callers that
-/// evaluate many states should hold an [`EvalScratch`] and use
-/// [`mc_evaluate_plan_scratch`] to also skip the per-call allocations.
+/// Runs the plan as a one-column [`CompiledFrontier`] over a skeleton laid
+/// out in the plan's own dispatch order, so every plan — whether or not
+/// its dispatch ranks follow the workflow's topological order — runs on
+/// the same kernel as a search frontier. Search loops hold a problem-wide
+/// [`FrontierSkeleton`] and a [`FrontierScratch`] instead and skip the
+/// per-call skeleton build.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_evaluate_plan(
     wf: &Workflow,
@@ -523,44 +240,26 @@ pub fn mc_evaluate_plan(
     iters: usize,
     seed: u64,
 ) -> McEval {
-    let mut scratch = EvalScratch::new();
-    mc_evaluate_plan_scratch(
-        wf,
-        plan,
-        table,
+    let skel = FrontierSkeleton::with_order(wf, table, plan.dispatch_order(wf));
+    let frontier = CompiledFrontier {
+        skel: &skel,
         spec,
+        plans: std::slice::from_ref(plan),
+    };
+    frontier.evaluate(
         deadline,
         percentile,
         iters,
-        seed,
-        &mut scratch,
-    )
+        &[seed],
+        &mut FrontierScratch::new(),
+    )[0]
 }
 
-/// [`mc_evaluate_plan`] with caller-provided scratch buffers: the
-/// steady-state path for search loops (one scratch per worker thread,
-/// zero allocation per evaluated state beyond the compiled plan itself).
-#[allow(clippy::too_many_arguments)]
-pub fn mc_evaluate_plan_scratch(
-    wf: &Workflow,
-    plan: &Plan,
-    table: &ExecTimeTable,
-    spec: &CloudSpec,
-    deadline: f64,
-    percentile: f64,
-    iters: usize,
-    seed: u64,
-    scratch: &mut EvalScratch,
-) -> McEval {
-    let compiled = CompiledPlan::compile(wf, plan, table, spec);
-    compiled.mc_evaluate(deadline, percentile, iters, seed, scratch)
-}
-
-/// The pre-compilation evaluator, retained as the executable spec of
+/// The reference evaluator, retained as the executable spec of
 /// Algorithm 1: a fresh topological sort, per-edge transfer computation
 /// and O(bins) linear-scan sampling in every realization. The property
-/// tests pin [`CompiledPlan`] to this loop realization-for-realization;
-/// the `mc_eval` bench measures the speedup against it.
+/// tests pin [`CompiledFrontier`] to this loop bit for bit; the `mc_eval`
+/// bench measures the speedup against it.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_evaluate_plan_reference(
     wf: &Workflow,
@@ -612,13 +311,14 @@ pub const FRONTIER_LANES: usize = 8;
 /// topological-order sequence, so every packed plan's
 /// [`Plan::dispatch_order`] equals the workflow's topological order —
 /// [`FrontierSkeleton::conforms`] verifies exactly that per candidate (an
-/// O(tasks) rank comparison), and non-conforming plans fall back to the
-/// per-plan path.
+/// O(tasks) rank comparison). A plan that does not conform runs through
+/// [`mc_evaluate_plan`], which lays a skeleton out in that plan's own
+/// dispatch order.
 #[derive(Debug, Clone)]
 pub struct FrontierSkeleton {
     n_tasks: usize,
     n_types: usize,
-    /// Tasks in the shared dispatch order (= topological order).
+    /// Tasks in the shared dispatch order.
     order: Vec<u32>,
     /// Expected dispatch rank per task id (its position in `order`).
     ranks: Vec<u32>,
@@ -636,10 +336,15 @@ pub struct FrontierSkeleton {
     cdf_off: Vec<u32>,
     /// Flattened per-(task, type) CDF rows — the exact bits of each
     /// [`BinSampler`]'s prefix sums, with every row's last entry rewritten
-    /// to `+∞` (same clamp-folding trick as [`CompiledPlan`]).
+    /// to `+∞`: `BinSampler::index_for` clamps to the last bin when `u`
+    /// exceeds the total mass, and an infinite last entry folds that clamp
+    /// into the below-`u` count itself.
     cum: Vec<f64>,
     /// `(lo, width)` bin geometry per (task, type) row.
     geom: Vec<(f64, f64)>,
+    /// Longest CDF row (rows are ragged only when `rebin` collapsed a
+    /// constant histogram): the padded row width of every column.
+    row_stride: usize,
 }
 
 impl FrontierSkeleton {
@@ -648,9 +353,15 @@ impl FrontierSkeleton {
     /// amortized over every candidate of every frontier batch of the
     /// search.
     pub fn build(wf: &Workflow, table: &ExecTimeTable) -> Self {
+        Self::with_order(wf, table, wf.topo_order())
+    }
+
+    /// [`FrontierSkeleton::build`] over an arbitrary dispatch order (any
+    /// topological order of `wf`).
+    fn with_order(wf: &Workflow, table: &ExecTimeTable, order: Vec<TaskId>) -> Self {
         let n_tasks = wf.len();
         let n_types = table.k();
-        let order: Vec<u32> = wf.topo_order().into_iter().map(|t| t.0).collect();
+        let order: Vec<u32> = order.into_iter().map(|t| t.0).collect();
         let mut ranks = vec![0u32; n_tasks];
         for (pos, &raw) in order.iter().enumerate() {
             ranks[raw as usize] = pos as u32;
@@ -660,7 +371,7 @@ impl FrontierSkeleton {
         let mut ebytes = Vec::new();
         eoff.push(0u32);
         for &raw in &order {
-            let t = deco_workflow::TaskId(raw);
+            let t = TaskId(raw);
             for p in wf.parents(t) {
                 epar.push(ranks[p.0 as usize]);
                 ebytes.push(wf.edge_bytes(p, t).unwrap_or(0.0));
@@ -680,6 +391,11 @@ impl FrontierSkeleton {
                 cdf_off.push(cum.len() as u32);
             }
         }
+        let row_stride = cdf_off
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0);
         FrontierSkeleton {
             n_tasks,
             n_types,
@@ -691,14 +407,14 @@ impl FrontierSkeleton {
             cdf_off,
             cum,
             geom,
+            row_stride,
         }
     }
 
-    /// Whether a plan's dispatch ranks match the shared skeleton order, so
-    /// its realizations can run over the skeleton bit-identically to its
-    /// own [`CompiledPlan`]. Distinct ranks equal to topological positions
-    /// make [`Plan::dispatch_order`] (Kahn + min-rank heap) pop tasks in
-    /// exactly topological order.
+    /// Whether a plan's dispatch ranks match the skeleton order, so its
+    /// realizations can run over the skeleton. Distinct ranks equal to
+    /// skeleton positions make [`Plan::dispatch_order`] (Kahn + min-rank
+    /// heap) pop tasks in exactly the skeleton's order.
     pub fn conforms(&self, plan: &Plan) -> bool {
         plan.order == self.ranks
     }
@@ -709,16 +425,18 @@ impl FrontierSkeleton {
 }
 
 /// One candidate column of a [`CompiledFrontier`]: the candidate's type
-/// choices resolved against the shared skeleton — CDF-row offsets, bin
-/// geometry and slot per dispatch position, transfer constants per edge,
-/// prices per slot. Everything realization-varying lives in the scratch;
-/// everything here is read-only in the hot loop.
-#[derive(Debug, Clone)]
+/// choices resolved against the shared skeleton — CDF rows, bin geometry
+/// and slot per dispatch position, transfer constants per edge, prices per
+/// slot. It lives in the [`FrontierScratch`] and is re-resolved for each
+/// candidate right before its realizations run, so a frontier of any width
+/// occupies one column's memory; everything here is read-only in the hot
+/// loop.
+#[derive(Debug, Clone, Default)]
 struct FrontierColumn {
     /// The candidate's CDF rows copied out of `skel.cum` into one dense
     /// `n_tasks × row_stride` matrix in dispatch order, short rows padded
     /// with `+∞` (which no uniform draw ever exceeds, so padding never
-    /// changes a count). The copy trades O(tasks × bins) compile work for
+    /// changes a count). The copy trades O(tasks × bins) resolve work for
     /// a scan that streams sequentially with a uniform stride — reused by
     /// every realization group — instead of gathering rows through
     /// offsets.
@@ -739,8 +457,8 @@ struct FrontierColumn {
     /// unconditional routed store replaces a load + `min` + store per
     /// position.
     start_idx: Vec<u32>,
-    /// Constant transfer seconds per skeleton edge — the same per-plan
-    /// constant [`CompiledPlan`] bakes into its CSR.
+    /// Constant transfer seconds per skeleton edge: transfer time depends
+    /// only on edge bytes and the slot pair, never on sampled durations.
     transfer: Vec<f64>,
     /// Hourly price per slot.
     slot_price: Vec<f64>,
@@ -749,27 +467,94 @@ struct FrontierColumn {
     cross_bytes: f64,
 }
 
+impl FrontierColumn {
+    /// Resolve `plan`, which must dispatch in the skeleton's order, into
+    /// this column, reusing its buffers. O(tasks × bins + edges).
+    fn resolve(&mut self, skel: &FrontierSkeleton, spec: &CloudSpec, plan: &Plan) {
+        let n = skel.n_tasks;
+        let stride = skel.row_stride;
+        self.row_stride = stride;
+        self.rows.clear();
+        self.rows.resize(n * stride, f64::INFINITY);
+        // Every entry of these is written below.
+        self.row_lo.resize(n, 0.0);
+        self.row_w.resize(n, 0.0);
+        self.task_slot.resize(n, 0);
+        self.start_idx.resize(n, 0);
+        self.transfer.resize(skel.epar.len(), 0.0);
+        self.slot_price.clear();
+        self.slot_price
+            .extend(plan.slots.iter().map(|s| spec.price(s.itype, s.region)));
+        let mut cross = 0.0f64;
+        let mut slot_seen = vec![false; plan.slots.len()];
+        for i in 0..n {
+            let t = skel.order[i] as usize;
+            let my_slot = plan.assign[t];
+            let ty = plan.slots[my_slot].itype;
+            let row = t * skel.n_types + ty;
+            let (off, end) = (skel.cdf_off[row] as usize, skel.cdf_off[row + 1] as usize);
+            self.rows[i * stride..i * stride + (end - off)].copy_from_slice(&skel.cum[off..end]);
+            let (lo, w) = skel.geom[row];
+            self.row_lo[i] = lo;
+            self.row_w[i] = w;
+            self.task_slot[i] = my_slot as u32;
+            self.start_idx[i] = if slot_seen[my_slot] {
+                (plan.slots.len() * FRONTIER_LANES) as u32
+            } else {
+                slot_seen[my_slot] = true;
+                (my_slot * FRONTIER_LANES) as u32
+            };
+            for e in skel.eoff[i] as usize..skel.eoff[i + 1] as usize {
+                let p = skel.order[skel.epar[e] as usize] as usize;
+                let p_slot = plan.assign[p];
+                let mut tr = 0.0;
+                if p_slot != my_slot {
+                    let bytes = skel.ebytes[e];
+                    let from = plan.slots[p_slot];
+                    let to = plan.slots[my_slot];
+                    if from.region != to.region {
+                        tr = deco_cloud::dynamics::phase_seconds_mean(
+                            bytes,
+                            &spec.cross_region_net(),
+                        );
+                        cross += bytes;
+                    } else {
+                        tr = deco_cloud::dynamics::phase_seconds_mean(
+                            bytes,
+                            &spec.pair_net(from.itype, to.itype),
+                        );
+                    }
+                }
+                self.transfer[e] = tr;
+            }
+        }
+        self.cross_bytes = cross;
+    }
+}
+
 /// K candidate plans compiled over one [`FrontierSkeleton`] for a single
-/// K×N-realization pass — the batched counterpart of [`CompiledPlan`].
+/// K×N-realization pass — the Monte-Carlo kernel. A single plan is the
+/// K = 1 case ([`mc_evaluate_plan`]).
 ///
 /// Per candidate the arithmetic (draw order, bin counts, max folds, cost
-/// ledger) exactly mirrors `CompiledPlan::compile` + `realize`, and each
-/// candidate consumes its own RNG stream seeded from its own per-state
-/// seed, so `evaluate` returns bit-for-bit the same [`McEval`]s as K
-/// independent [`mc_evaluate_plan_scratch`] calls — `tests/properties.rs`
-/// pins this.
+/// ledger) exactly mirrors [`sampled_schedule`], and each candidate
+/// consumes its own RNG stream seeded from its own per-state seed, so
+/// `evaluate` returns bit-for-bit the same [`McEval`]s as K
+/// [`mc_evaluate_plan_reference`] calls — `tests/properties.rs` pins
+/// this.
 #[derive(Debug, Clone)]
 pub struct CompiledFrontier<'s> {
     skel: &'s FrontierSkeleton,
-    cols: Vec<FrontierColumn>,
-    billing_quantum: f64,
-    inter_region_price_per_gb: f64,
+    spec: &'s CloudSpec,
+    plans: &'s [Plan],
 }
 
-/// Reusable buffers for [`CompiledFrontier`] evaluations — one per worker
-/// thread, same discipline as [`EvalScratch`] (results never depend on
-/// prior contents). All per-realization state is lane-blocked: entry
-/// `x * FRONTIER_LANES + r` belongs to realization lane `r`.
+/// Reusable buffers for [`CompiledFrontier`] evaluations. One scratch per
+/// worker thread makes the steady-state evaluation loop allocation-free;
+/// buffers grow to the largest (tasks, slots, iters) seen and results
+/// never depend on their prior contents. All per-realization state is
+/// lane-blocked: entry `x * FRONTIER_LANES + r` belongs to realization
+/// lane `r`.
 #[derive(Debug, Clone, Default)]
 pub struct FrontierScratch {
     /// Drawn uniforms, `[position * LANES + lane]`, refilled per group.
@@ -790,6 +575,8 @@ pub struct FrontierScratch {
     /// Sampled makespans of the candidate under evaluation, realization
     /// order.
     makespans: Vec<f64>,
+    /// The candidate under evaluation.
+    col: FrontierColumn,
 }
 
 impl FrontierScratch {
@@ -849,105 +636,25 @@ fn fmax(a: f64, b: f64) -> f64 {
 }
 
 impl<'s> CompiledFrontier<'s> {
-    /// Resolve `plans` into candidate columns over the skeleton. Returns
-    /// `None` when any plan does not [`FrontierSkeleton::conforms`] — the
-    /// caller then takes the per-plan path (bit-identical by contract).
-    /// Much cheaper than K [`CompiledPlan::compile`] calls: no topological
-    /// sort and no CDF copies, only O(tasks + edges) resolution per
-    /// candidate.
-    pub fn compile(skel: &'s FrontierSkeleton, spec: &CloudSpec, plans: &[Plan]) -> Option<Self> {
-        if plans.iter().any(|p| !skel.conforms(p)) {
-            return None;
-        }
-        let n = skel.n_tasks;
-        let ne = skel.epar.len();
-        // Uniform padded row width: the longest CDF row any candidate can
-        // reference (rows are ragged only when `rebin` collapsed a
-        // constant histogram).
-        let row_stride = (0..skel.cdf_off.len() - 1)
-            .map(|r| (skel.cdf_off[r + 1] - skel.cdf_off[r]) as usize)
-            .max()
-            .unwrap_or(0);
-        let mut cols = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let mut col = FrontierColumn {
-                rows: vec![f64::INFINITY; n * row_stride],
-                row_stride,
-                row_lo: vec![0.0f64; n],
-                row_w: vec![0.0f64; n],
-                task_slot: vec![0u32; n],
-                start_idx: vec![0u32; n],
-                transfer: vec![0.0f64; ne],
-                slot_price: plan
-                    .slots
-                    .iter()
-                    .map(|s| spec.price(s.itype, s.region))
-                    .collect(),
-                cross_bytes: 0.0,
-            };
-            let mut cross = 0.0f64;
-            let mut slot_seen = vec![false; plan.slots.len()];
-            for i in 0..n {
-                let t = skel.order[i] as usize;
-                let my_slot = plan.assign[t];
-                let ty = plan.slots[my_slot].itype;
-                let row = t * skel.n_types + ty;
-                let (off, end) = (skel.cdf_off[row] as usize, skel.cdf_off[row + 1] as usize);
-                col.rows[i * row_stride..i * row_stride + (end - off)]
-                    .copy_from_slice(&skel.cum[off..end]);
-                let (lo, w) = skel.geom[row];
-                col.row_lo[i] = lo;
-                col.row_w[i] = w;
-                col.task_slot[i] = my_slot as u32;
-                col.start_idx[i] = if slot_seen[my_slot] {
-                    (plan.slots.len() * FRONTIER_LANES) as u32
-                } else {
-                    slot_seen[my_slot] = true;
-                    (my_slot * FRONTIER_LANES) as u32
-                };
-                for e in skel.eoff[i] as usize..skel.eoff[i + 1] as usize {
-                    let p = skel.order[skel.epar[e] as usize] as usize;
-                    let p_slot = plan.assign[p];
-                    let mut tr = 0.0;
-                    if p_slot != my_slot {
-                        let bytes = skel.ebytes[e];
-                        let from = plan.slots[p_slot];
-                        let to = plan.slots[my_slot];
-                        if from.region != to.region {
-                            tr = deco_cloud::dynamics::phase_seconds_mean(
-                                bytes,
-                                &spec.cross_region_net(),
-                            );
-                            cross += bytes;
-                        } else {
-                            tr = deco_cloud::dynamics::phase_seconds_mean(
-                                bytes,
-                                &spec.pair_net(from.itype, to.itype),
-                            );
-                        }
-                    }
-                    col.transfer[e] = tr;
-                }
-            }
-            col.cross_bytes = cross;
-            cols.push(col);
-        }
-        Some(CompiledFrontier {
-            skel,
-            cols,
-            billing_quantum: spec.billing_quantum,
-            inter_region_price_per_gb: spec.inter_region_price_per_gb,
-        })
-    }
-
-    /// Number of candidates.
-    pub fn k(&self) -> usize {
-        self.cols.len()
+    /// Bind `plans` to the skeleton for one K×N pass. Returns `None` when
+    /// any plan does not [`FrontierSkeleton::conforms`] — the caller then
+    /// evaluates those plans with [`mc_evaluate_plan`]. No topological
+    /// sort and no per-candidate work: `evaluate` resolves each candidate
+    /// into the scratch's column right before running it.
+    pub fn compile(
+        skel: &'s FrontierSkeleton,
+        spec: &'s CloudSpec,
+        plans: &'s [Plan],
+    ) -> Option<Self> {
+        plans
+            .iter()
+            .all(|p| skel.conforms(p))
+            .then_some(CompiledFrontier { skel, spec, plans })
     }
 
     /// Monte-Carlo evaluate all K candidates, `iters` realizations each,
     /// in lane-vectorized passes. `seeds[i]` seeds candidate `i`'s own
-    /// RNG stream exactly as [`CompiledPlan::mc_evaluate`] would.
+    /// RNG stream exactly as [`mc_evaluate_plan_reference`] seeds its one.
     pub fn evaluate(
         &self,
         deadline: f64,
@@ -957,22 +664,31 @@ impl<'s> CompiledFrontier<'s> {
         scratch: &mut FrontierScratch,
     ) -> Vec<McEval> {
         assert!(iters > 0);
-        assert_eq!(seeds.len(), self.cols.len(), "one seed per candidate");
-        self.cols
+        assert_eq!(seeds.len(), self.plans.len(), "one seed per candidate");
+        // The column is moved out so the kernel can borrow it alongside
+        // the rest of the scratch.
+        let mut col = std::mem::take(&mut scratch.col);
+        let verdicts = self
+            .plans
             .iter()
             .zip(seeds)
-            .map(|(col, &seed)| self.run_column(col, deadline, percentile, iters, seed, scratch))
-            .collect()
+            .map(|(plan, &seed)| {
+                col.resolve(self.skel, self.spec, plan);
+                self.run_column(&col, deadline, percentile, iters, seed, scratch)
+            })
+            .collect();
+        scratch.col = col;
+        verdicts
     }
 
     /// One candidate's N realizations, [`FRONTIER_LANES`] at a time. Per
     /// lane the operation sequence — one uniform draw per task in dispatch
     /// order, the branch-free CDF count, the ready/start/finish maxes, the
-    /// slot spans, the cost ledger — is exactly [`CompiledPlan::realize`]'s
+    /// slot spans, the cost ledger — is exactly [`sampled_schedule`]'s
     /// (lanes are independent realizations; `hits`/`cost_sum`/`makespans`
     /// accumulate in realization order after each group). The draw pass
     /// consumes the RNG stream in realization-major order — the exact
-    /// stream positions the per-plan loop reads — and the fused
+    /// stream positions the reference loop reads — and the fused
     /// sample-and-schedule pass then shares each position's CDF row, slot
     /// and transfer constants across all lanes, so the per-lane work is
     /// pure data-parallel f64 arithmetic.
@@ -1074,7 +790,7 @@ impl<'s> CompiledFrontier<'s> {
         // — with both factors non-negative that sum is bit-equal to the
         // product itself, so it hoists to a per-candidate constant.
         let transfer_cost =
-            col.cross_bytes / (1024.0 * 1024.0 * 1024.0) * self.inter_region_price_per_gb;
+            col.cross_bytes / (1024.0 * 1024.0 * 1024.0) * self.spec.inter_region_price_per_gb;
         let mut done = 0usize;
         while done < iters {
             // Lanes beyond `live` (a short tail group) draw nothing and
@@ -1138,8 +854,8 @@ impl<'s> CompiledFrontier<'s> {
                         *rd = fmax(*rd, fp[r] + tr);
                     }
                 }
-                // `task_slot[i] < n_slots` (`compile` resolved it against
-                // `plan.slots`) and `start_idx[i] <= n_slots * L` (the
+                // `task_slot[i] < n_slots` (`resolve` indexed
+                // `plan.slots` with it) and `start_idx[i] <= n_slots * L` (the
                 // dummy row); `finish` is position-indexed so its store is
                 // sequential.
                 let s = task_slot[i] as usize * L;
@@ -1169,7 +885,7 @@ impl<'s> CompiledFrontier<'s> {
             // folds here from the same final `slot_free` values instead
             // (`max` is associative and commutative over these non-NaN
             // spans, so the value is identical).
-            let quantum = self.billing_quantum;
+            let quantum = self.spec.billing_quantum;
             let mut compute = [0.0f64; L];
             let mut makespan = [0.0f64; L];
             for ((ss, zz), price) in slot_start
@@ -1322,69 +1038,71 @@ mod tests {
     }
 
     #[test]
-    fn compiled_realizations_match_reference_stream() {
-        // Realization-for-realization: the same RNG stream pushed through
-        // both loops yields identical (makespan, cost) pairs.
+    fn kernel_realizations_match_reference_stream() {
+        // Realization-for-realization: with one realization the verdict
+        // *is* that realization (`mean_cost` its cost, `quantile_makespan`
+        // its makespan), and growing `iters` one at a time across
+        // lane-group boundaries walks the same stream realization by
+        // realization (min and max makespan, running cost sum).
         let (wf, spec, store) = setup();
         let table = ExecTimeTable::build(&wf, &store, 10);
         let plan = Plan::packed(&wf, &vec![1; wf.len()], 0, &spec);
-        let compiled = CompiledPlan::compile(&wf, &plan, &table, &spec);
-        let mut scratch = EvalScratch::new();
-        let mut r_ref = deco_prob::rng::seeded(42);
-        let mut r_fast = deco_prob::rng::seeded(42);
-        for i in 0..100 {
-            let a = sampled_schedule(&wf, &plan, &table, &spec, &mut r_ref);
-            let b = compiled.realize(&mut scratch, &mut r_fast);
-            assert_eq!(a, b, "realization {i} diverged");
+        for seed in 0..4u64 {
+            for iters in 1..=2 * FRONTIER_LANES + 1 {
+                for pct in [0.0, 1.0] {
+                    let a = mc_evaluate_plan_reference(
+                        &wf, &plan, &table, &spec, 900.0, pct, iters, seed,
+                    );
+                    let b = mc_evaluate_plan(&wf, &plan, &table, &spec, 900.0, pct, iters, seed);
+                    assert_eq!(a, b, "seed {seed}: realization {iters} diverged");
+                }
+            }
         }
     }
 
     #[test]
-    fn dispatch_order_computed_once_per_compiled_plan() {
+    fn dispatch_order_computed_once_per_evaluation() {
         let (wf, spec, store) = setup();
         let table = ExecTimeTable::build(&wf, &store, 12);
         let plan = Plan::packed(&wf, &vec![1; wf.len()], 0, &spec);
-        let before = deco_cloud::plan::dispatch_order_calls_on_this_thread();
-        let compiled = CompiledPlan::compile(&wf, &plan, &table, &spec);
-        let mut scratch = EvalScratch::new();
-        let _ = compiled.mc_evaluate(900.0, 0.9, 200, 3, &mut scratch);
-        let after = deco_cloud::plan::dispatch_order_calls_on_this_thread();
+        let calls = deco_cloud::plan::dispatch_order_calls_on_this_thread;
+        let before = calls();
+        let _ = mc_evaluate_plan(&wf, &plan, &table, &spec, 900.0, 0.9, 200, 3);
         assert_eq!(
-            after - before,
+            calls() - before,
             1,
             "200 realizations must reuse one topological sort"
         );
+        // A frontier over the problem-wide skeleton sorts nothing at all.
+        let skel = FrontierSkeleton::build(&wf, &table);
+        let before = calls();
+        let frontier = CompiledFrontier::compile(&skel, &spec, std::slice::from_ref(&plan))
+            .expect("packed plans conform");
+        let _ = frontier.evaluate(900.0, 0.9, 200, &[3], &mut FrontierScratch::new());
+        assert_eq!(calls() - before, 0);
         // The reference loop, by contrast, sorts once per realization.
-        let before = deco_cloud::plan::dispatch_order_calls_on_this_thread();
+        let before = calls();
         let _ = mc_evaluate_plan_reference(&wf, &plan, &table, &spec, 900.0, 0.9, 10, 3);
-        let after = deco_cloud::plan::dispatch_order_calls_on_this_thread();
-        assert_eq!(after - before, 10);
+        assert_eq!(calls() - before, 10);
     }
 
     #[test]
     fn scratch_is_reusable_across_plans_of_different_shape() {
         let spec = CloudSpec::amazon_ec2();
         let store = MetadataStore::from_ground_truth(spec.clone(), 20);
-        let mut scratch = EvalScratch::new();
+        let mut scratch = FrontierScratch::new();
         for (wf, iters) in [
             (generators::ligo(20, 1), 50usize),
             (generators::montage(1, 3), 80),
             (generators::ligo(40, 2), 30),
         ] {
             let table = ExecTimeTable::build(&wf, &store, 8);
+            let skel = FrontierSkeleton::build(&wf, &table);
             let plan = Plan::packed(&wf, &vec![0; wf.len()], 0, &spec);
             let fresh = mc_evaluate_plan(&wf, &plan, &table, &spec, 700.0, 0.9, iters, 5);
-            let reused = mc_evaluate_plan_scratch(
-                &wf,
-                &plan,
-                &table,
-                &spec,
-                700.0,
-                0.9,
-                iters,
-                5,
-                &mut scratch,
-            );
+            let reused = CompiledFrontier::compile(&skel, &spec, std::slice::from_ref(&plan))
+                .expect("packed plans conform")
+                .evaluate(700.0, 0.9, iters, &[5], &mut scratch)[0];
             assert_eq!(fresh, reused, "dirty scratch changed a verdict");
         }
     }

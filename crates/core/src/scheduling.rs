@@ -8,8 +8,8 @@
 //! distributions.
 
 use crate::estimate::{
-    mc_evaluate_plan_scratch, CompiledFrontier, EvalScratch, ExecTimeTable, FrontierSkeleton,
-    McEval, FRONTIER_LANES,
+    mc_evaluate_plan, CompiledFrontier, ExecTimeTable, FrontierScratch, FrontierSkeleton, McEval,
+    FRONTIER_LANES,
 };
 use deco_cloud::{CloudSpec, MetadataStore, Plan};
 
@@ -34,7 +34,7 @@ use deco_workflow::Workflow;
 pub struct SchedulingProblem<'a> {
     pub wf: &'a Workflow,
     pub spec: &'a CloudSpec,
-    pub table: ExecTimeTable,
+    table: ExecTimeTable,
     /// Probabilistic deadline: `P(makespan <= deadline) >= percentile`.
     pub deadline: f64,
     pub percentile: f64,
@@ -52,15 +52,8 @@ pub struct SchedulingProblem<'a> {
     /// the probabilistic constraint guards against; the remainder is the
     /// variance reserve.
     pub pack_safety: f64,
-    /// Candidate-block width handed to the batched frontier evaluator:
-    /// the search backends chunk each frontier into blocks of this many
-    /// states and evaluate every block as one [`CompiledFrontier`] pass.
-    /// `1` disables the frontier path (per-state evaluation); results are
-    /// bit-identical either way.
-    pub frontier_block: usize,
     /// Shared dispatch/CDF structure for the frontier evaluator, compiled
-    /// once per problem (rebuilt by [`SchedulingProblem::rebuild_frontier_skeleton`]
-    /// if `table` is replaced by hand).
+    /// once per problem from `table`.
     skeleton: FrontierSkeleton,
 }
 
@@ -72,24 +65,8 @@ impl<'a> SchedulingProblem<'a> {
         deadline: f64,
         percentile: f64,
     ) -> Self {
-        assert!(deadline > 0.0, "deadline must be positive");
-        assert!((0.0..=1.0).contains(&percentile));
         let table = ExecTimeTable::build(wf, store, 12);
-        let skeleton = FrontierSkeleton::build(wf, &table);
-        SchedulingProblem {
-            wf,
-            spec,
-            table,
-            deadline,
-            percentile,
-            mc_iters: 100,
-            region: 0,
-            promote_only: false,
-            objective: ObjectiveMode::HourlyPlan,
-            pack_safety: 0.85,
-            frontier_block: 4 * FRONTIER_LANES,
-            skeleton,
-        }
+        Self::with_table(wf, spec, table, deadline, percentile)
     }
 
     /// Like [`SchedulingProblem::new`], but estimation folds the store's
@@ -106,24 +83,37 @@ impl<'a> SchedulingProblem<'a> {
         percentile: f64,
         retry: &deco_cloud::RetryConfig,
     ) -> Self {
-        let mut p = Self::new(wf, spec, store, deadline, percentile);
-        p.table = ExecTimeTable::build_failure_aware(wf, store, 12, p.region, retry);
-        p.rebuild_frontier_skeleton();
-        p
+        // Rates are read in region 0, the region the constructors plan in.
+        let table = ExecTimeTable::build_failure_aware(wf, store, 12, 0, retry);
+        Self::with_table(wf, spec, table, deadline, percentile)
     }
 
-    /// Rebuild the cached [`FrontierSkeleton`] from the current `table`.
-    /// The constructors call this; it only needs calling again if `table`
-    /// is replaced by hand after construction (the skeleton flattens the
-    /// table's CDF rows, so a stale skeleton would evaluate against stale
-    /// distributions).
-    pub fn rebuild_frontier_skeleton(&mut self) {
-        self.skeleton = FrontierSkeleton::build(self.wf, &self.table);
+    fn with_table(
+        wf: &'a Workflow,
+        spec: &'a CloudSpec,
+        table: ExecTimeTable,
+        deadline: f64,
+        percentile: f64,
+    ) -> Self {
+        assert!(deadline > 0.0, "deadline must be positive");
+        assert!((0.0..=1.0).contains(&percentile));
+        let skeleton = FrontierSkeleton::build(wf, &table);
+        SchedulingProblem {
+            wf,
+            spec,
+            table,
+            deadline,
+            percentile,
+            mc_iters: 100,
+            region: 0,
+            promote_only: false,
+            objective: ObjectiveMode::HourlyPlan,
+            pack_safety: 0.85,
+            skeleton,
+        }
     }
 
-    /// Map one Monte-Carlo verdict to the search-facing [`Evaluation`] —
-    /// the single post-processing used by both the per-plan and the
-    /// frontier path (same inputs → same bits).
+    /// Map one Monte-Carlo verdict to the search-facing [`Evaluation`].
     fn finish_eval(&self, s: &TypeState, e: McEval) -> Evaluation {
         // The margin is a *continuous* proximity signal: the ratio of the
         // deadline to the p-th-quantile makespan. It equals/exceeds 1 when
@@ -197,7 +187,7 @@ impl<'a> SchedulingProblem<'a> {
 
 impl SearchProblem for SchedulingProblem<'_> {
     type State = TypeState;
-    type Scratch = EvalScratch;
+    type Scratch = FrontierScratch;
 
     fn initial(&self) -> TypeState {
         // All tasks on the cheapest type (Figure 5b's initial state).
@@ -213,64 +203,62 @@ impl SearchProblem for SchedulingProblem<'_> {
         // on every call — this is the fallback path long-lived callers hit
         // without threading a scratch of their own.
         thread_local! {
-            static SCRATCH: std::cell::RefCell<EvalScratch> =
-                std::cell::RefCell::new(EvalScratch::new());
+            static SCRATCH: std::cell::RefCell<FrontierScratch> =
+                std::cell::RefCell::new(FrontierScratch::new());
         }
         SCRATCH.with(|sc| self.evaluate_with(s, seed, &mut sc.borrow_mut()))
     }
 
-    fn evaluate_with(&self, s: &TypeState, seed: u64, scratch: &mut EvalScratch) -> Evaluation {
-        let plan = self.plan_of(s);
-        let e = mc_evaluate_plan_scratch(
-            self.wf,
-            &plan,
-            &self.table,
-            self.spec,
-            self.deadline,
-            self.percentile,
-            self.mc_iters,
-            seed,
-            scratch,
-        );
-        self.finish_eval(s, e)
+    fn evaluate_with(&self, s: &TypeState, seed: u64, scratch: &mut FrontierScratch) -> Evaluation {
+        self.evaluate_frontier(std::slice::from_ref(s), &[seed], scratch)[0]
     }
 
+    /// Candidates per frontier block: four lane groups.
     fn frontier_block(&self) -> usize {
-        self.frontier_block.max(1)
+        4 * FRONTIER_LANES
     }
 
     fn evaluate_frontier(
         &self,
         states: &[TypeState],
         seeds: &[u64],
-        scratch: &mut EvalScratch,
+        scratch: &mut FrontierScratch,
     ) -> Vec<Evaluation> {
         debug_assert_eq!(states.len(), seeds.len());
         let plans: Vec<Plan> = states.iter().map(|s| self.plan_of(s)).collect();
-        match CompiledFrontier::compile(&self.skeleton, self.spec, &plans) {
-            Some(frontier) => {
-                let verdicts = frontier.evaluate(
-                    self.deadline,
-                    self.percentile,
-                    self.mc_iters,
-                    seeds,
-                    &mut scratch.frontier,
-                );
-                states
-                    .iter()
-                    .zip(verdicts)
-                    .map(|(s, e)| self.finish_eval(s, e))
-                    .collect()
-            }
+        let verdicts = match CompiledFrontier::compile(&self.skeleton, self.spec, &plans) {
+            Some(frontier) => frontier.evaluate(
+                self.deadline,
+                self.percentile,
+                self.mc_iters,
+                seeds,
+                scratch,
+            ),
             // A candidate's dispatch ranks disagree with the shared
-            // skeleton (never the case for packer-produced plans): take
-            // the per-plan path, which is bit-identical by contract.
-            None => states
+            // skeleton (never the case for packer-produced plans): each
+            // plan runs as a one-column frontier in its own order.
+            None => plans
                 .iter()
                 .zip(seeds)
-                .map(|(s, &seed)| self.evaluate_with(s, seed, scratch))
+                .map(|(plan, &seed)| {
+                    mc_evaluate_plan(
+                        self.wf,
+                        plan,
+                        &self.table,
+                        self.spec,
+                        self.deadline,
+                        self.percentile,
+                        self.mc_iters,
+                        seed,
+                    )
+                })
                 .collect(),
-        }
+        };
+        states
+            .iter()
+            .zip(verdicts)
+            .map(|(s, e)| self.finish_eval(s, e))
+            .collect()
     }
 
     fn state_bytes(&self) -> usize {

@@ -20,7 +20,7 @@
 
 use crate::engine::{Deco, DecoPlan};
 use crate::error::DecoError;
-use crate::estimate::EvalScratch;
+use crate::estimate::FrontierScratch;
 use crate::scheduling::SchedulingProblem;
 use deco_baselines::autoscaling::autoscaling_types;
 use deco_baselines::heuristic::offline_region_choice;
@@ -101,12 +101,12 @@ pub fn plan_with_fallback(
         deadline,
         percentile,
         budget,
-        &mut EvalScratch::new(),
+        &mut FrontierScratch::new(),
     )
 }
 
 /// [`plan_with_fallback`] with caller-owned evaluation scratch. Long-lived
-/// planners (the `deco-serve` solver workers) hold one [`EvalScratch`] per
+/// planners (the `deco-serve` solver workers) hold one [`FrontierScratch`] per
 /// worker thread and route every request through here, so the fallback
 /// stages' Monte-Carlo evaluations run allocation-free in steady state.
 /// Results never depend on the scratch's prior contents — the two entry
@@ -117,7 +117,7 @@ pub fn plan_with_fallback_scratch(
     deadline: f64,
     percentile: f64,
     budget: &SearchBudget,
-    scratch: &mut EvalScratch,
+    scratch: &mut FrontierScratch,
 ) -> Result<SupervisedPlan, DecoError> {
     validate_request(wf, deadline, percentile)?;
     let mut problem = build_problem(deco, wf, deadline, percentile);
@@ -189,7 +189,7 @@ pub fn plan_fallback_only(
     deadline: f64,
     percentile: f64,
     skip_reason: &str,
-    scratch: &mut EvalScratch,
+    scratch: &mut FrontierScratch,
 ) -> Result<SupervisedPlan, DecoError> {
     validate_request(wf, deadline, percentile)?;
     let mut problem = build_problem(deco, wf, deadline, percentile);
@@ -242,7 +242,6 @@ fn build_problem<'a>(
         None => SchedulingProblem::new(wf, spec, &deco.store, deadline, percentile),
     };
     problem.mc_iters = deco.options.mc_iters;
-    problem.frontier_block = deco.options.frontier_block;
     problem
 }
 
@@ -258,7 +257,7 @@ fn degrade_chain(
     spent: f64,
     truncated: bool,
     mut skipped: Vec<StageSkip>,
-    scratch: &mut EvalScratch,
+    scratch: &mut FrontierScratch,
 ) -> SupervisedPlan {
     let spec = &deco.store.spec;
     // Later stages do not search, so they charge nothing more against the
@@ -440,12 +439,12 @@ mod tests {
 
     #[test]
     fn worker_scratch_reuse_is_bit_identical_to_fresh_scratch() {
-        // A serve worker holds one EvalScratch across many requests; the
+        // A serve worker holds one FrontierScratch across many requests; the
         // verdicts must not depend on what the scratch saw before. The
         // starved budget forces the fallback stages, which are the ones
         // that evaluate through the caller's scratch.
         let d = deco();
-        let mut scratch = EvalScratch::new();
+        let mut scratch = FrontierScratch::new();
         for (wf, budget) in [
             (generators::montage(1, 9), SearchBudget::ticks(1e-12)),
             (generators::ligo(10, 9), SearchBudget::ticks(1e-12)),

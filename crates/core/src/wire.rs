@@ -395,7 +395,6 @@ pub fn encode_engine(deco: &Deco) -> Vec<u8> {
     put_u64(&mut out, o.mc_iters as u64);
     put_u64(&mut out, o.beam_width as u64);
     put_u64(&mut out, o.wlog_bins as u64);
-    put_u64(&mut out, o.frontier_block as u64);
     let s = &o.search;
     put_u64(&mut out, s.max_states as u64);
     put_u64(&mut out, s.patience as u64);
@@ -422,7 +421,6 @@ pub fn decode_engine(bytes: &[u8]) -> Result<Deco, DecoError> {
     let mc_iters = r.u64().map_err(remap)? as usize;
     let beam_width = r.u64().map_err(remap)? as usize;
     let wlog_bins = r.u64().map_err(remap)? as usize;
-    let frontier_block = r.u64().map_err(remap)? as usize;
     let max_states = r.u64().map_err(remap)? as usize;
     let patience = r.u64().map_err(remap)? as usize;
     let batch = r.u64().map_err(remap)? as usize;
@@ -455,7 +453,6 @@ pub fn decode_engine(bytes: &[u8]) -> Result<Deco, DecoError> {
         beam_width,
         wlog_bins,
         retry,
-        frontier_block,
     };
     Ok(deco)
 }

@@ -72,7 +72,7 @@ pub fn launch<S: Sync, R: Send>(
 /// block that worker executes.
 ///
 /// This is how evaluation scratch buffers (see `deco-core`'s
-/// `EvalScratch`) are reused across the blocks of a batch without
+/// `FrontierScratch`) are reused across the blocks of a batch without
 /// allocation and without sharing: one scratch per worker, not per block.
 /// Block results must not depend on the scratch's prior contents (workers
 /// steal blocks dynamically), which the scratch-reuse tests in `deco-core`

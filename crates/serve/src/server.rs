@@ -15,7 +15,7 @@
 //!    coalesce onto one solve; the remaining unique misses become solve
 //!    jobs with fair-share budgets.
 //! 3. **Solve** the jobs on a pool of worker threads (vendored crossbeam
-//!    channels, one reusable [`EvalScratch`] per worker), every job routed
+//!    channels, one reusable [`FrontierScratch`] per worker), every job routed
 //!    through [`plan_with_fallback_scratch`]. A [`WorkerFaultPlan`] may
 //!    crash or straggle *virtual* workers: fates are keyed on
 //!    (virtual worker, cycle) with jobs assigned by canonical key rank, so
@@ -59,7 +59,7 @@ use crate::request::{
 };
 use crate::stats::{BackendObservability, CycleRow, ServeStats};
 use deco_cloud::{MetadataStore, RetryConfig};
-use deco_core::estimate::EvalScratch;
+use deco_core::estimate::FrontierScratch;
 use deco_core::supervisor::{
     plan_fallback_only, plan_with_fallback_scratch, PlanStage, SupervisedPlan,
 };
@@ -375,7 +375,7 @@ fn fallback_answer(
     percentile: f64,
     reason: &str,
     source: PlanSource,
-    scratch: &mut EvalScratch,
+    scratch: &mut FrontierScratch,
 ) -> (Answer, f64, bool) {
     match plan_fallback_only(deco, workflow, deadline, percentile, reason, scratch) {
         Ok(plan) => {
@@ -802,7 +802,7 @@ fn run_cycle<B: ServeBackend>(
     stats: &mut ServeStats,
     responses: &mut Vec<PlanResponse>,
 ) -> f64 {
-    let mut scratch = EvalScratch::new();
+    let mut scratch = FrontierScratch::new();
     let mut service = 0.0f64;
     let mut row = CycleRow {
         cycle,
@@ -1172,7 +1172,7 @@ fn run_cycle<B: ServeBackend>(
 }
 
 /// Solve a set of jobs on a scoped worker-thread pool (vendored crossbeam
-/// channels, one reusable [`EvalScratch`] per worker). Results land in a
+/// channels, one reusable [`FrontierScratch`] per worker). Results land in a
 /// `BTreeMap`, so downstream iteration is in key order no matter the
 /// thread interleaving. Shared by [`PlanServer`] and the shard tier's
 /// per-shard pools.
@@ -1197,7 +1197,7 @@ pub fn solve_jobs_on_pool(
                 // One reusable scratch per worker; reuse is
                 // bit-identical to fresh scratch (pinned in
                 // deco-core's supervisor tests).
-                let mut scratch = EvalScratch::new();
+                let mut scratch = FrontierScratch::new();
                 for job in job_rx.iter() {
                     let result = plan_with_fallback_scratch(
                         deco,

@@ -34,7 +34,7 @@ use super::wire::{Frame, Hello, RecoverReport, Sabotage, WireJob, WorkerStoreSta
 use crate::faults::ShardFaultPlan;
 use crate::router::ShardRouter;
 use deco_cloud::{capped_backoff, MetadataStore};
-use deco_core::estimate::EvalScratch;
+use deco_core::estimate::FrontierScratch;
 use deco_core::supervisor::{plan_fallback_only, SupervisedPlan};
 use deco_core::wire::{encode_engine, encode_store};
 use deco_core::{Deco, DecoError};
@@ -1053,7 +1053,7 @@ impl Inner {
         &mut self,
         deco: &Deco,
         jobs: Vec<SolveJob>,
-        scratch: &mut EvalScratch,
+        scratch: &mut FrontierScratch,
         merged: &mut BTreeMap<u64, (SearchBudget, Result<SupervisedPlan, DecoError>)>,
     ) {
         for job in jobs {
@@ -1101,7 +1101,7 @@ impl Inner {
             groups[self.router.shard_of(job.key)].push(job);
         }
         let cycle = self.cycle;
-        let mut scratch = EvalScratch::new();
+        let mut scratch = FrontierScratch::new();
         let mut pending: Vec<Option<PendingGroup>> = (0..shards).map(|_| None).collect();
 
         for (si, group) in groups.into_iter().enumerate() {

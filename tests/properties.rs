@@ -125,50 +125,58 @@ proptest! {
         }
     }
 
-    /// The compiled Monte-Carlo evaluator agrees with the reference
-    /// realization loop *realization-for-realization* — identical RNG
-    /// stream in, bit-identical (makespan, cost) out — on arbitrary DAGs,
-    /// type vectors and seeds. This is the contract that makes the fast
-    /// path a pure optimization: same seed, same verdict.
+    /// The Monte-Carlo kernel is a pure optimization of the reference
+    /// loop: one plan compiled into a one-column `CompiledFrontier` by
+    /// `mc_evaluate_plan` gives the same `McEval` bits as
+    /// `mc_evaluate_plan_reference` on the same seed — over arbitrary DAGs,
+    /// type vectors and seeds. Both a packed plan (which conforms to the
+    /// problem-wide skeleton) and a non-conforming one (one instance per
+    /// task, reversed dispatch ranks, one slot moved to a second region so
+    /// cross-region transfers are priced) must match.
     #[test]
     fn compiled_plan_matches_reference_realizations(
         n in 2usize..20, p in 0.05f64..0.45,
         seed in 0u64..60, tseed in 0u64..40, rng_seed in 0u64..1000,
     ) {
-        use deco::engine::estimate::{sampled_schedule, CompiledPlan, EvalScratch, ExecTimeTable};
+        use deco::engine::estimate::{
+            mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier, ExecTimeTable,
+            FrontierSkeleton,
+        };
         let spec = CloudSpec::amazon_ec2();
         let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 25);
         let wf = generators::random_dag(n, p, seed);
+        let table = ExecTimeTable::build(&wf, &store, 10);
+        let skel = FrontierSkeleton::build(&wf, &table);
         let mut trng = seeded(tseed);
         let types: Vec<usize> = (0..n).map(|_| (trng.next_u64() % 4) as usize).collect();
-        let plan = Plan::packed(&wf, &types, 0, &spec);
-        let table = ExecTimeTable::build(&wf, &store, 10);
-        let compiled = CompiledPlan::compile(&wf, &plan, &table, &spec);
-        let mut scratch = EvalScratch::new();
-        let mut r_ref = seeded(rng_seed);
-        let mut r_fast = seeded(rng_seed);
-        for i in 0..20 {
-            let (m_ref, c_ref) = sampled_schedule(&wf, &plan, &table, &spec, &mut r_ref);
-            let (m_fast, c_fast) = compiled.realize(&mut scratch, &mut r_fast);
-            prop_assert!(
-                m_ref == m_fast && c_ref == c_fast,
-                "realization {} diverged: ({}, {}) vs ({}, {})",
-                i, m_ref, c_ref, m_fast, c_fast
-            );
+        let packed = Plan::packed(&wf, &types, 0, &spec);
+        let mut odd = Plan::one_slot_per_task(&types, 0);
+        odd.order.reverse();
+        odd.slots[0].region = 1;
+        prop_assert!(CompiledFrontier::compile(&skel, &spec, std::slice::from_ref(&odd)).is_none());
+        let deadline = 0.8 * mc_evaluate_plan_reference(
+            &wf, &packed, &table, &spec, f64::INFINITY, 0.9, 33, rng_seed,
+        ).quantile_makespan;
+        for (name, plan) in [("packed", &packed), ("non-conforming", &odd)] {
+            let want = mc_evaluate_plan_reference(&wf, plan, &table, &spec, deadline, 0.9, 33, rng_seed);
+            let got = mc_evaluate_plan(&wf, plan, &table, &spec, deadline, 0.9, 33, rng_seed);
+            prop_assert!(want == got, "{} plan diverged: {:?} vs {:?}", name, want, got);
         }
     }
 
-    /// The batched frontier evaluator is a pure optimization: K candidates
-    /// realized in one structure-of-arrays pass give the same bits as K
-    /// per-plan compiled evaluations, each candidate on its own seed
-    /// stream — over arbitrary DAGs, frontier widths and root seeds.
+    /// Batching is a pure optimization too: K candidates evaluated in one
+    /// `CompiledFrontier` pass over the shared skeleton give, candidate by
+    /// candidate, the same `McEval` bits as evaluating each plan on its
+    /// own with `mc_evaluate_plan` and with `mc_evaluate_plan_reference`
+    /// on that candidate's seed — over arbitrary DAGs, type vectors,
+    /// frontier widths and root seeds.
     #[test]
     fn compiled_frontier_matches_per_plan(
         n in 2usize..20, p in 0.05f64..0.45,
-        seed in 0u64..60, k in 1usize..10, rng_seed in 0u64..1000,
+        seed in 0u64..60, k in 1usize..10, tseed in 0u64..40, rng_seed in 0u64..1000,
     ) {
         use deco::engine::estimate::{
-            mc_evaluate_plan_scratch, CompiledFrontier, EvalScratch, ExecTimeTable,
+            mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier, ExecTimeTable,
             FrontierScratch, FrontierSkeleton,
         };
         let spec = CloudSpec::amazon_ec2();
@@ -176,28 +184,27 @@ proptest! {
         let wf = generators::random_dag(n, p, seed);
         let table = ExecTimeTable::build(&wf, &store, 10);
         let skel = FrontierSkeleton::build(&wf, &table);
+        let mut trng = seeded(tseed);
         let plans: Vec<Plan> = (0..k)
-            .map(|i| {
-                let types: Vec<usize> = (0..n).map(|j| (i * 5 + j * 3) % 4).collect();
+            .map(|_| {
+                let types: Vec<usize> = (0..n).map(|_| (trng.next_u64() % 4) as usize).collect();
                 Plan::packed(&wf, &types, 0, &spec)
             })
             .collect();
         let seeds: Vec<u64> = (0..k as u64)
             .map(|i| rng_seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let mut scratch = EvalScratch::new();
-        let deadline = 0.8 * mc_evaluate_plan_scratch(
-            &wf, &plans[0], &table, &spec, f64::INFINITY, 0.9, 16, rng_seed, &mut scratch,
+        let deadline = 0.8 * mc_evaluate_plan_reference(
+            &wf, &plans[0], &table, &spec, f64::INFINITY, 0.9, 33, rng_seed,
         ).quantile_makespan;
         let frontier = CompiledFrontier::compile(&skel, &spec, &plans);
         prop_assert!(frontier.is_some(), "packer plans must conform to the skeleton");
-        let mut fscratch = FrontierScratch::new();
-        let batched = frontier.unwrap().evaluate(deadline, 0.9, 33, &seeds, &mut fscratch);
-        for (i, (pl, sd)) in plans.iter().zip(&seeds).enumerate() {
-            let one = mc_evaluate_plan_scratch(
-                &wf, pl, &table, &spec, deadline, 0.9, 33, *sd, &mut scratch,
-            );
-            prop_assert!(one == batched[i], "frontier diverged at candidate {}", i);
+        let batched = frontier.unwrap().evaluate(deadline, 0.9, 33, &seeds, &mut FrontierScratch::new());
+        for (i, (plan, &sd)) in plans.iter().zip(&seeds).enumerate() {
+            let one = mc_evaluate_plan(&wf, plan, &table, &spec, deadline, 0.9, 33, sd);
+            let reference = mc_evaluate_plan_reference(&wf, plan, &table, &spec, deadline, 0.9, 33, sd);
+            prop_assert!(one == batched[i], "frontier diverged from per-plan at candidate {}", i);
+            prop_assert!(reference == batched[i], "frontier diverged from reference at candidate {}", i);
         }
     }
 
@@ -302,69 +309,127 @@ proptest! {
 
 // Non-proptest cross-crate invariants.
 
-/// Frontier batching changes how candidates are evaluated, not what the
-/// search decides: beam and A* runs with the batched path on
-/// (`frontier_block = 32`) are bit-identical — incumbent, verdict and
-/// deterministic stats — to runs with it off (`1`), on every backend and
-/// worker count (1/2/8 host cores and the GPU model).
-#[test]
-fn frontier_batched_search_matches_per_state_across_backends() {
-    use deco::engine::estimate::deadline_anchors;
-    use deco::engine::SchedulingProblem;
-    use deco::gpu::DeviceSpec;
-    use deco::solver::{EvalBackend, SearchOptions};
-    let spec = CloudSpec::amazon_ec2();
-    let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 20);
-    let backends = [
+fn frontier_search_problem<'a>(
+    wf: &'a deco::workflow::Workflow,
+    spec: &'a CloudSpec,
+    store: &deco::cloud::MetadataStore,
+) -> deco::engine::SchedulingProblem<'a> {
+    let (dmin, dmax) = deco::engine::estimate::deadline_anchors(wf, spec);
+    let mut problem =
+        deco::engine::SchedulingProblem::new(wf, spec, store, 0.5 * (dmin + dmax), 0.9);
+    problem.mc_iters = 24;
+    problem
+}
+
+fn all_backends() -> [deco::solver::EvalBackend; 5] {
+    use deco::solver::EvalBackend;
+    [
         EvalBackend::SeqCpu,
         EvalBackend::ParCpu(1),
         EvalBackend::ParCpu(2),
         EvalBackend::ParCpu(8),
-        EvalBackend::SimGpu(DeviceSpec::k40()),
-    ];
+        EvalBackend::SimGpu(deco::gpu::DeviceSpec::k40()),
+    ]
+}
+
+/// Chunking a frontier into candidate blocks and spreading the blocks over
+/// workers changes how candidates are evaluated, not what the search
+/// decides: beam and A* runs on every backend and worker count (1/2/8 host
+/// cores and the GPU model) find the same incumbent after the same states
+/// and batches as the sequential run. The tick charge is a device-model
+/// quantity, so the whole `deterministic_key` is compared wherever the
+/// device model is the sequential one (`ParCpu(1)`).
+#[test]
+fn search_is_backend_and_worker_count_invariant() {
+    use deco::solver::{EvalBackend, SearchOptions};
+    let spec = CloudSpec::amazon_ec2();
+    let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 20);
+    let opts = SearchOptions {
+        max_states: 60,
+        ..SearchOptions::default()
+    };
     for wf in [generators::ligo(30, 1), generators::montage(12, 1)] {
-        let (dmin, dmax) = deadline_anchors(&wf, &spec);
-        let deadline = 0.5 * (dmin + dmax);
-        let solve = |block: usize, beam: Option<usize>, backend: &EvalBackend| {
-            let mut problem = SchedulingProblem::new(&wf, &spec, &store, deadline, 0.9);
-            problem.mc_iters = 24;
-            problem.frontier_block = block;
-            let opts = SearchOptions {
-                max_states: 60,
-                ..SearchOptions::default()
-            };
-            match beam {
+        let problem = frontier_search_problem(&wf, &spec, &store);
+        for beam in [Some(2), Some(4), None] {
+            let solve = |backend: &EvalBackend| match beam {
                 Some(w) => problem.solve_beam(&opts, w, backend),
                 None => problem.solve_astar(&opts, backend),
-            }
-        };
-        for backend in &backends {
-            for beam in [Some(2), Some(4), None] {
-                let on = solve(32, beam, backend);
-                let off = solve(1, beam, backend);
-                assert_eq!(
-                    on.stats.deterministic_key(),
-                    off.stats.deterministic_key(),
-                    "{:?} beam={beam:?}: stats diverged with batching on",
-                    backend
+            };
+            let [seq, others @ ..] = all_backends();
+            let reference = solve(&seq);
+            for backend in &others {
+                let run = solve(backend);
+                let (key, want) = (
+                    run.stats.deterministic_key(),
+                    reference.stats.deterministic_key(),
                 );
                 assert_eq!(
-                    on.best, off.best,
-                    "{:?} beam={beam:?}: incumbent diverged with batching on",
-                    backend
+                    (key.0, key.1, key.3),
+                    (want.0, want.1, want.3),
+                    "{backend:?} beam={beam:?}: stats diverged from SeqCpu"
+                );
+                if backend.name() == seq.name() {
+                    assert_eq!(key, want, "{backend:?} beam={beam:?}: ticks diverged");
+                }
+                assert_eq!(
+                    run.best, reference.best,
+                    "{backend:?} beam={beam:?}: incumbent diverged from SeqCpu"
                 );
             }
         }
     }
 }
 
+/// `evaluate_batch` stitches a frontier's candidate blocks back in input
+/// order: over a frontier spanning several blocks (the last one partial),
+/// every backend returns, element by element, exactly what evaluating each
+/// state on its own returns.
+#[test]
+fn evaluate_batch_matches_per_state_evaluate() {
+    use deco::solver::eval::{evaluate_batch, state_seed};
+    use deco::solver::SearchProblem;
+    let spec = CloudSpec::amazon_ec2();
+    let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 20);
+    let wf = generators::ligo(30, 1);
+    let problem = frontier_search_problem(&wf, &spec, &store);
+    let len = 2 * problem.frontier_block() + 7;
+    let mut states = vec![problem.initial()];
+    for i in 0.. {
+        if states.len() >= len {
+            break;
+        }
+        for next in problem.neighbors(&states[i]) {
+            if !states.contains(&next) {
+                states.push(next);
+            }
+        }
+    }
+    states.truncate(len);
+    let root = 0xD5C0;
+    let per_state: Vec<_> = states
+        .iter()
+        .map(|s| problem.evaluate(s, state_seed(root, s)))
+        .collect();
+    for backend in &all_backends() {
+        let (batched, _) = evaluate_batch(&problem, &states, backend, root);
+        assert_eq!(
+            batched, per_state,
+            "{backend:?}: batch diverged from per-state"
+        );
+    }
+}
+
 /// Fallback semantics: a candidate whose dispatch ranks disagree with the
 /// shared skeleton cannot join a `CompiledFrontier` — `compile` refuses
-/// the whole batch (and `evaluate_frontier` takes the bit-identical
-/// per-plan path instead of silently evaluating a wrong order).
+/// the whole batch rather than evaluate a wrong order — and the rejected
+/// plan still evaluates bit-identically to the reference through
+/// `mc_evaluate_plan`, which runs it in its own dispatch order.
 #[test]
 fn frontier_compile_rejects_nonconforming_plans() {
-    use deco::engine::estimate::{CompiledFrontier, ExecTimeTable, FrontierSkeleton};
+    use deco::engine::estimate::{
+        mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier, ExecTimeTable,
+        FrontierSkeleton,
+    };
     let spec = CloudSpec::amazon_ec2();
     let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 20);
     let wf = generators::ligo(20, 1);
@@ -378,6 +443,13 @@ fn frontier_compile_rejects_nonconforming_plans() {
     // the skeleton's order.
     plans[3].order.swap(0, wf.len() - 1);
     assert!(CompiledFrontier::compile(&skel, &spec, &plans).is_none());
+    for seed in [3u64, 77] {
+        assert_eq!(
+            mc_evaluate_plan(&wf, &plans[3], &table, &spec, 2000.0, 0.9, 40, seed),
+            mc_evaluate_plan_reference(&wf, &plans[3], &table, &spec, 2000.0, 0.9, 40, seed),
+            "seed {seed}: the rejected plan diverged from the reference"
+        );
+    }
 }
 
 #[test]

@@ -223,32 +223,6 @@ fn response_stream_is_byte_identical_at_1_2_and_8_workers() {
 }
 
 #[test]
-fn frontier_batched_serving_stream_matches_per_state() {
-    // The batched frontier evaluator sits under every solve the server
-    // runs; with it on (the default block of 32) the served response
-    // stream must be byte-identical to serving with it disabled.
-    let mut streams = Vec::new();
-    for frontier_block in [32usize, 1] {
-        let mut deco = small_deco();
-        deco.options.frontier_block = frontier_block;
-        let trace = adversarial_trace(&deco.store.spec);
-        let config = ServeConfig {
-            queue_capacity: 8,
-            batch_size: 4,
-            ..ServeConfig::default()
-        };
-        let mut server = PlanServer::new(deco, config);
-        let (responses, _) = server.serve_trace(&trace, 2);
-        let lines: Vec<String> = responses.iter().map(|r| r.canonical_line()).collect();
-        streams.push(lines);
-    }
-    assert_eq!(
-        streams[0], streams[1],
-        "batched and per-state serving must produce byte-identical streams"
-    );
-}
-
-#[test]
 fn smoke_200_request_mixed_trace_at_4_workers() {
     let deco = small_deco();
     let spec = deco.store.spec.clone();
