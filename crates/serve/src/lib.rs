@@ -18,7 +18,10 @@
 //! * [`cache`] — a content-addressed plan cache keyed by the canonical
 //!   structural hash of (DAG shape, catalog epoch + price table, engine
 //!   options, bucketed deadline, percentile, budget); warm hits are
-//!   bit-identical to cold solves;
+//!   bit-identical to cold solves. Its [`Books`] — range-routed
+//!   partitions of cache entries, crash strikes and quarantine under one
+//!   LRU clock — are the one cache-and-books state machine every serving
+//!   tier runs, emitting the [`Mutation`]s the durable tiers persist;
 //! * [`faults`] — seeded, worker-count-invariant injection of solver
 //!   worker crashes and stragglers, keyed per (virtual worker, cycle);
 //! * [`server`] — the cycle loop and the scoped solver-worker pool (one
@@ -45,7 +48,9 @@ pub mod server;
 pub mod stats;
 pub mod store;
 
-pub use cache::{plan_key, workflow_shape_hash, PlanCache};
+pub use cache::{
+    plan_key, workflow_shape_hash, Books, Entry, Mutation, Partition, PlanCache, ShardRouter,
+};
 pub use checkpoint::{PendingCheckpoint, ServeCheckpoint};
 pub use faults::{WorkerFate, WorkerFaultPlan};
 pub use queue::AdmissionQueue;
@@ -54,11 +59,12 @@ pub use request::{
     ServedPlan, TenantId,
 };
 pub use server::{
-    canonical_deadline, serve_trace_backend, serve_trace_resumable, solve_jobs_on_pool,
-    CalibrationRefresh, PlanServer, ServeBackend, ServeConfig, ServeSession, SolveJob,
+    canonical_deadline, canonical_key, install_calibration, serve_trace_backend,
+    serve_trace_resumable, solve_jobs_on_pool, CalibrationRefresh, PlanServer, ServeBackend,
+    ServeConfig, ServeSession, SolveJob,
 };
 pub use stats::{BackendObservability, CycleRow, ServeStats};
 pub use store::{
     encode_frame, frame_checksum, raw_frame_at, read_frame, replay_frame_file, write_frames_atomic,
-    PlanStore, RecoveredState, StoreConfig, StoreFrame, StoreStats,
+    PlanStore, StoreConfig, StoreFrame, StoreStats,
 };

@@ -39,17 +39,18 @@
 //! The cycle loop itself is generic: [`serve_trace_backend`] drives any
 //! [`ServeBackend`] — an implementation of the cache, the
 //! quarantine/strike books, the solver pool, and the calibration swap.
-//! [`PlanServer`] is the single-process backend (one [`PlanCache`], one
-//! pool); the `deco-shard` crate implements the same trait with the cache
-//! and books **partitioned by contiguous content-key range** across N
-//! shards, each with its own worker pool and durable WAL-backed store.
+//! [`PlanServer`] is the single-process backend (one-partition
+//! [`Books`], one pool); the `deco-shard` crate implements the same trait
+//! over the same [`Books`] **partitioned by contiguous content-key
+//! range** across N shards, each with its own worker pool and durable
+//! WAL-backed store.
 //! Every observable the engine produces is ordered by content key or
 //! trace sequence, and a key-range partition walked shard-by-shard in
 //! ascending range order visits keys in exactly the global canonical
 //! order — which is why an N-shard backend replays byte-identically to
 //! this single-process one (the shard tests pin N ∈ {1, 2, 4}).
 
-use crate::cache::{plan_key, workflow_shape_hash, PlanCache};
+use crate::cache::{plan_key, workflow_shape_hash, Books};
 use crate::checkpoint::{PendingCheckpoint, ServeCheckpoint};
 use crate::faults::{WorkerFate, WorkerFaultPlan};
 use crate::queue::{effective_budget, fair_share_budgets, AdmissionQueue, QueuedRequest};
@@ -66,7 +67,7 @@ use deco_core::supervisor::{
 use deco_core::{Deco, DecoError};
 use deco_solver::SearchBudget;
 use deco_workflow::Workflow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Serving policy knobs. Defaults suit the integration tests and bench;
 /// production traces should size `queue_capacity` to tolerated burst.
@@ -189,6 +190,39 @@ pub fn canonical_deadline(deadline: f64, bucket: f64) -> f64 {
     } else {
         (deadline / bucket).floor() * bucket
     }
+}
+
+/// The canonical deadline, the budget component of the key, and the
+/// content key of one request under `config` — the derivation the cycle
+/// loop runs and [`PlanServer::key_for`] exposes.
+pub fn canonical_key(
+    deco: &Deco,
+    config: &ServeConfig,
+    req: &PlanRequest,
+) -> (f64, Option<f64>, u64) {
+    let cd = canonical_deadline(req.deadline, config.deadline_bucket);
+    let key_budget = req.budget_hint.or(config.budget.ticks);
+    let key = plan_key(
+        &req.workflow,
+        &deco.store,
+        &deco.options,
+        cd,
+        req.percentile,
+        key_budget,
+    );
+    (cd, key_budget, key)
+}
+
+/// Swap freshly calibrated metadata in, bumping its catalog epoch until
+/// it is strictly past the one it replaces; returns the new epoch. Every
+/// tier's refresh, and a standby replaying one, goes through here.
+pub fn install_calibration(current: &mut MetadataStore, fresh: MetadataStore) -> u64 {
+    let old = current.catalog_epoch();
+    *current = fresh;
+    while current.catalog_epoch() <= old {
+        current.bump_catalog_epoch();
+    }
+    current.catalog_epoch()
 }
 
 /// One cold solve dispatched to a worker pool. Public so alternative
@@ -846,19 +880,7 @@ fn run_cycle<B: ServeBackend>(
             ));
             continue;
         }
-        let cd = canonical_deadline(qr.request.deadline, cfg.deadline_bucket);
-        let key_budget = qr.request.budget_hint.or(cfg.budget.ticks);
-        let key = {
-            let deco = backend.deco();
-            plan_key(
-                &qr.request.workflow,
-                &deco.store,
-                &deco.options,
-                cd,
-                qr.request.percentile,
-                key_budget,
-            )
-        };
+        let (cd, key_budget, key) = canonical_key(backend.deco(), cfg, &qr.request);
         if let Some(plan) = backend.cache_get(key) {
             answers.push((
                 qr,
@@ -1226,30 +1248,24 @@ pub fn solve_jobs_on_pool(
 }
 
 /// The single-process serving engine: a [`Deco`] instance, its plan
-/// cache, policy, and the fault-tolerance bookkeeping (per-key crash
-/// strikes + quarantine). This is the canonical [`ServeBackend`]; the
-/// shard tier's partitioned backend is pinned byte-identical to it.
+/// cache and fault books (per-key crash strikes + quarantine) as one
+/// partition of [`Books`] with no sink, and its policy. This is the
+/// canonical [`ServeBackend`]; the shard tier's partitioned backend is
+/// pinned byte-identical to it.
 pub struct PlanServer {
     pub deco: Deco,
     config: ServeConfig,
-    cache: PlanCache,
-    /// Content keys answered from the fallback chain instead of workers.
-    quarantine: BTreeSet<u64>,
-    /// Cumulative worker-crash strikes per content key (reset on a
-    /// successful solve or a calibration refresh).
-    key_failures: BTreeMap<u64, u32>,
+    books: Books<SupervisedPlan>,
 }
 
 impl PlanServer {
     pub fn new(deco: Deco, config: ServeConfig) -> Self {
         assert!(config.batch_size >= 1, "batch_size must be at least 1");
-        let cache = PlanCache::new(config.cache_capacity);
+        let books = Books::new(1, config.cache_capacity);
         PlanServer {
             deco,
             config,
-            cache,
-            quarantine: BTreeSet::new(),
-            key_failures: BTreeMap::new(),
+            books,
         }
     }
 
@@ -1258,50 +1274,33 @@ impl PlanServer {
     }
 
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.books.len()
     }
 
     /// Number of content keys currently quarantined.
     pub fn quarantined_keys(&self) -> usize {
-        self.quarantine.len()
+        self.books.quarantined_keys()
     }
 
     pub fn is_quarantined(&self, key: u64) -> bool {
-        self.quarantine.contains(&key)
+        self.books.is_quarantined(key)
     }
 
     /// The content key [`serve_trace`](Self::serve_trace) would derive for
     /// a request — exposed so tests and benches can predict hits.
-    pub fn key_for(&self, req: &crate::request::PlanRequest) -> u64 {
-        let cd = canonical_deadline(req.deadline, self.config.deadline_bucket);
-        plan_key(
-            &req.workflow,
-            &self.deco.store,
-            &self.deco.options,
-            cd,
-            req.percentile,
-            req.budget_hint.or(self.config.budget.ticks),
-        )
+    pub fn key_for(&self, req: &PlanRequest) -> u64 {
+        canonical_key(&self.deco, &self.config, req).2
     }
 
     /// Atomically swap in freshly calibrated metadata between cycles. The
-    /// catalog epoch strictly increases (bumped past the old store's if
-    /// the new one's is not already ahead), stale cache entries are
-    /// reclaimed — they were already unreachable, every key embeds the
-    /// epoch — and the quarantine/strike books are cleared: a new
-    /// calibration is a new world, old offenders get a clean slate.
-    /// Returns `(new_epoch, purged_entries)`.
+    /// catalog epoch strictly increases ([`install_calibration`]), stale
+    /// cache entries are reclaimed — they were already unreachable, every
+    /// key embeds the epoch — and the quarantine/strike books are
+    /// cleared: a new calibration is a new world, old offenders get a
+    /// clean slate. Returns `(new_epoch, purged_entries)`.
     pub fn refresh_calibration(&mut self, store: MetadataStore) -> (u64, usize) {
-        let old = self.deco.store.catalog_epoch();
-        self.deco.store = store;
-        while self.deco.store.catalog_epoch() <= old {
-            self.deco.store.bump_catalog_epoch();
-        }
-        let epoch = self.deco.store.catalog_epoch();
-        let purged = self.cache.purge_stale(epoch);
-        self.quarantine.clear();
-        self.key_failures.clear();
-        (epoch, purged)
+        let epoch = install_calibration(&mut self.deco.store, store);
+        (epoch, self.books.refresh(epoch, |_, _| {}))
     }
 
     /// Replay a recorded trace with `workers` solver threads under a
@@ -1341,37 +1340,35 @@ impl ServeBackend for PlanServer {
     }
 
     fn cache_get(&mut self, key: u64) -> Option<SupervisedPlan> {
-        self.cache.get(key).cloned()
+        self.books.get(key, |_, _| {}).cloned()
     }
 
     fn cache_insert(&mut self, key: u64, plan: &SupervisedPlan, epoch: u64) -> usize {
-        self.cache.insert(key, plan.clone(), epoch)
+        self.books.insert(key, plan.clone(), epoch, |_, _| {})
     }
 
     fn cache_purge_stale(&mut self, epoch: u64) -> usize {
-        self.cache.purge_stale(epoch)
+        self.books.purge(epoch, |_, _| {})
     }
 
     fn is_key_quarantined(&self, key: u64) -> bool {
-        self.quarantine.contains(&key)
+        self.books.is_quarantined(key)
     }
 
     fn strike_count(&self, key: u64) -> Option<u32> {
-        self.key_failures.get(&key).copied()
+        self.books.strikes(key)
     }
 
     fn add_strike(&mut self, key: u64) -> u32 {
-        let s = self.key_failures.entry(key).or_insert(0);
-        *s += 1;
-        *s
+        self.books.strike(key, |_, _| {})
     }
 
     fn quarantine_key(&mut self, key: u64) {
-        self.quarantine.insert(key);
+        self.books.quarantine(key, |_, _| {})
     }
 
     fn clear_strikes(&mut self, key: u64) {
-        self.key_failures.remove(&key);
+        self.books.clear(key, |_, _| {})
     }
 
     fn solve_jobs(
@@ -1685,15 +1682,17 @@ mod tests {
         ));
         assert!(epoch > before, "epoch must strictly increase");
         // Quarantine books are cleared by a refresh.
-        server.quarantine.insert(77);
-        server.key_failures.insert(77, 3);
+        server.books.quarantine(77, |_, _| {});
+        for _ in 0..3 {
+            server.books.strike(77, |_, _| {});
+        }
         let (epoch2, _) = server.refresh_calibration(MetadataStore::from_ground_truth(
             CloudSpec::amazon_ec2(),
             20,
         ));
         assert!(epoch2 > epoch);
         assert_eq!(server.quarantined_keys(), 0);
-        assert!(server.key_failures.is_empty());
+        assert_eq!(server.books.strikes(77), None);
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //! strike/quarantine books — a new calibration is a new world, on disk
 //! as in memory.
 
+use crate::cache::{Mutation, Partition};
+use deco_core::codec::{put_u32, put_u64, put_u8, Reader};
 use deco_core::supervisor::SupervisedPlan;
 use deco_core::{decode_supervised_plan, encode_supervised_plan, DecoError};
 use deco_prob::hash::StableHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -53,46 +55,11 @@ const TAG_CLEAR_KEY: u8 = 5;
 const TAG_QUARANTINE: u8 = 6;
 const TAG_EPOCH: u8 = 7;
 
-/// One durable mutation. The vocabulary mirrors exactly the state a
-/// [`crate::ServeBackend`] keeps per key: the cached plan (with its LRU
-/// stamp and solve epoch), the crash-strike count, and quarantine.
-///
-/// `Put` carries a whole plan and dwarfs the bookkeeping variants; the
-/// asymmetry is inherent to a WAL vocabulary and frames are transient
-/// (encoded immediately), so no boxing.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
-pub enum StoreFrame {
-    /// Cache a solved plan. A later `Put` for the same key supersedes —
-    /// the store never rewrites old frames.
-    Put {
-        key: u64,
-        epoch: u64,
-        last_use: u64,
-        plan: SupervisedPlan,
-    },
-    /// Refresh a key's LRU stamp (a warm hit).
-    Touch { key: u64, last_use: u64 },
-    /// Evict a key (LRU eviction or stale purge).
-    Del { key: u64 },
-    /// Record a key's cumulative worker-crash strikes.
-    Strike { key: u64, count: u32 },
-    /// Clear a key's strikes (a successful solve).
-    ClearKey { key: u64 },
-    /// Quarantine a key (answered from fallback until a refresh).
-    Quarantine { key: u64 },
-    /// A calibration refresh: recovery drops entries from other epochs
-    /// and clears the strike/quarantine books.
-    Epoch { epoch: u64 },
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// One durable mutation: a [`Mutation`] of the shard's partition, whose
+/// `Put` carries a whole plan (encoded with the canonical plan codec).
+/// `Mutation::Drop` has no store frame — a store is replaced together
+/// with its partition — so [`PlanStore::append`] ignores it.
+pub type StoreFrame = Mutation<SupervisedPlan>;
 
 /// Checksum of one frame body — a domain-separated
 /// [`StableHasher`] digest, stable across platforms and toolchains.
@@ -120,13 +87,13 @@ pub fn encode_frame(body: &[u8]) -> Vec<u8> {
 /// [`encode_frame`] produces.
 pub fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len() + 4;
-    push_u32(out, 0);
+    put_u32(out, 0);
     body(out);
     let len = out.len() - start;
     assert!(len <= MAX_FRAME_BODY, "frame body too large");
     out[start - 4..start].copy_from_slice(&(len as u32).to_le_bytes());
     let sum = frame_checksum(&out[start..]);
-    push_u64(out, sum);
+    put_u64(out, sum);
 }
 
 /// Decode the checksummed frame starting at byte `pos` of `buf`,
@@ -278,226 +245,96 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     Ok(Some(body))
 }
 
-impl StoreFrame {
-    /// Serialize the frame body (tag + fields, no length/checksum).
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            StoreFrame::Put {
-                key,
-                epoch,
-                last_use,
-                plan,
-            } => {
-                out.push(TAG_PUT);
-                push_u64(&mut out, *key);
-                push_u64(&mut out, *epoch);
-                push_u64(&mut out, *last_use);
-                let payload = encode_supervised_plan(plan);
-                push_u32(&mut out, payload.len() as u32);
-                out.extend_from_slice(&payload);
-            }
-            StoreFrame::Touch { key, last_use } => {
-                out.push(TAG_TOUCH);
-                push_u64(&mut out, *key);
-                push_u64(&mut out, *last_use);
-            }
-            StoreFrame::Del { key } => {
-                out.push(TAG_DEL);
-                push_u64(&mut out, *key);
-            }
-            StoreFrame::Strike { key, count } => {
-                out.push(TAG_STRIKE);
-                push_u64(&mut out, *key);
-                push_u32(&mut out, *count);
-            }
-            StoreFrame::ClearKey { key } => {
-                out.push(TAG_CLEAR_KEY);
-                push_u64(&mut out, *key);
-            }
-            StoreFrame::Quarantine { key } => {
-                out.push(TAG_QUARANTINE);
-                push_u64(&mut out, *key);
-            }
-            StoreFrame::Epoch { epoch } => {
-                out.push(TAG_EPOCH);
-                push_u64(&mut out, *epoch);
-            }
+/// Append the body (tag + fields) of the store frame recording `m`,
+/// encoding a `Put`'s plan from wherever it lives.
+fn put_body<P: Borrow<SupervisedPlan>>(out: &mut Vec<u8>, m: &Mutation<P>) {
+    match m {
+        Mutation::Put {
+            key,
+            epoch,
+            last_use,
+            plan,
+        } => {
+            put_u8(out, TAG_PUT);
+            put_u64(out, *key);
+            put_u64(out, *epoch);
+            put_u64(out, *last_use);
+            let payload = encode_supervised_plan(plan.borrow());
+            put_u32(out, payload.len() as u32);
+            out.extend_from_slice(&payload);
         }
-        out
+        Mutation::Touch { key, last_use } => {
+            put_u8(out, TAG_TOUCH);
+            put_u64(out, *key);
+            put_u64(out, *last_use);
+        }
+        Mutation::Del { key } => {
+            put_u8(out, TAG_DEL);
+            put_u64(out, *key);
+        }
+        Mutation::Strike { key, count } => {
+            put_u8(out, TAG_STRIKE);
+            put_u64(out, *key);
+            put_u32(out, *count);
+        }
+        Mutation::ClearKey { key } => {
+            put_u8(out, TAG_CLEAR_KEY);
+            put_u64(out, *key);
+        }
+        Mutation::Quarantine { key } => {
+            put_u8(out, TAG_QUARANTINE);
+            put_u64(out, *key);
+        }
+        Mutation::Epoch { epoch } => {
+            put_u8(out, TAG_EPOCH);
+            put_u64(out, *epoch);
+        }
+        Mutation::Drop => {}
     }
+}
 
-    /// Serialize the full on-disk frame: length, body, checksum.
+/// Parse one frame body. `None` on any structural defect (unknown tag,
+/// short fields, bad plan payload, trailing bytes) — recovery treats
+/// that frame and everything after it as torn.
+fn decode_body(body: &[u8]) -> Option<StoreFrame> {
+    let mut r = Reader::new(body);
+    let frame = match r.u8().ok()? {
+        TAG_PUT => Mutation::Put {
+            key: r.u64().ok()?,
+            epoch: r.u64().ok()?,
+            last_use: r.u64().ok()?,
+            plan: {
+                let len = r.u32().ok()? as usize;
+                decode_supervised_plan(r.take(len).ok()?).ok()?
+            },
+        },
+        TAG_TOUCH => Mutation::Touch {
+            key: r.u64().ok()?,
+            last_use: r.u64().ok()?,
+        },
+        TAG_DEL => Mutation::Del { key: r.u64().ok()? },
+        TAG_STRIKE => Mutation::Strike {
+            key: r.u64().ok()?,
+            count: r.u32().ok()?,
+        },
+        TAG_CLEAR_KEY => Mutation::ClearKey { key: r.u64().ok()? },
+        TAG_QUARANTINE => Mutation::Quarantine { key: r.u64().ok()? },
+        TAG_EPOCH => Mutation::Epoch {
+            epoch: r.u64().ok()?,
+        },
+        _ => return None,
+    };
+    r.done().then_some(frame)
+}
+
+impl<P: Borrow<SupervisedPlan>> Mutation<P> {
+    /// Serialize the full on-disk store frame: length, body, checksum —
+    /// for an owned [`StoreFrame`] and a lent `Mutation<&SupervisedPlan>`
+    /// alike.
     pub fn encode(&self) -> Vec<u8> {
-        encode_frame(&self.encode_body())
-    }
-
-    /// Parse one frame body. `None` on any structural defect (unknown
-    /// tag, short fields, bad plan payload) — recovery treats that frame
-    /// and everything after it as torn.
-    fn decode_body(body: &[u8]) -> Option<StoreFrame> {
-        let mut r = FrameReader { buf: body, pos: 0 };
-        let tag = r.u8()?;
-        let frame = match tag {
-            TAG_PUT => {
-                let key = r.u64()?;
-                let epoch = r.u64()?;
-                let last_use = r.u64()?;
-                let len = r.u32()? as usize;
-                let payload = r.bytes(len)?;
-                let plan = decode_supervised_plan(payload).ok()?;
-                StoreFrame::Put {
-                    key,
-                    epoch,
-                    last_use,
-                    plan,
-                }
-            }
-            TAG_TOUCH => StoreFrame::Touch {
-                key: r.u64()?,
-                last_use: r.u64()?,
-            },
-            TAG_DEL => StoreFrame::Del { key: r.u64()? },
-            TAG_STRIKE => StoreFrame::Strike {
-                key: r.u64()?,
-                count: r.u32()?,
-            },
-            TAG_CLEAR_KEY => StoreFrame::ClearKey { key: r.u64()? },
-            TAG_QUARANTINE => StoreFrame::Quarantine { key: r.u64()? },
-            TAG_EPOCH => StoreFrame::Epoch { epoch: r.u64()? },
-            _ => return None,
-        };
-        if r.pos != body.len() {
-            return None; // trailing bytes: not a frame we wrote
-        }
-        Some(frame)
-    }
-}
-
-struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|b| b[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        self.bytes(4).map(|b| {
-            let mut a = [0u8; 4];
-            a.copy_from_slice(b);
-            u32::from_le_bytes(a)
-        })
-    }
-    fn u64(&mut self) -> Option<u64> {
-        self.bytes(8).map(|b| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(b);
-            u64::from_le_bytes(a)
-        })
-    }
-}
-
-/// A cache entry reconstructed from the log.
-#[derive(Debug, Clone)]
-pub struct RecoveredEntry {
-    pub plan: SupervisedPlan,
-    /// Catalog epoch the plan was solved under.
-    pub epoch: u64,
-    /// LRU stamp at the time of the last persisted touch.
-    pub last_use: u64,
-}
-
-/// Everything a shard needs to resume serving warm: the cache entries,
-/// the fault books, and the epoch the log ended in. Entries are keyed
-/// canonically (`BTreeMap`), so a warm-started shard walks its state in
-/// the same order a never-restarted one would.
-#[derive(Debug, Default)]
-pub struct RecoveredState {
-    /// The last epoch recorded in the log (0 if none was).
-    pub epoch: u64,
-    pub entries: BTreeMap<u64, RecoveredEntry>,
-    pub strikes: BTreeMap<u64, u32>,
-    pub quarantine: BTreeSet<u64>,
-}
-
-impl RecoveredState {
-    fn apply(&mut self, frame: StoreFrame) {
-        match frame {
-            StoreFrame::Put {
-                key,
-                epoch,
-                last_use,
-                plan,
-            } => {
-                // Supersede, never rewrite: the latest Put wins.
-                self.entries.insert(
-                    key,
-                    RecoveredEntry {
-                        plan,
-                        epoch,
-                        last_use,
-                    },
-                );
-            }
-            StoreFrame::Touch { key, last_use } => {
-                if let Some(e) = self.entries.get_mut(&key) {
-                    e.last_use = last_use;
-                }
-            }
-            StoreFrame::Del { key } => {
-                self.entries.remove(&key);
-            }
-            StoreFrame::Strike { key, count } => {
-                self.strikes.insert(key, count);
-            }
-            StoreFrame::ClearKey { key } => {
-                self.strikes.remove(&key);
-            }
-            StoreFrame::Quarantine { key } => {
-                self.quarantine.insert(key);
-            }
-            StoreFrame::Epoch { epoch } => {
-                // A refresh is a new world: stale entries and the books
-                // do not survive it (mirrors `refresh_calibration`).
-                self.epoch = epoch;
-                self.entries.retain(|_, e| e.epoch == epoch);
-                self.strikes.clear();
-                self.quarantine.clear();
-            }
-        }
-    }
-
-    /// The frames that reproduce this state verbatim — what compaction
-    /// writes into a snapshot. Key order throughout, epoch first.
-    pub fn to_frames(&self) -> Vec<StoreFrame> {
-        let mut frames = Vec::with_capacity(1 + self.entries.len() + self.strikes.len());
-        frames.push(StoreFrame::Epoch { epoch: self.epoch });
-        for (&key, e) in &self.entries {
-            frames.push(StoreFrame::Put {
-                key,
-                epoch: e.epoch,
-                last_use: e.last_use,
-                plan: e.plan.clone(),
-            });
-        }
-        for (&key, &count) in &self.strikes {
-            frames.push(StoreFrame::Strike { key, count });
-        }
-        for &key in &self.quarantine {
-            frames.push(StoreFrame::Quarantine { key });
-        }
-        frames
+        let mut out = Vec::new();
+        frame_into(&mut out, |out| put_body(out, self));
+        out
     }
 }
 
@@ -603,6 +440,9 @@ impl PlanStore {
 
     /// Append one frame to the WAL, fsyncing on the configured cadence.
     pub fn append(&mut self, frame: &StoreFrame) -> Result<(), DecoError> {
+        if let Mutation::Drop = frame {
+            return Ok(());
+        }
         let bytes = frame.encode();
         let path = self.wal_path();
         self.wal
@@ -644,55 +484,45 @@ impl PlanStore {
         self.wal.metadata().map(|m| m.len()).unwrap_or(0)
     }
 
-    /// Scan one log file, applying every valid frame in order and
-    /// stopping at the first torn or corrupt one. Returns the frames
-    /// applied; missing files count as empty logs.
-    fn replay_file(
-        path: &Path,
-        state: &mut RecoveredState,
-        stats: &mut StoreStats,
-    ) -> Result<(), DecoError> {
-        let (frames, torn) =
-            replay_frame_file(path, &mut |body| match StoreFrame::decode_body(body) {
+    /// Reconstruct the shard's partition: fold `snapshot.bin`, then
+    /// `wal.log`, tolerating a torn tail in either; finally drop any
+    /// entry whose epoch disagrees with the log's last recorded epoch
+    /// (when one was recorded).
+    pub fn recover(&mut self) -> Result<Partition<SupervisedPlan>, DecoError> {
+        self.stats.frames_recovered = 0;
+        self.stats.torn_bytes = 0;
+        let mut part = Partition::default();
+        for path in [self.snapshot_path(), self.wal_path()] {
+            let (frames, torn) = replay_frame_file(&path, &mut |body| match decode_body(body) {
                 Some(frame) => {
-                    state.apply(frame);
+                    part.apply(frame);
                     true
                 }
                 None => false,
             })?;
-        stats.frames_recovered += frames;
-        stats.torn_bytes += torn;
-        Ok(())
-    }
-
-    /// Reconstruct the shard state: replay `snapshot.bin`, then
-    /// `wal.log`, tolerating a torn tail in either; finally drop any
-    /// entry whose epoch disagrees with the log's last recorded epoch
-    /// (when one was recorded).
-    pub fn recover(&mut self) -> Result<RecoveredState, DecoError> {
-        self.stats.frames_recovered = 0;
-        self.stats.torn_bytes = 0;
-        let mut state = RecoveredState::default();
-        let snapshot = self.snapshot_path();
-        let wal = self.wal_path();
-        let mut stats = std::mem::take(&mut self.stats);
-        let result = Self::replay_file(&snapshot, &mut state, &mut stats)
-            .and_then(|_| Self::replay_file(&wal, &mut state, &mut stats));
-        self.stats = stats;
-        result?;
-        if state.epoch != 0 {
-            let before = state.entries.len();
-            state.entries.retain(|_, e| e.epoch == state.epoch);
-            self.stats.stale_dropped += (before - state.entries.len()) as u64;
+            self.stats.frames_recovered += frames;
+            self.stats.torn_bytes += torn;
         }
-        self.stats.entries_recovered = state.entries.len() as u64;
-        Ok(state)
+        if part.epoch != 0 {
+            let before = part.entries.len();
+            part.entries.retain(|_, e| e.epoch == part.epoch);
+            self.stats.stale_dropped += (before - part.entries.len()) as u64;
+        }
+        self.stats.entries_recovered = part.entries.len() as u64;
+        Ok(part)
     }
 
-    /// Compact: atomically write `frames` as the new snapshot (temp file
-    /// + rename), then truncate the WAL — its content is now redundant.
-    pub fn compact(&mut self, frames: &[StoreFrame]) -> Result<(), DecoError> {
-        let encoded: Vec<Vec<u8>> = frames.iter().map(|f| f.encode()).collect();
+    /// Compact: atomically write the snapshot of `part` at catalog epoch
+    /// `epoch` — `Epoch { epoch }`, then [`Partition::image`] — (temp
+    /// file + rename), then truncate the WAL, whose content it makes
+    /// redundant.
+    pub fn compact(
+        &mut self,
+        epoch: u64,
+        part: &Partition<SupervisedPlan>,
+    ) -> Result<(), DecoError> {
+        let mut encoded = vec![StoreFrame::Epoch { epoch }.encode()];
+        encoded.extend(part.image().map(|m| m.encode()));
         write_frames_atomic(&self.snapshot_path(), &encoded)?;
         let wal_path = self.wal_path();
         self.wal
@@ -1113,7 +943,7 @@ mod tests {
             .unwrap();
         let state = store.recover().unwrap();
         assert!(store.wal_len() > 0);
-        store.compact(&state.to_frames()).unwrap();
+        store.compact(state.epoch, &state).unwrap();
         assert_eq!(store.wal_len(), 0, "WAL truncated after snapshot");
         // Append one post-snapshot delta, then recover fresh: snapshot +
         // WAL compose.

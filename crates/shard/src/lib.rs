@@ -9,20 +9,21 @@
 //! out and makes it durable, without giving up the byte-identity:
 //!
 //! * [`router`] — contiguous key-range partitioning of the
-//!   content-addressed plan-key space across N shards. Contiguity means
-//!   walking shards in index order visits keys in global canonical
+//!   content-addressed plan-key space across N shards (the
+//!   [`ShardRouter`] of `deco_serve::cache`, re-exported). Contiguity
+//!   means walking shards in index order visits keys in global canonical
 //!   order, so no merge sort is needed anywhere;
 //! * [`server`] — [`ShardedServer`], a `deco_serve::ServeBackend` whose
-//!   cache and fault books are partitioned per shard (one global LRU
-//!   clock and capacity) and whose solve jobs run on per-shard worker
-//!   pools concurrently. The cycle loop itself is *the same code*
-//!   `PlanServer` runs — determinism by construction, not by careful
-//!   reimplementation;
-//! * durability — every cache/book mutation lands in the shard's
-//!   WAL-backed [`deco_serve::store::PlanStore`]; a crashed shard
-//!   replays snapshot + WAL and resumes warm, making a restart
-//!   observationally a no-op (torn WAL tails are tolerated, snapshots
-//!   are compacted atomically);
+//!   cache and fault books are `deco_serve::Books` with one partition
+//!   per shard (one global LRU clock and capacity) and whose solve jobs
+//!   run on per-shard worker pools concurrently. The cycle loop *and* the
+//!   cache-and-books state machine are the same code `PlanServer` runs —
+//!   determinism by construction, not by careful reimplementation;
+//! * durability — every mutation the books make lands in the shard's
+//!   WAL-backed [`deco_serve::store::PlanStore`]; a crashed shard folds
+//!   snapshot + WAL back into its partition and resumes warm, making a
+//!   restart observationally a no-op (torn WAL tails are tolerated,
+//!   snapshots are compacted atomically);
 //! * [`faults`] — seeded, deterministic shard crash/restart schedules
 //!   keyed by (shard, cycle), landing strictly at cycle boundaries;
 //! * [`proc`] — the supervised out-of-process tier:

@@ -45,7 +45,7 @@ use deco_serve::checkpoint::{put_waits, read_waits, ServeCheckpoint};
 use deco_serve::store::{
     encode_frame, frame_into, replay_frame_file, write_frames_atomic_cadenced, MAX_FRAME_BODY,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use deco_serve::{Mutation, Partition};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -251,6 +251,37 @@ pub enum JournalFrame {
 }
 
 impl JournalFrame {
+    /// The frame recording mutation `m` of partition `shard`. `Epoch` is
+    /// tier-wide in the journal — one frame retains and clears every
+    /// shard — and `Drop` is `DropShard`.
+    pub fn of<P>(shard: usize, m: &Mutation<P>) -> JournalFrame {
+        let shard = shard as u32;
+        match *m {
+            Mutation::Put {
+                key,
+                epoch,
+                last_use,
+                ..
+            } => JournalFrame::Put {
+                shard,
+                key,
+                epoch,
+                last_use,
+            },
+            Mutation::Touch { key, last_use } => JournalFrame::Touch {
+                shard,
+                key,
+                last_use,
+            },
+            Mutation::Del { key } => JournalFrame::Del { shard, key },
+            Mutation::Strike { key, count } => JournalFrame::Strike { shard, key, count },
+            Mutation::ClearKey { key } => JournalFrame::ClearKey { shard, key },
+            Mutation::Quarantine { key } => JournalFrame::QuarantineKey { shard, key },
+            Mutation::Epoch { epoch } => JournalFrame::Epoch { epoch },
+            Mutation::Drop => JournalFrame::DropShard { shard },
+        }
+    }
+
     /// Serialize the frame body (no container).
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = vec![JOURNAL_VERSION];
@@ -429,104 +460,76 @@ impl JournalFrame {
     }
 }
 
-/// One shard's folded metadata: the journal-side image of the mirror.
-#[derive(Debug, Clone, Default)]
-pub struct JournalShard {
-    /// `key → (epoch, last_use)`.
-    pub entries: BTreeMap<u64, (u64, u64)>,
-    pub strikes: BTreeMap<u64, u32>,
-    pub quarantine: BTreeSet<u64>,
-}
-
 /// The fold of every frame up to (and including) the last `Commit`.
 #[derive(Debug, Default)]
 struct FoldState {
-    shards: Vec<JournalShard>,
+    /// The journal-side image of the supervisor's mirror: one metadata
+    /// partition per shard, folded with the books' own [`Partition::apply`].
+    parts: Vec<Partition<()>>,
     /// The wait log: `ServeStats::waits` as of the last `Commit`.
     waits: Vec<f64>,
 }
 
 impl FoldState {
-    fn shard(&mut self, si: u32) -> &mut JournalShard {
-        let si = si as usize;
-        if si >= self.shards.len() {
-            self.shards.resize_with(si + 1, JournalShard::default);
-        }
-        &mut self.shards[si]
-    }
-
+    /// Fold one frame; per-shard frames are the partition mutations
+    /// [`JournalFrame::of`] recorded, folded back with `Partition::apply`.
     fn apply(&mut self, frame: &JournalFrame) {
-        match frame {
+        let (shard, m) = match *frame {
             JournalFrame::Put {
                 shard,
                 key,
                 epoch,
                 last_use,
-            } => {
-                self.shard(*shard).entries.insert(*key, (*epoch, *last_use));
-            }
+            } => (
+                shard,
+                Mutation::Put {
+                    key,
+                    epoch,
+                    last_use,
+                    plan: (),
+                },
+            ),
             JournalFrame::Touch {
                 shard,
                 key,
                 last_use,
-            } => {
-                if let Some(e) = self.shard(*shard).entries.get_mut(key) {
-                    e.1 = *last_use;
-                }
-            }
-            JournalFrame::Del { shard, key } => {
-                self.shard(*shard).entries.remove(key);
-            }
-            JournalFrame::Strike { shard, key, count } => {
-                self.shard(*shard).strikes.insert(*key, *count);
-            }
-            JournalFrame::ClearKey { shard, key } => {
-                self.shard(*shard).strikes.remove(key);
-            }
-            JournalFrame::QuarantineKey { shard, key } => {
-                self.shard(*shard).quarantine.insert(*key);
-            }
+            } => (shard, Mutation::Touch { key, last_use }),
+            JournalFrame::Del { shard, key } => (shard, Mutation::Del { key }),
+            JournalFrame::Strike { shard, key, count } => (shard, Mutation::Strike { key, count }),
+            JournalFrame::ClearKey { shard, key } => (shard, Mutation::ClearKey { key }),
+            JournalFrame::QuarantineKey { shard, key } => (shard, Mutation::Quarantine { key }),
+            JournalFrame::DropShard { shard } => (shard, Mutation::Drop),
             JournalFrame::Epoch { epoch } => {
-                for s in &mut self.shards {
-                    s.entries.retain(|_, &mut (e, _)| e == *epoch);
-                    s.strikes.clear();
-                    s.quarantine.clear();
+                for p in &mut self.parts {
+                    p.apply(Mutation::Epoch { epoch });
                 }
+                return;
             }
             JournalFrame::Purge { epoch } => {
-                for s in &mut self.shards {
-                    s.entries.retain(|_, &mut (e, _)| e == *epoch);
+                for p in &mut self.parts {
+                    p.purge(epoch, |_| {});
                 }
+                return;
             }
-            JournalFrame::DropShard { shard } => {
-                *self.shard(*shard) = JournalShard::default();
-            }
-            JournalFrame::Waits { base, values } => {
-                self.waits.truncate(*base as usize);
+            JournalFrame::Waits { base, ref values } => {
+                self.waits.truncate(base as usize);
                 self.waits.extend_from_slice(values);
+                return;
             }
-            JournalFrame::Commit { .. } => {}
+            JournalFrame::Commit { .. } => return,
+        };
+        let si = shard as usize;
+        if si >= self.parts.len() {
+            self.parts.resize_with(si + 1, Partition::default);
         }
+        self.parts[si].apply(m);
     }
 
     /// Append the per-shard state as snapshot frames.
     fn put_shard_frames(&self, out: &mut Vec<u8>) {
-        let mut put = |f: JournalFrame| put_frame(out, |out| f.put_fields(out));
-        for (si, s) in self.shards.iter().enumerate() {
-            let shard = si as u32;
-            for (&key, &(epoch, last_use)) in &s.entries {
-                put(JournalFrame::Put {
-                    shard,
-                    key,
-                    epoch,
-                    last_use,
-                });
-            }
-            for (&key, &count) in &s.strikes {
-                put(JournalFrame::Strike { shard, key, count });
-            }
-            for &key in &s.quarantine {
-                put(JournalFrame::QuarantineKey { shard, key });
+        for (si, part) in self.parts.iter().enumerate() {
+            for m in part.image() {
+                put_frame(out, |out| JournalFrame::of(si, &m).put_fields(out));
             }
         }
     }
@@ -537,8 +540,9 @@ impl FoldState {
 /// and the committed response lines still on record.
 #[derive(Debug, Clone, Default)]
 pub struct JournalRecovery {
-    /// Folded per-shard metadata (empty when no commit was found).
-    pub shards: Vec<JournalShard>,
+    /// Folded per-shard metadata partitions (empty when no commit was
+    /// found).
+    pub shards: Vec<Partition<()>>,
     /// The last complete commit (the folded wait log spliced back into
     /// `serve.stats.waits`), `None` for a fresh or fully torn log.
     pub commit: Option<CommitRecord>,
@@ -663,7 +667,7 @@ impl SupervisorJournal {
             rec.serve.stats.waits = fold.waits.clone();
         }
         let recovery = JournalRecovery {
-            shards: fold.shards.clone(),
+            shards: fold.parts.clone(),
             commit: last_commit,
             lines_start,
             lines,
@@ -1004,7 +1008,11 @@ mod tests {
         assert_eq!(c.cycle, 2);
         assert_eq!(rec.lines_start, 0);
         assert_eq!(rec.lines, vec!["line0", "line1", "line2"]);
-        assert_eq!(rec.shards[0].entries.get(&1), Some(&(1, 8)), "touch folded");
+        assert_eq!(
+            rec.shards[0].entries.get(&1).map(|e| (e.epoch, e.last_use)),
+            Some((1, 8)),
+            "touch folded"
+        );
         assert_eq!(rec.shards[0].strikes.get(&9), Some(&1));
         assert!(rec.shards[1].quarantine.contains(&11));
         let _ = std::fs::remove_dir_all(&dir);

@@ -6,11 +6,13 @@
 //! What this type changes is that each shard is a **child process**
 //! (self-exec with `--deco-shard-worker`), supervised over pipes:
 //!
-//! * the supervisor keeps an authoritative *metadata mirror* of every
-//!   shard's partition — `(key → epoch, last_use)`, the strike and
+//! * the supervisor keeps an authoritative *mirror* of every shard's
+//!   partition — the same `deco_serve::Books` every tier runs, holding
+//!   `(key → epoch, last_use)`, the plan bytes once seen, the strike and
 //!   quarantine books, and the single global LRU clock — so cache
 //!   misses, eviction-victim choice, and book reads never cross a pipe;
-//!   only hits (`Get` → `GotPlan`) and mutations do;
+//!   only the mutations the books make do, each forwarded to the
+//!   shard's worker and to the journal;
 //! * every mutation frame carries a sequence number and absolute
 //!   values; the supervisor retains the encoded bytes of frames not yet
 //!   covered by an ack and **replays the un-acked suffix** to a
@@ -30,9 +32,10 @@
 
 use super::journal::{CommitRef, JournalFrame, ShardHealth, SupervisorJournal};
 use super::monitor::{Liveness, LivenessMonitor};
-use super::wire::{Frame, Hello, RecoverReport, Sabotage, WireJob, WorkerStoreStats, WORKER_ARG};
+use super::wire::{
+    encode_put, Frame, Hello, RecoverReport, Sabotage, WireJob, WorkerStoreStats, WORKER_ARG,
+};
 use crate::faults::ShardFaultPlan;
-use crate::router::ShardRouter;
 use deco_cloud::{capped_backoff, MetadataStore};
 use deco_core::estimate::FrontierScratch;
 use deco_core::supervisor::{plan_fallback_only, SupervisedPlan};
@@ -42,8 +45,8 @@ use deco_serve::server::{
     serve_trace_backend, serve_trace_resumable, CalibrationRefresh, ServeBackend, SolveJob,
 };
 use deco_serve::{
-    canonical_deadline, plan_key, ArrivalTrace, BackendObservability, PlanResponse, ServeConfig,
-    ServeStats,
+    install_calibration, ArrivalTrace, BackendObservability, Books, Mutation, PlanResponse,
+    ServeConfig, ServeStats,
 };
 use deco_serve::{ServeCheckpoint, ServeSession};
 use deco_solver::SearchBudget;
@@ -318,27 +321,12 @@ enum ChildEvent {
     Corrupt,
 }
 
-/// One mirrored cache line. `plan` is the supervisor's own copy —
-/// populated write-through on insert and back-filled on the first fetch
-/// of an entry adopted from a recovered store — so steady-state hits
-/// answer without crossing the process boundary. The worker remains the
-/// durable owner of the bytes.
-struct MirrorEntry {
-    epoch: u64,
-    last_use: u64,
-    plan: Option<SupervisedPlan>,
-}
-
-/// Supervisor-side mirror of one shard's partition; every cache and
-/// book decision (hit/miss, eviction victim, strikes, quarantine) is
-/// made from here, so a worker death can never change *what* the tier
-/// decides.
-#[derive(Default)]
-struct MirrorShard {
-    entries: BTreeMap<u64, MirrorEntry>,
-    strikes: BTreeMap<u64, u32>,
-    quarantine: BTreeSet<u64>,
-}
+/// The supervisor's mirror: every shard's partition, metadata plus the
+/// plan bytes once seen. An entry adopted from a recovered store holds
+/// `None` until its first hit fetches the bytes from the worker (which
+/// stays their durable owner); every cache and book decision is made
+/// here, so a worker death can never change *what* the tier decides.
+type Mirror = Books<Option<SupervisedPlan>>;
 
 /// One supervised worker process and its channel plumbing.
 struct ChildShard {
@@ -369,6 +357,24 @@ struct ChildShard {
 }
 
 impl ChildShard {
+    /// Number one mutation frame and buffer it for replay; returns its
+    /// seq and bytes, or `None` when the shard is dark or `build` has no
+    /// frame to send (no seq is spent then).
+    fn stage(
+        &mut self,
+        recency: bool,
+        build: impl FnOnce(u64) -> Option<Vec<u8>>,
+    ) -> Option<(u64, Vec<u8>)> {
+        if !self.live() {
+            return None;
+        }
+        let seq = self.seq + 1;
+        let bytes = build(seq)?;
+        self.seq = seq;
+        self.unacked.push_back((seq, bytes.clone(), recency));
+        Some((seq, bytes))
+    }
+
     fn quarantined(&self) -> bool {
         self.monitor.state() == Liveness::Quarantined
     }
@@ -404,6 +410,41 @@ struct PendingGroup {
     /// Encoded `AssignJobs` wire bytes, reused verbatim on re-dispatch.
     frame: Vec<u8>,
     assigned_at: u64,
+}
+
+/// The worker frame applying mirror mutation `m` as sequence `seq`: a
+/// `Put` is encoded from the mirror's own plan (lent, not cloned), a
+/// refresh travels as `EpochSwap` with the new `catalog` bytes, and a
+/// dropped partition has no worker left to tell.
+fn wire_frame(seq: u64, m: &Mutation<Option<SupervisedPlan>>, catalog: &[u8]) -> Option<Vec<u8>> {
+    let frame = match *m {
+        Mutation::Put {
+            key,
+            epoch,
+            last_use,
+            ref plan,
+        } => return Some(encode_put(seq, key, epoch, last_use, plan.as_ref()?)),
+        Mutation::Touch { key, last_use } => Frame::Touch { seq, key, last_use },
+        Mutation::Del { key } => Frame::Del { seq, key },
+        Mutation::Strike { key, count } => Frame::Strike { seq, key, count },
+        Mutation::ClearKey { key } => Frame::ClearKey { seq, key },
+        Mutation::Quarantine { key } => Frame::Quarantine { seq, key },
+        Mutation::Epoch { epoch } => Frame::EpochSwap {
+            seq,
+            epoch,
+            store: catalog.to_vec(),
+        },
+        Mutation::Drop => return None,
+    };
+    Some(frame.encode())
+}
+
+/// Buffer one journal frame (a no-op when unjournaled). Appends are
+/// infallible; durability happens at the cycle commit.
+fn journal_append(journal: &mut Option<SupervisorJournal>, frame: &JournalFrame) {
+    if let Some(j) = journal.as_mut() {
+        j.append(frame);
+    }
 }
 
 fn now_ms(t0: Instant) -> u64 {
@@ -444,16 +485,12 @@ fn spawn_reader(
 
 struct Inner {
     children: Vec<ChildShard>,
-    mirror: Vec<MirrorShard>,
-    /// The single global LRU clock, bumped on every get and insert —
-    /// exactly the single-process cache's discipline.
-    clock: u64,
+    books: Mirror,
     /// The cycle in flight (set at each boundary).
     cycle: u64,
     fault_plan: ShardFaultPlan,
     chaos_kills: ShardFaultPlan,
     stats: SuperviseStats,
-    router: ShardRouter,
     config: SuperviseConfig,
     /// Current engine bytes for `Hello` — refreshed on calibration swap.
     engine: Vec<u8>,
@@ -464,16 +501,51 @@ struct Inner {
 }
 
 impl Inner {
-    fn now(&self) -> u64 {
-        now_ms(self.t0)
+    /// A supervisor with no worker spawned yet: fresh liveness books,
+    /// empty mirror, seq 0 everywhere.
+    fn new(deco: &Deco, config: &SuperviseConfig, journal: Option<SupervisorJournal>) -> Inner {
+        assert!(config.shards >= 1, "need at least one shard");
+        assert!(config.workers_per_shard >= 1, "need at least one worker");
+        assert!(
+            config.serve.batch_size >= 1,
+            "batch_size must be at least 1"
+        );
+        let heartbeat = config.heartbeat_ms.max(1);
+        let children = (0..config.shards)
+            .map(|_| ChildShard {
+                child: None,
+                stdin: None,
+                rx: None,
+                last_beat: Arc::new(AtomicU64::new(0)),
+                monitor: LivenessMonitor::new(
+                    heartbeat,
+                    config.heartbeat_timeout_ms.max(heartbeat),
+                    config.strike_budget,
+                    0,
+                ),
+                seq: 0,
+                unacked: VecDeque::new(),
+                stats_base: WorkerStoreStats::default(),
+                stats_last: WorkerStoreStats::default(),
+                store_ok: false,
+            })
+            .collect();
+        Inner {
+            children,
+            books: Books::new(config.shards, config.serve.cache_capacity),
+            cycle: 0,
+            fault_plan: ShardFaultPlan::quiescent(),
+            chaos_kills: ShardFaultPlan::quiescent(),
+            stats: SuperviseStats::default(),
+            config: config.clone(),
+            engine: encode_engine(deco),
+            t0: Instant::now(),
+            journal,
+        }
     }
 
-    /// Buffer one journal frame (a no-op when unjournaled). Appends are
-    /// infallible; durability happens at the cycle commit.
-    fn journal_append(&mut self, frame: JournalFrame) {
-        if let Some(j) = self.journal.as_mut() {
-            j.append(&frame);
-        }
+    fn now(&self) -> u64 {
+        now_ms(self.t0)
     }
 
     // ---- process lifecycle ------------------------------------------------
@@ -577,13 +649,9 @@ impl Inner {
     /// The shard's partition is gone: clear the mirror, the books, and
     /// the replay buffer, counting the loss.
     fn drop_partition(&mut self, si: usize) {
-        let m = &mut self.mirror[si];
-        self.stats.lost_entries += m.entries.len() as u64;
-        m.entries.clear();
-        m.strikes.clear();
-        m.quarantine.clear();
         self.children[si].unacked.clear();
-        self.journal_append(JournalFrame::DropShard { shard: si as u32 });
+        let lost = self.books_op(true, &[], |b, sink| b.drop_partition(si, sink));
+        self.stats.lost_entries += lost as u64;
     }
 
     fn quarantine_shard(&mut self, si: usize) {
@@ -632,17 +700,17 @@ impl Inner {
         let mut dels: Vec<u64> = Vec::new();
         let mut touches: Vec<(u64, u64)> = Vec::new();
         for &(key, _epoch, worker_last_use) in &report.entries {
-            match self.mirror[si].entries.get(&key) {
+            match self.books.partition(si).entries.get(&key) {
                 None => dels.push(key),
                 Some(e) if e.last_use != worker_last_use => touches.push((key, e.last_use)),
                 Some(_) => {}
             }
         }
         for key in dels {
-            self.mutate(si, move |seq| Frame::Del { seq, key });
+            self.mutate(si, false, move |seq| Frame::Del { seq, key });
         }
         for (key, last_use) in touches {
-            self.mutate(si, move |seq| Frame::Touch { seq, key, last_use });
+            self.mutate(si, true, move |seq| Frame::Touch { seq, key, last_use });
         }
     }
 
@@ -729,30 +797,59 @@ impl Inner {
         stdin.flush()
     }
 
-    /// Send one seq-tracked mutation frame, buffering it for replay.
-    /// Returns the sequence number sent, or `None` if the shard is dark.
-    /// A write failure takes the crash path; the frame is already in the
-    /// replay buffer, so it is not lost.
-    fn mutate(&mut self, si: usize, build: impl FnOnce(u64) -> Frame) -> Option<u64> {
-        if !self.children[si].live() {
-            return None;
-        }
-        self.children[si].seq += 1;
-        let seq = self.children[si].seq;
-        let frame = build(seq);
-        let recency = matches!(frame, Frame::Touch { .. });
-        let bytes = frame.encode();
-        self.children[si]
-            .unacked
-            .push_back((seq, bytes.clone(), recency));
-        if self.write_raw(si, &bytes).is_err() {
-            self.crash_and_revive(si, true);
-        }
+    /// Send one seq-tracked mutation frame, buffering it for replay
+    /// (`recency`: a `Touch`, see [`ChildShard::unacked`]). Returns the
+    /// sequence number sent, or `None` if the shard is dark. A write
+    /// failure takes the crash path; the frame is already in the replay
+    /// buffer, so it is not lost.
+    fn mutate(
+        &mut self,
+        si: usize,
+        recency: bool,
+        build: impl FnOnce(u64) -> Frame,
+    ) -> Option<u64> {
+        let (seq, bytes) = self.children[si].stage(recency, |seq| Some(build(seq).encode()))?;
+        self.send(si, &bytes);
         // Deliberately no ack drain here: for a `Get` the answer is a
         // `GotPlan` that `await_got_plan` must see, and a generic drain
         // would ack it and drop the plan. Acks are consumed by the wait
         // loops and, exhaustively, at every cycle barrier.
         Some(seq)
+    }
+
+    fn send(&mut self, si: usize, bytes: &[u8]) {
+        if self.write_raw(si, bytes).is_err() {
+            self.crash_and_revive(si, true);
+        }
+    }
+
+    /// Run one books operation with the supervisor's two sinks: each
+    /// mutation it makes is journaled (when `journaled` — purge and
+    /// refresh journal one tier-wide frame instead) and staged for its
+    /// shard's worker ([`wire_frame`]); the staged frames are written
+    /// once the books are released.
+    fn books_op<R>(
+        &mut self,
+        journaled: bool,
+        catalog: &[u8],
+        op: impl FnOnce(&mut Mirror, &mut dyn FnMut(usize, &Mutation<Option<SupervisedPlan>>)) -> R,
+    ) -> R {
+        let mut outbox = Vec::new();
+        let (children, journal) = (&mut self.children, &mut self.journal);
+        let out = op(&mut self.books, &mut |si, m| {
+            if journaled {
+                journal_append(journal, &JournalFrame::of(si, m));
+            }
+            let recency = matches!(m, Mutation::Touch { .. });
+            if let Some((_, bytes)) = children[si].stage(recency, |seq| wire_frame(seq, m, catalog))
+            {
+                outbox.push((si, bytes));
+            }
+        });
+        for (si, bytes) in outbox {
+            self.send(si, &bytes);
+        }
+        out
     }
 
     /// Prune the replay buffer through `seq` (acks arrive in order).
@@ -815,50 +912,35 @@ impl Inner {
     // ---- cache and books (mirror-authoritative) ---------------------------
 
     fn cache_get(&mut self, key: u64) -> Option<SupervisedPlan> {
-        // Same clock discipline as the single-process cache: the clock
-        // advances on every lookup, hit or miss.
-        self.clock += 1;
-        let clock = self.clock;
-        let si = self.router.shard_of(key);
-        let cached = match self.mirror[si].entries.get_mut(&key) {
+        let si = self.books.router().shard_of(key);
+        let journal = &mut self.journal;
+        let hit = self
+            .books
+            .get(key, |si, m| {
+                journal_append(journal, &JournalFrame::of(si, m))
+            })
+            .cloned();
+        let last_use = self.books.clock();
+        match hit {
             None => {
                 // Mirror-local miss: no round trip at all.
                 self.drain_acks(si);
-                return None;
+                None
             }
-            Some(e) => {
-                e.last_use = clock;
-                e.plan.clone()
-            }
-        };
-        self.journal_append(JournalFrame::Touch {
-            shard: si as u32,
-            key,
-            last_use: clock,
-        });
-        match cached {
-            Some(plan) => {
+            Some(Some(plan)) => {
                 // Hot hit, answered from the mirror's copy: only the
                 // recency stamp crosses the process boundary, and
                 // nothing waits for it.
-                self.mutate(si, |seq| Frame::Touch {
-                    seq,
-                    key,
-                    last_use: clock,
-                });
+                self.mutate(si, true, |seq| Frame::Touch { seq, key, last_use });
                 Some(plan)
             }
-            None => {
+            Some(None) => {
                 // Adopted from a recovered store: fetch the bytes once
                 // (synchronously, surviving worker deaths), then keep
                 // them mirror-side for the next hit.
-                let seq = self.mutate(si, |seq| Frame::Get {
-                    seq,
-                    key,
-                    last_use: clock,
-                })?;
+                let seq = self.mutate(si, false, |seq| Frame::Get { seq, key, last_use })?;
                 let plan = self.await_got_plan(si, seq, key)?;
-                if let Some(e) = self.mirror[si].entries.get_mut(&key) {
+                if let Some(e) = self.books.partition_mut(si).entries.get_mut(&key) {
                     e.plan = Some(plan.clone());
                 }
                 Some(plan)
@@ -872,27 +954,22 @@ impl Inner {
     fn await_got_plan(&mut self, si: usize, seq: u64, key: u64) -> Option<SupervisedPlan> {
         let mut deadline = self.now() + self.config.hang_timeout_ms;
         loop {
-            if !self.mirror[si].entries.contains_key(&key) || !self.children[si].live() {
+            if !self.books.partition(si).entries.contains_key(&key) || !self.children[si].live() {
                 return None; // partition lost or shard dark: a miss
             }
             match self.poll_event(si, Duration::from_millis(1)) {
                 Some(ChildEvent::Frame(Frame::GotPlan { seq: s, plan })) => {
                     self.ack_through(si, s);
                     if s == seq {
-                        return match plan {
-                            Some(plan) => Some(plan),
-                            None => {
-                                // Protocol breach: the mirror says hit, the
-                                // worker says miss. Degrade, don't die.
-                                self.stats.transport_errors += 1;
-                                self.mirror[si].entries.remove(&key);
-                                self.journal_append(JournalFrame::Del {
-                                    shard: si as u32,
-                                    key,
-                                });
-                                None
-                            }
-                        };
+                        if plan.is_none() {
+                            // Protocol breach: the mirror says hit, the
+                            // worker says miss. Degrade, don't die.
+                            self.stats.transport_errors += 1;
+                            let del = Mutation::Del { key };
+                            journal_append(&mut self.journal, &JournalFrame::of(si, &del));
+                            self.books.partition_mut(si).apply(del);
+                        }
+                        return plan;
                     }
                 }
                 Some(ChildEvent::Frame(Frame::Applied { seq: s })) => self.ack_through(si, s),
@@ -924,127 +1001,23 @@ impl Inner {
     }
 
     fn cache_insert(&mut self, key: u64, plan: &SupervisedPlan, epoch: u64) -> usize {
-        self.clock += 1;
-        let capacity = self.config.serve.cache_capacity;
-        if capacity == 0 {
-            return 0; // the documented no-op cache, tier-wide
-        }
-        let owner = self.router.shard_of(key);
-        if self.children[owner].quarantined() {
+        let owner = self.books.router().shard_of(key);
+        if self.books.capacity() > 0 && self.children[owner].quarantined() {
             // Fallback answers are never cached; inserts for a dark
             // shard are dropped (and counted) before any eviction.
+            self.books.tick();
             self.stats.dropped_inserts += 1;
             return 0;
         }
-        let mut evicted = 0usize;
-        let total: usize = self.mirror.iter().map(|m| m.entries.len()).sum();
-        if !self.mirror[owner].entries.contains_key(&key) && total >= capacity {
-            // Global LRU victim: min (last_use, key) across every
-            // shard's partition — exactly the single-map cache's choice.
-            let mut victim: Option<(u64, u64, usize)> = None;
-            for (vs, m) in self.mirror.iter().enumerate() {
-                for (&k, e) in &m.entries {
-                    let cand = (e.last_use, k, vs);
-                    if victim
-                        .map(|v| (cand.0, cand.1) < (v.0, v.1))
-                        .unwrap_or(true)
-                    {
-                        victim = Some(cand);
-                    }
-                }
-            }
-            if let Some((_, vk, vs)) = victim {
-                self.mirror[vs].entries.remove(&vk);
-                self.mutate(vs, |seq| Frame::Del { seq, key: vk });
-                self.journal_append(JournalFrame::Del {
-                    shard: vs as u32,
-                    key: vk,
-                });
-                evicted = 1;
-            }
-        }
-        let clock = self.clock;
-        self.mirror[owner].entries.insert(
-            key,
-            MirrorEntry {
-                epoch,
-                last_use: clock,
-                plan: Some(plan.clone()),
-            },
-        );
-        self.journal_append(JournalFrame::Put {
-            shard: owner as u32,
-            key,
-            epoch,
-            last_use: clock,
-        });
-        let plan = plan.clone();
-        self.mutate(owner, move |seq| Frame::Put {
-            seq,
-            key,
-            epoch,
-            last_use: clock,
-            plan,
-        });
-        evicted
+        let plan = Some(plan.clone());
+        self.books_op(true, &[], |b, sink| b.insert(key, plan, epoch, sink))
     }
 
     fn cache_purge_stale(&mut self, epoch: u64) -> usize {
         // One journal frame covers the whole purge: the fold retains
         // only `epoch` entries across every shard, exactly as below.
-        self.journal_append(JournalFrame::Purge { epoch });
-        let mut purged = 0usize;
-        for si in 0..self.mirror.len() {
-            let stale: Vec<u64> = self.mirror[si]
-                .entries
-                .iter()
-                .filter(|(_, e)| e.epoch != epoch)
-                .map(|(&k, _)| k)
-                .collect();
-            for k in stale {
-                self.mirror[si].entries.remove(&k);
-                self.mutate(si, |seq| Frame::Del { seq, key: k });
-                purged += 1;
-            }
-        }
-        purged
-    }
-
-    fn add_strike(&mut self, key: u64) -> u32 {
-        let si = self.router.shard_of(key);
-        let count = {
-            let c = self.mirror[si].strikes.entry(key).or_insert(0);
-            *c += 1;
-            *c
-        };
-        self.mutate(si, |seq| Frame::Strike { seq, key, count });
-        self.journal_append(JournalFrame::Strike {
-            shard: si as u32,
-            key,
-            count,
-        });
-        count
-    }
-
-    fn quarantine_key(&mut self, key: u64) {
-        let si = self.router.shard_of(key);
-        self.mirror[si].quarantine.insert(key);
-        self.mutate(si, |seq| Frame::Quarantine { seq, key });
-        self.journal_append(JournalFrame::QuarantineKey {
-            shard: si as u32,
-            key,
-        });
-    }
-
-    fn clear_strikes(&mut self, key: u64) {
-        let si = self.router.shard_of(key);
-        if self.mirror[si].strikes.remove(&key).is_some() {
-            self.mutate(si, |seq| Frame::ClearKey { seq, key });
-            self.journal_append(JournalFrame::ClearKey {
-                shard: si as u32,
-                key,
-            });
-        }
+        journal_append(&mut self.journal, &JournalFrame::Purge { epoch });
+        self.books_op(false, &[], |b, sink| b.purge(epoch, sink))
     }
 
     // ---- solving (the async cycle driver) ---------------------------------
@@ -1098,7 +1071,7 @@ impl Inner {
         let shards = self.children.len();
         let mut groups: Vec<Vec<SolveJob>> = (0..shards).map(|_| Vec::new()).collect();
         for job in jobs {
-            groups[self.router.shard_of(job.key)].push(job);
+            groups[self.books.router().shard_of(job.key)].push(job);
         }
         let cycle = self.cycle;
         let mut scratch = FrontierScratch::new();
@@ -1372,93 +1345,18 @@ impl ShardSupervisor {
         config: SuperviseConfig,
         journal: Option<SupervisorJournal>,
     ) -> Result<Self, DecoError> {
-        assert!(config.shards >= 1, "need at least one shard");
-        assert!(config.workers_per_shard >= 1, "need at least one worker");
-        assert!(
-            config.serve.batch_size >= 1,
-            "batch_size must be at least 1"
-        );
-        let t0 = Instant::now();
-        let engine = encode_engine(&deco);
-        let heartbeat = config.heartbeat_ms.max(1);
-        let children = (0..config.shards)
-            .map(|_| ChildShard {
-                child: None,
-                stdin: None,
-                rx: None,
-                last_beat: Arc::new(AtomicU64::new(0)),
-                monitor: LivenessMonitor::new(
-                    heartbeat,
-                    config.heartbeat_timeout_ms.max(heartbeat),
-                    config.strike_budget,
-                    0,
-                ),
-                seq: 0,
-                unacked: VecDeque::new(),
-                stats_base: WorkerStoreStats::default(),
-                stats_last: WorkerStoreStats::default(),
-                store_ok: false,
-            })
-            .collect();
-        let mut inner = Inner {
-            children,
-            mirror: (0..config.shards).map(|_| MirrorShard::default()).collect(),
-            clock: 0,
-            cycle: 0,
-            fault_plan: ShardFaultPlan::quiescent(),
-            chaos_kills: ShardFaultPlan::quiescent(),
-            stats: SuperviseStats::default(),
-            router: ShardRouter::new(config.shards),
-            config: config.clone(),
-            engine,
-            t0,
-            journal,
-        };
+        let mut inner = Inner::new(&deco, &config, journal);
         for si in 0..config.shards {
             let report = inner.spawn_worker(si)?;
             let now = inner.now();
             inner.children[si].monitor.rotated(now);
-            // Adopt the warm partition into the mirror — and into the
-            // journal, so a failover inherits the adopted world too.
-            for (key, epoch, last_use) in report.entries {
-                // Adopted metadata only: the plan bytes stay in the
-                // worker until the first hit fetches (and caches) them.
-                inner.mirror[si].entries.insert(
-                    key,
-                    MirrorEntry {
-                        epoch,
-                        last_use,
-                        plan: None,
-                    },
-                );
-                inner.clock = inner.clock.max(last_use);
-                inner.journal_append(JournalFrame::Put {
-                    shard: si as u32,
-                    key,
-                    epoch,
-                    last_use,
-                });
-            }
-            inner.mirror[si].strikes = report.strikes.into_iter().collect();
-            inner.mirror[si].quarantine = report.quarantine.into_iter().collect();
-            let strikes: Vec<(u64, u32)> = inner.mirror[si]
-                .strikes
-                .iter()
-                .map(|(&key, &count)| (key, count))
-                .collect();
-            for (key, count) in strikes {
-                inner.journal_append(JournalFrame::Strike {
-                    shard: si as u32,
-                    key,
-                    count,
-                });
-            }
-            let quarantined: Vec<u64> = inner.mirror[si].quarantine.iter().copied().collect();
-            for key in quarantined {
-                inner.journal_append(JournalFrame::QuarantineKey {
-                    shard: si as u32,
-                    key,
-                });
+            // Adopt the warm partition into the mirror — metadata only:
+            // the plan bytes stay in the worker until the first hit
+            // fetches (and keeps) them — and into the journal, so a
+            // failover inherits the adopted world too.
+            inner.books.adopt(si, report.partition());
+            for m in inner.books.partition(si).image() {
+                journal_append(&mut inner.journal, &JournalFrame::of(si, &m));
             }
         }
         Ok(ShardSupervisor {
@@ -1521,76 +1419,22 @@ impl ShardSupervisor {
         sorted.sort_by(|a, b| a.at_tick.total_cmp(&b.at_tick));
         let applied = (commit.serve.refresh_next as usize).min(sorted.len());
         for refresh in &sorted[..applied] {
-            let old = deco.store.catalog_epoch();
-            deco.store = refresh.store.clone();
-            while deco.store.catalog_epoch() <= old {
-                deco.store.bump_catalog_epoch();
-            }
+            install_calibration(&mut deco.store, refresh.store.clone());
         }
 
-        assert!(config.shards >= 1, "need at least one shard");
-        assert!(config.workers_per_shard >= 1, "need at least one worker");
-        let t0 = Instant::now();
-        let engine = encode_engine(&deco);
-        let heartbeat = config.heartbeat_ms.max(1);
-        let children: Vec<ChildShard> = (0..config.shards)
-            .map(|si| {
-                let mut monitor = LivenessMonitor::new(
-                    heartbeat,
-                    config.heartbeat_timeout_ms.max(heartbeat),
-                    config.strike_budget,
-                    0,
-                );
-                let h = commit.shard_health[si];
-                monitor.restore(h.strikes, h.quarantined, 0);
-                ChildShard {
-                    child: None,
-                    stdin: None,
-                    rx: None,
-                    last_beat: Arc::new(AtomicU64::new(0)),
-                    monitor,
-                    seq: commit.shard_seqs[si],
-                    unacked: VecDeque::new(),
-                    stats_base: WorkerStoreStats::default(),
-                    stats_last: WorkerStoreStats::default(),
-                    store_ok: false,
-                }
-            })
-            .collect();
-        let mut mirror: Vec<MirrorShard> =
-            (0..config.shards).map(|_| MirrorShard::default()).collect();
-        for (si, js) in recovery.shards.iter().enumerate().take(config.shards) {
-            for (&key, &(epoch, last_use)) in &js.entries {
-                mirror[si].entries.insert(
-                    key,
-                    MirrorEntry {
-                        epoch,
-                        last_use,
-                        plan: None,
-                    },
-                );
-            }
-            mirror[si].strikes = js.strikes.clone();
-            mirror[si].quarantine = js.quarantine.clone();
+        let mut inner = Inner::new(&deco, &config, Some(journal));
+        inner.cycle = commit.cycle;
+        inner.stats.journal_frames_recovered = recovery.frames;
+        inner.stats.journal_torn_bytes = recovery.torn_bytes;
+        for (si, child) in inner.children.iter_mut().enumerate() {
+            let h = commit.shard_health[si];
+            child.monitor.restore(h.strikes, h.quarantined, 0);
+            child.seq = commit.shard_seqs[si];
         }
-        let mut inner = Inner {
-            children,
-            mirror,
-            clock: commit.clock,
-            cycle: commit.cycle,
-            fault_plan: ShardFaultPlan::quiescent(),
-            chaos_kills: ShardFaultPlan::quiescent(),
-            stats: SuperviseStats {
-                journal_frames_recovered: recovery.frames,
-                journal_torn_bytes: recovery.torn_bytes,
-                ..SuperviseStats::default()
-            },
-            router: ShardRouter::new(config.shards),
-            config: config.clone(),
-            engine,
-            t0,
-            journal: Some(journal),
-        };
+        for (si, folded) in recovery.shards.iter().enumerate().take(config.shards) {
+            inner.books.adopt(si, folded.map(|_| None));
+        }
+        inner.books.advance_clock(commit.clock);
         for si in 0..config.shards {
             if inner.children[si].quarantined() {
                 continue; // written off before the death; stays written off
@@ -1673,31 +1517,17 @@ impl ShardSupervisor {
 
     /// Total mirrored cache entries across all shards.
     pub fn cache_len(&self) -> usize {
-        self.inner().mirror.iter().map(|m| m.entries.len()).sum()
+        self.inner().books.len()
     }
 
     /// Mirrored entries in one shard's partition.
     pub fn shard_len(&self, shard: usize) -> usize {
-        self.inner().mirror[shard].entries.len()
+        self.inner().books.partition(shard).entries.len()
     }
 
     /// Content keys currently quarantined, across all shards.
     pub fn quarantined_keys(&self) -> usize {
-        self.inner().mirror.iter().map(|m| m.quarantine.len()).sum()
-    }
-
-    /// The content key the tier derives for a request — identical to
-    /// `PlanServer::key_for` under the same `serve` policy.
-    pub fn key_for(&self, req: &deco_serve::PlanRequest) -> u64 {
-        let cd = canonical_deadline(req.deadline, self.config.serve.deadline_bucket);
-        plan_key(
-            &req.workflow,
-            &self.deco.store,
-            &self.deco.options,
-            cd,
-            req.percentile,
-            req.budget_hint.or(self.config.serve.budget.ticks),
-        )
+        self.inner().books.quarantined_keys()
     }
 
     /// Kill one worker and bring it back — the out-of-process analog of
@@ -1831,27 +1661,26 @@ impl ServeBackend for ShardSupervisor {
     }
 
     fn is_key_quarantined(&self, key: u64) -> bool {
-        let inner = self.inner();
-        let si = inner.router.shard_of(key);
-        inner.mirror[si].quarantine.contains(&key)
+        self.inner().books.is_quarantined(key)
     }
 
     fn strike_count(&self, key: u64) -> Option<u32> {
-        let inner = self.inner();
-        let si = inner.router.shard_of(key);
-        inner.mirror[si].strikes.get(&key).copied()
+        self.inner().books.strikes(key)
     }
 
     fn add_strike(&mut self, key: u64) -> u32 {
-        self.inner_mut().add_strike(key)
+        self.inner_mut()
+            .books_op(true, &[], |b, sink| b.strike(key, sink))
     }
 
     fn quarantine_key(&mut self, key: u64) {
-        self.inner_mut().quarantine_key(key)
+        self.inner_mut()
+            .books_op(true, &[], |b, sink| b.quarantine(key, sink))
     }
 
     fn clear_strikes(&mut self, key: u64) {
-        self.inner_mut().clear_strikes(key)
+        self.inner_mut()
+            .books_op(true, &[], |b, sink| b.clear(key, sink))
     }
 
     fn solve_jobs(
@@ -1868,41 +1697,17 @@ impl ServeBackend for ShardSupervisor {
     }
 
     fn refresh_calibration(&mut self, store: MetadataStore) -> (u64, usize) {
-        // Mirror PlanServer::refresh_calibration exactly: strictly
-        // increasing epoch, stale purge, clean books — plus one
-        // EpochSwap frame per shard so workers (and their WALs) follow
-        // the same discipline.
-        let old = self.deco.store.catalog_epoch();
-        self.deco.store = store;
-        while self.deco.store.catalog_epoch() <= old {
-            self.deco.store.bump_catalog_epoch();
-        }
-        let epoch = self.deco.store.catalog_epoch();
-        let store_bytes = encode_store(&self.deco.store);
-        let engine_bytes = encode_engine(&self.deco);
+        // PlanServer's refresh, plus one EpochSwap frame per shard so
+        // workers (and their WALs) follow the same discipline.
+        let epoch = install_calibration(&mut self.deco.store, store);
+        let catalog = encode_store(&self.deco.store);
+        let engine = encode_engine(&self.deco);
         let inner = self.inner_mut();
-        inner.engine = engine_bytes;
+        inner.engine = engine;
         // One journal frame covers the swap: the fold retains only
-        // `epoch` entries and clears the books on every shard — the
-        // refresh contract below.
-        inner.journal_append(JournalFrame::Epoch { epoch });
-        let mut purged = 0usize;
-        for si in 0..inner.mirror.len() {
-            {
-                let m = &mut inner.mirror[si];
-                let before = m.entries.len();
-                m.entries.retain(|_, e| e.epoch == epoch);
-                purged += before - m.entries.len();
-                m.strikes.clear();
-                m.quarantine.clear();
-            }
-            let bytes = store_bytes.clone();
-            inner.mutate(si, move |seq| Frame::EpochSwap {
-                seq,
-                epoch,
-                store: bytes,
-            });
-        }
+        // `epoch` entries and clears the books on every shard.
+        journal_append(&mut inner.journal, &JournalFrame::Epoch { epoch });
+        let purged = inner.books_op(false, &catalog, |b, sink| b.refresh(epoch, sink));
         (epoch, purged)
     }
 
@@ -2030,7 +1835,7 @@ impl ServeBackend for JournaledRun<'_> {
             let lines: Vec<String> = new_responses.iter().map(|r| r.canonical_line()).collect();
             let rec = CommitRef {
                 cycle: inner.cycle,
-                clock: inner.clock,
+                clock: inner.books.clock(),
                 shard_seqs: &shard_seqs,
                 shard_health: &shard_health,
                 serve: checkpoint,

@@ -49,7 +49,8 @@ use deco_core::wire::{
     decode_budget, decode_error, decode_workflow, encode_budget, encode_error, encode_workflow,
 };
 use deco_core::{decode_supervised_plan, encode_supervised_plan, DecoError};
-use deco_serve::{encode_frame, read_frame};
+use deco_serve::store::frame_into;
+use deco_serve::{encode_frame, read_frame, Mutation, Partition};
 use deco_solver::SearchBudget;
 use deco_workflow::Workflow;
 use std::io::{Read, Write};
@@ -141,6 +142,34 @@ fn get_bool(r: &mut Reader<'_>) -> Result<bool, DecoError> {
     }
 }
 
+/// `Put` fields, plan encoded in place from a borrowed plan.
+fn put_put(
+    out: &mut Vec<u8>,
+    seq: u64,
+    key: u64,
+    epoch: u64,
+    last_use: u64,
+    plan: &SupervisedPlan,
+) {
+    put_u8(out, TAG_PUT);
+    put_u64(out, seq);
+    put_u64(out, key);
+    put_u64(out, epoch);
+    put_u64(out, last_use);
+    put_bytes(out, &encode_supervised_plan(plan));
+}
+
+/// The wire bytes of `Frame::Put` encoded from a borrowed plan — what
+/// the supervisor sends for a plan it lends rather than clones.
+pub fn encode_put(seq: u64, key: u64, epoch: u64, last_use: u64, plan: &SupervisedPlan) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame_into(&mut out, |out| {
+        put_u8(out, PROC_WIRE_VERSION);
+        put_put(out, seq, key, epoch, last_use, plan);
+    });
+    out
+}
+
 /// Deterministic misbehavior a test or bench can order a worker to
 /// perform, carried in [`Hello`]. Counters reset on every (re)spawn.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -201,6 +230,44 @@ pub struct RecoverReport {
     pub entries: Vec<(u64, u64, u64)>,
     pub strikes: Vec<(u64, u32)>,
     pub quarantine: Vec<u64>,
+}
+
+impl RecoverReport {
+    /// The metadata of a worker's recovered partition (counters and
+    /// `store_ok` are the caller's).
+    pub fn of(part: &Partition<SupervisedPlan>) -> Self {
+        RecoverReport {
+            entries: part
+                .entries
+                .iter()
+                .map(|(&key, e)| (key, e.epoch, e.last_use))
+                .collect(),
+            strikes: part.strikes.iter().map(|(&k, &c)| (k, c)).collect(),
+            quarantine: part.quarantine.iter().copied().collect(),
+            ..RecoverReport::default()
+        }
+    }
+
+    /// The supervisor mirror's image of the reported partition: the
+    /// metadata, with every plan still in the worker (`None`).
+    pub fn partition(&self) -> Partition<Option<SupervisedPlan>> {
+        let mut part = Partition::default();
+        for &(key, epoch, last_use) in &self.entries {
+            part.apply(Mutation::Put {
+                key,
+                epoch,
+                last_use,
+                plan: None,
+            });
+        }
+        for &(key, count) in &self.strikes {
+            part.apply(Mutation::Strike { key, count });
+        }
+        for &key in &self.quarantine {
+            part.apply(Mutation::Quarantine { key });
+        }
+        part
+    }
 }
 
 /// Cumulative store counters for one worker *incarnation* (they reset
@@ -352,14 +419,7 @@ impl Frame {
                 epoch,
                 last_use,
                 plan,
-            } => {
-                put_u8(&mut out, TAG_PUT);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *last_use);
-                put_bytes(&mut out, &encode_supervised_plan(plan));
-            }
+            } => put_put(&mut out, *seq, *key, *epoch, *last_use, plan),
             Frame::Del { seq, key } => {
                 put_u8(&mut out, TAG_DEL);
                 put_u64(&mut out, *seq);

@@ -1,8 +1,10 @@
 //! The shard worker: the child-process half of the supervised tier.
 //!
-//! A worker owns one shard's full partition — the plan cache (with plan
-//! bytes), the strike/quarantine books, and the WAL-backed
-//! [`PlanStore`] — plus a solver pool. It speaks the
+//! A worker owns one shard's full [`Partition`] — the plan cache (with
+//! plan bytes) and the strike/quarantine books — and its WAL-backed
+//! [`PlanStore`], plus a solver pool. It makes no decisions: every
+//! mutation frame is the supervisor's, folded with
+//! [`Partition::apply`] and logged when it changes something. It speaks the
 //! [`Frame`](super::wire::Frame) protocol on stdin/stdout: the main
 //! thread processes frames strictly serially (which is what makes a
 //! `BarrierAck` acknowledge everything before it), while a dedicated
@@ -21,12 +23,13 @@
 //! and may over-replay a torn suffix — both are idempotent here.
 
 use super::wire::{Frame, Hello, RecoverReport, WorkerStoreStats};
+use crate::server::{ShardStats, ShardStore};
 use deco_core::supervisor::SupervisedPlan;
 use deco_core::wire::{decode_engine, decode_store};
 use deco_core::Deco;
 use deco_serve::server::{solve_jobs_on_pool, SolveJob};
-use deco_serve::store::{PlanStore, RecoveredState, StoreConfig, StoreFrame};
-use std::collections::{BTreeMap, BTreeSet};
+use deco_serve::store::{PlanStore, StoreConfig};
+use deco_serve::{Mutation, Partition};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -63,24 +66,14 @@ fn send(out: &SharedWriter, frame: &Frame) -> std::io::Result<()> {
     frame.write_to(&mut *w)
 }
 
-struct Entry {
-    plan: SupervisedPlan,
-    epoch: u64,
-    last_use: u64,
-}
-
 struct Worker {
     deco: Deco,
     workers: usize,
-    entries: BTreeMap<u64, Entry>,
-    strikes: BTreeMap<u64, u32>,
-    quarantine: BTreeSet<u64>,
-    store: Option<PlanStore>,
+    part: Partition<SupervisedPlan>,
+    store: ShardStore,
+    /// This incarnation's store counters (appends, snapshots, failures).
+    stats: ShardStats,
     snapshot_every: u64,
-    appends_since_compact: u64,
-    wal_appends: u64,
-    snapshots: u64,
-    store_failures: u64,
     hang_after_assigns: Option<u64>,
     exit_after_assigns: Option<u64>,
     assigns_seen: u64,
@@ -88,113 +81,60 @@ struct Worker {
 }
 
 impl Worker {
-    /// Append one frame to the WAL, degrading to memory-only on I/O
-    /// failure — exactly the in-process tier's policy: the store must
-    /// never make the serving path unavailable.
-    fn append(&mut self, frame: &StoreFrame) {
-        if let Some(store) = self.store.as_mut() {
-            match store.append(frame) {
-                Ok(()) => {
-                    self.wal_appends += 1;
-                    self.appends_since_compact += 1;
-                }
-                Err(_) => {
-                    self.store_failures += 1;
-                    self.store = None;
-                }
-            }
+    /// Fold one supervisor mutation, logging it first when it finds
+    /// something to change — the `Put`'s plan is logged from the frame,
+    /// then moved into the partition. Returns the mutation's ack.
+    fn apply(&mut self, seq: u64, m: Mutation<SupervisedPlan>) -> Frame {
+        if self.part.finds(&m) {
+            self.store.log(&m, &mut self.stats);
         }
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.snapshot_every == 0 || self.appends_since_compact < self.snapshot_every {
-            return;
-        }
-        let epoch = self.deco.store.catalog_epoch();
-        let Some(store) = self.store.as_mut() else {
-            return;
-        };
-        let mut state = RecoveredState {
-            epoch,
-            ..RecoveredState::default()
-        };
-        for (&key, e) in &self.entries {
-            state.entries.insert(
-                key,
-                deco_serve::store::RecoveredEntry {
-                    plan: e.plan.clone(),
-                    epoch: e.epoch,
-                    last_use: e.last_use,
-                },
-            );
-        }
-        state.strikes = self.strikes.clone();
-        state.quarantine = self.quarantine.clone();
-        match store.compact(&state.to_frames()) {
-            Ok(()) => {
-                self.snapshots += 1;
-                self.appends_since_compact = 0;
-            }
-            Err(_) => {
-                self.store_failures += 1;
-                self.store = None;
-            }
-        }
+        self.part.apply(m);
+        Frame::Applied { seq }
     }
 
     fn store_stats(&self) -> WorkerStoreStats {
         WorkerStoreStats {
-            wal_appends: self.wal_appends,
-            snapshots: self.snapshots,
-            syncs: self.store.as_ref().map_or(0, |s| s.stats().syncs),
-            store_failures: self.store_failures,
+            wal_appends: self.stats.wal_appends,
+            snapshots: self.stats.snapshots,
+            syncs: self.store.store.as_ref().map_or(0, |s| s.stats().syncs),
+            store_failures: self.stats.store_failures,
         }
     }
 }
 
 /// Open and replay the durable store, building both the worker's warm
-/// state and the metadata report the supervisor mirrors.
+/// partition and the metadata report the supervisor mirrors.
 fn boot_store(hello: &Hello, worker: &mut Worker) -> RecoverReport {
-    let mut report = RecoverReport {
-        store_ok: true,
-        ..RecoverReport::default()
-    };
     let Some(dir) = &hello.store_dir else {
-        return report; // memory-only by configuration, not by failure
+        // Memory-only by configuration, not by failure.
+        return RecoverReport {
+            store_ok: true,
+            ..RecoverReport::default()
+        };
     };
     let config = StoreConfig {
         sync_every: hello.sync_every,
     };
     let recovered = PlanStore::open_with(Path::new(dir), config)
-        .and_then(|mut store| store.recover().map(|state| (store, state)));
+        .and_then(|mut store| store.recover().map(|part| (store, part)));
     match recovered {
-        Ok((store, state)) => {
-            report.recovered_entries = state.entries.len() as u64;
-            report.recovered_frames = store.stats().frames_recovered;
-            report.torn_bytes = store.stats().torn_bytes;
-            for (key, e) in state.entries {
-                report.entries.push((key, e.epoch, e.last_use));
-                worker.entries.insert(
-                    key,
-                    Entry {
-                        plan: e.plan,
-                        epoch: e.epoch,
-                        last_use: e.last_use,
-                    },
-                );
-            }
-            report.strikes = state.strikes.iter().map(|(&k, &c)| (k, c)).collect();
-            report.quarantine = state.quarantine.iter().copied().collect();
-            worker.strikes = state.strikes;
-            worker.quarantine = state.quarantine;
-            worker.store = Some(store);
+        Ok((store, part)) => {
+            let report = RecoverReport {
+                store_ok: true,
+                recovered_entries: part.entries.len() as u64,
+                recovered_frames: store.stats().frames_recovered,
+                torn_bytes: store.stats().torn_bytes,
+                ..RecoverReport::of(&part)
+            };
+            worker.part = part;
+            worker.store.store = Some(store);
+            report
         }
         Err(_) => {
-            report.store_ok = false;
-            worker.store_failures += 1;
+            worker.stats.store_failures += 1;
+            RecoverReport::default()
         }
     }
-    report
 }
 
 /// The worker protocol loop. Returns the process exit code.
@@ -211,15 +151,10 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
     let mut worker = Worker {
         deco,
         workers: (hello.workers as usize).max(1),
-        entries: BTreeMap::new(),
-        strikes: BTreeMap::new(),
-        quarantine: BTreeSet::new(),
-        store: None,
+        part: Partition::default(),
+        store: ShardStore::default(),
+        stats: ShardStats::default(),
         snapshot_every: hello.snapshot_every,
-        appends_since_compact: 0,
-        wal_appends: 0,
-        snapshots: 0,
-        store_failures: 0,
         hang_after_assigns: hello.sabotage.hang_after_assigns,
         exit_after_assigns: hello.sabotage.exit_after_assigns,
         assigns_seen: 0,
@@ -299,26 +234,14 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
                 Frame::JobResults { cycle, results }
             }
             Frame::Get { seq, key, last_use } => {
-                let plan = match worker.entries.get_mut(&key) {
-                    Some(e) => {
-                        e.last_use = last_use;
-                        Some(e.plan.clone())
-                    }
-                    None => None,
-                };
-                if plan.is_some() {
-                    worker.append(&StoreFrame::Touch { key, last_use });
-                }
+                worker.apply(seq, Mutation::Touch { key, last_use });
+                let plan = worker.part.entries.get(&key).map(|e| e.plan.clone());
                 Frame::GotPlan { seq, plan }
             }
+            // The recency half of a Get: the supervisor already answered
+            // the hit from its own copy of the plan.
             Frame::Touch { seq, key, last_use } => {
-                // The recency half of a Get: the supervisor already
-                // answered the hit from its own copy of the plan.
-                if let Some(e) = worker.entries.get_mut(&key) {
-                    e.last_use = last_use;
-                    worker.append(&StoreFrame::Touch { key, last_use });
-                }
-                Frame::Applied { seq }
+                worker.apply(seq, Mutation::Touch { key, last_use })
             }
             Frame::Put {
                 seq,
@@ -326,45 +249,19 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
                 epoch,
                 last_use,
                 plan,
-            } => {
-                worker.entries.insert(
-                    key,
-                    Entry {
-                        plan: plan.clone(),
-                        epoch,
-                        last_use,
-                    },
-                );
-                worker.append(&StoreFrame::Put {
+            } => worker.apply(
+                seq,
+                Mutation::Put {
                     key,
                     epoch,
                     last_use,
                     plan,
-                });
-                Frame::Applied { seq }
-            }
-            Frame::Del { seq, key } => {
-                if worker.entries.remove(&key).is_some() {
-                    worker.append(&StoreFrame::Del { key });
-                }
-                Frame::Applied { seq }
-            }
-            Frame::Strike { seq, key, count } => {
-                worker.strikes.insert(key, count);
-                worker.append(&StoreFrame::Strike { key, count });
-                Frame::Applied { seq }
-            }
-            Frame::ClearKey { seq, key } => {
-                if worker.strikes.remove(&key).is_some() {
-                    worker.append(&StoreFrame::ClearKey { key });
-                }
-                Frame::Applied { seq }
-            }
-            Frame::Quarantine { seq, key } => {
-                worker.quarantine.insert(key);
-                worker.append(&StoreFrame::Quarantine { key });
-                Frame::Applied { seq }
-            }
+                },
+            ),
+            Frame::Del { seq, key } => worker.apply(seq, Mutation::Del { key }),
+            Frame::Strike { seq, key, count } => worker.apply(seq, Mutation::Strike { key, count }),
+            Frame::ClearKey { seq, key } => worker.apply(seq, Mutation::ClearKey { key }),
+            Frame::Quarantine { seq, key } => worker.apply(seq, Mutation::Quarantine { key }),
             Frame::EpochSwap { seq, epoch, store } => {
                 match decode_store(&store) {
                     Ok(fresh) => worker.deco.store = fresh,
@@ -373,14 +270,14 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
                         return EXIT_TRANSPORT;
                     }
                 }
-                worker.entries.retain(|_, e| e.epoch == epoch);
-                worker.strikes.clear();
-                worker.quarantine.clear();
-                worker.append(&StoreFrame::Epoch { epoch });
-                Frame::Applied { seq }
+                worker.apply(seq, Mutation::Epoch { epoch })
             }
             Frame::CycleBarrier { cycle } => {
-                worker.maybe_compact();
+                let epoch = worker.deco.store.catalog_epoch();
+                let every = worker.snapshot_every;
+                worker
+                    .store
+                    .maybe_compact(every, epoch, &worker.part, &mut worker.stats);
                 Frame::BarrierAck {
                     cycle,
                     stats: worker.store_stats(),

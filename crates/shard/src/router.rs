@@ -1,59 +1,9 @@
-//! Key-range shard routing.
-//!
-//! The serving layer's content keys are [`StableHasher`] digests —
-//! uniform over the full `u64` space — so the simplest partition is also
-//! a balanced one: shard *i* of *N* owns the contiguous range
-//! `[i·2⁶⁴/N, (i+1)·2⁶⁴/N)`. Contiguity is load-bearing, not just
-//! simple: the serving engine iterates its observables in ascending
-//! content-key order, and walking N contiguous ranges in shard order *is*
-//! that global order. A hash-mod-N partition would interleave shards'
-//! keys and force a merge sort where the range router gets canonical
-//! order for free.
-//!
-//! [`StableHasher`]: deco_prob::hash::StableHasher
+//! Key-range shard routing: [`ShardRouter`] lives beside the books in
+//! [`deco_serve::cache`], which route every key with it; it is
+//! re-exported here, and these tests pin the range properties the
+//! sharded tiers' byte-identity rests on.
 
-/// Routes content keys to shards by contiguous `u64` range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRouter {
-    shards: usize,
-}
-
-impl ShardRouter {
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "a router needs at least one shard");
-        ShardRouter { shards }
-    }
-
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `key`. Computed in `u128` so the range split is
-    /// exact — no shard is a key wider or narrower than its share.
-    pub fn shard_of(&self, key: u64) -> usize {
-        ((key as u128 * self.shards as u128) >> 64) as usize
-    }
-
-    /// The inclusive-exclusive key range `[start, end)` shard `i` owns;
-    /// `end` is `None` for the last shard (its range is open at
-    /// `u64::MAX`, i.e. closes at 2⁶⁴).
-    pub fn range_of(&self, shard: usize) -> (u64, Option<u64>) {
-        assert!(shard < self.shards, "shard {shard} out of range");
-        // shard_of floors key·N/2⁶⁴, so shard i's first key is the
-        // ceiling of i·2⁶⁴/N.
-        let n = self.shards as u128;
-        let start = ((shard as u128) << 64).div_ceil(n);
-        let end = (((shard + 1) as u128) << 64).div_ceil(n);
-        (
-            start as u64,
-            if shard + 1 == self.shards {
-                None
-            } else {
-                Some(end as u64)
-            },
-        )
-    }
-}
+pub use deco_serve::cache::ShardRouter;
 
 #[cfg(test)]
 mod tests {

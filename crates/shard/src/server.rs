@@ -6,18 +6,19 @@
 //! ([`deco_serve::serve_trace_backend`]). What this type changes is only
 //! where state lives and where solves run:
 //!
-//! * the plan cache and the quarantine/strike books are **partitioned by
-//!   contiguous content-key range** ([`ShardRouter`]) — shard-local
-//!   storage, but one *global* LRU clock and one global capacity, so
-//!   eviction picks the same victim a single-map cache would;
+//! * the plan cache and the quarantine/strike books are the same
+//!   [`Books`] `PlanServer` runs, with one partition per shard — so one
+//!   global LRU clock and one global capacity, and eviction picks the
+//!   same victim a single-map cache would;
 //! * each cycle's solve jobs are routed to their owning shard and run on
 //!   **per-shard worker pools** concurrently, results merging into one
 //!   canonically-ordered map;
-//! * every cache/book mutation appends a frame to the shard's WAL-backed
-//!   [`PlanStore`]; a shard restart (injected by a [`ShardFaultPlan`] at
-//!   a cycle boundary, or an explicit [`ShardedServer::restart_shard`])
-//!   replays snapshot + WAL and resumes **warm** — with persistence, a
-//!   restart is observationally a no-op, which is why the replay stays
+//! * every mutation the books make is appended to the owning shard's
+//!   WAL-backed [`PlanStore`]; a shard restart (injected by a
+//!   [`ShardFaultPlan`] at a cycle boundary, or an explicit
+//!   [`ShardedServer::restart_shard`]) folds snapshot + WAL back into its
+//!   partition and resumes **warm** — with persistence, a restart is
+//!   observationally a no-op, which is why the replay stays
 //!   byte-identical even under a crash/restart schedule.
 //!
 //! Without a `persist_dir`, a restarted shard deterministically loses its
@@ -27,17 +28,17 @@
 //! memory-only operation and the failure is counted in [`ShardStats`].
 
 use crate::faults::ShardFaultPlan;
-use crate::router::ShardRouter;
 use deco_cloud::MetadataStore;
 use deco_core::supervisor::SupervisedPlan;
 use deco_core::{Deco, DecoError};
 use deco_serve::server::{serve_trace_backend, solve_jobs_on_pool, ServeBackend, SolveJob};
-use deco_serve::store::{PlanStore, RecoveredState, StoreFrame};
+use deco_serve::store::PlanStore;
 use deco_serve::{
-    canonical_deadline, plan_key, ArrivalTrace, PlanResponse, ServeConfig, ServeSession, ServeStats,
+    install_calibration, ArrivalTrace, Books, Mutation, Partition, PlanResponse, ServeConfig,
+    ServeSession, ServeStats,
 };
 use deco_solver::SearchBudget;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Policy for the sharded tier. `serve` is the inner engine policy —
@@ -104,70 +105,77 @@ pub struct ShardStats {
     pub store_failures: u64,
 }
 
-/// One cached plan in a shard's partition.
-#[derive(Debug, Clone)]
-struct StoredEntry {
-    plan: SupervisedPlan,
-    epoch: u64,
-    last_use: u64,
-}
-
-/// One shard: its slice of the cache and books, plus its durable store.
-struct Shard {
-    entries: BTreeMap<u64, StoredEntry>,
-    strikes: BTreeMap<u64, u32>,
-    quarantine: BTreeSet<u64>,
-    store: Option<PlanStore>,
+/// One shard's durable store: every mutation its partition makes is
+/// appended, and an I/O failure drops the shard to memory-only (counted)
+/// — persistence is an availability feature and must never become an
+/// unavailability one. The shard worker process runs the same type.
+#[derive(Default)]
+pub(crate) struct ShardStore {
+    pub(crate) store: Option<PlanStore>,
     /// Frames appended since the last compaction (the snapshot trigger).
-    appends_since_compact: u64,
+    since_compact: u64,
 }
 
-impl Shard {
-    fn empty() -> Self {
-        Shard {
-            entries: BTreeMap::new(),
-            strikes: BTreeMap::new(),
-            quarantine: BTreeSet::new(),
-            store: None,
-            appends_since_compact: 0,
-        }
-    }
-
-    fn adopt(&mut self, state: RecoveredState) {
-        self.entries = state
-            .entries
-            .into_iter()
-            .map(|(k, e)| {
-                (
-                    k,
-                    StoredEntry {
-                        plan: e.plan,
-                        epoch: e.epoch,
-                        last_use: e.last_use,
-                    },
-                )
-            })
-            .collect();
-        self.strikes = state.strikes;
-        self.quarantine = state.quarantine;
-    }
-
-    /// Append a frame, degrading to memory-only on I/O failure — the
-    /// store must never make the serving path unavailable.
-    fn append(&mut self, frame: &StoreFrame, stats: &mut ShardStats) {
-        if let Some(store) = self.store.as_mut() {
-            match store.append(frame) {
-                Ok(()) => {
-                    stats.wal_appends += 1;
-                    self.appends_since_compact += 1;
-                }
-                Err(_) => {
-                    stats.store_failures += 1;
-                    self.store = None;
-                }
+impl ShardStore {
+    pub(crate) fn log(&mut self, m: &Mutation<SupervisedPlan>, stats: &mut ShardStats) {
+        let Some(store) = self.store.as_mut() else {
+            return;
+        };
+        match store.append(m) {
+            Ok(()) => {
+                stats.wal_appends += 1;
+                self.since_compact += 1;
+            }
+            Err(_) => {
+                stats.store_failures += 1;
+                self.store = None;
             }
         }
     }
+
+    /// Snapshot `part` at catalog epoch `epoch` and truncate the WAL.
+    pub(crate) fn compact(
+        &mut self,
+        epoch: u64,
+        part: &Partition<SupervisedPlan>,
+        stats: &mut ShardStats,
+    ) {
+        let Some(store) = self.store.as_mut() else {
+            return;
+        };
+        match store.compact(epoch, part) {
+            Ok(()) => {
+                stats.snapshots += 1;
+                self.since_compact = 0;
+            }
+            Err(_) => {
+                stats.store_failures += 1;
+                self.store = None;
+            }
+        }
+    }
+
+    /// [`compact`](Self::compact) once `every` (> 0) frames have been
+    /// appended since the last snapshot.
+    pub(crate) fn maybe_compact(
+        &mut self,
+        every: u64,
+        epoch: u64,
+        part: &Partition<SupervisedPlan>,
+        stats: &mut ShardStats,
+    ) {
+        if every > 0 && self.since_compact >= every {
+            self.compact(epoch, part, stats);
+        }
+    }
+}
+
+/// The sharded tier's sink: each mutation lands in its shard's store.
+fn to_stores<'a>(
+    stores: &'a mut [ShardStore],
+    stats: &'a mut ShardStats,
+) -> impl FnMut(usize, &Mutation<SupervisedPlan>) + 'a {
+    move |si, m| stores[si].log(m, stats)
 }
 
 /// A sharded, optionally persistent [`ServeBackend`]. See the module
@@ -178,11 +186,8 @@ impl Shard {
 pub struct ShardedServer {
     pub deco: Deco,
     config: ShardConfig,
-    router: ShardRouter,
-    shards: Vec<Shard>,
-    /// The single global LRU clock — shared by all shards, bumped on
-    /// every get and insert exactly like the single-process cache's.
-    clock: u64,
+    books: Books<SupervisedPlan>,
+    stores: Vec<ShardStore>,
     /// The restart schedule for the replay in flight.
     fault_plan: ShardFaultPlan,
     stats: ShardStats,
@@ -201,50 +206,25 @@ impl ShardedServer {
             config.serve.batch_size >= 1,
             "batch_size must be at least 1"
         );
-        let router = ShardRouter::new(config.shards);
-        let mut stats = ShardStats::default();
-        let mut shards = Vec::with_capacity(config.shards);
-        let mut clock = 0u64;
-        for i in 0..config.shards {
-            let mut shard = Shard::empty();
-            if let Some(root) = &config.persist_dir {
-                let dir = root.join(format!("shard-{i}"));
-                let mut store = PlanStore::open(&dir)?;
-                match store.recover() {
-                    Ok(state) => {
-                        stats.recovered_entries += state.entries.len() as u64;
-                        stats.recovered_frames += store.stats().frames_recovered;
-                        stats.torn_bytes += store.stats().torn_bytes;
-                        shard.adopt(state);
-                        for e in shard.entries.values() {
-                            clock = clock.max(e.last_use);
-                        }
-                        shard.store = Some(store);
-                    }
-                    Err(_) => {
-                        stats.store_failures += 1;
-                    }
-                }
-            }
-            shards.push(shard);
-        }
-        Ok(ShardedServer {
+        let mut tier = ShardedServer {
             deco,
+            books: Books::new(config.shards, config.serve.cache_capacity),
+            stores: (0..config.shards).map(|_| ShardStore::default()).collect(),
             config,
-            router,
-            shards,
-            clock,
             fault_plan: ShardFaultPlan::quiescent(),
-            stats,
-        })
+            stats: ShardStats::default(),
+        };
+        if let Some(root) = tier.config.persist_dir.clone() {
+            for si in 0..tier.config.shards {
+                let store = PlanStore::open(&root.join(format!("shard-{si}")))?;
+                tier.recover_into(si, store);
+            }
+        }
+        Ok(tier)
     }
 
     pub fn config(&self) -> &ShardConfig {
         &self.config
-    }
-
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
     }
 
     /// Tier counters (restarts, recoveries, WAL traffic).
@@ -254,31 +234,36 @@ impl ShardedServer {
 
     /// Total cached entries across all shards.
     pub fn cache_len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.len()).sum()
+        self.books.len()
     }
 
     /// Cached entries in one shard's partition.
     pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].entries.len()
+        self.books.partition(shard).entries.len()
     }
 
     /// Content keys currently quarantined, across all shards.
     pub fn quarantined_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.quarantine.len()).sum()
+        self.books.quarantined_keys()
     }
 
-    /// The content key the tier would derive for a request — identical
-    /// to `PlanServer::key_for` under the same `serve` policy.
-    pub fn key_for(&self, req: &deco_serve::PlanRequest) -> u64 {
-        let cd = canonical_deadline(req.deadline, self.config.serve.deadline_bucket);
-        plan_key(
-            &req.workflow,
-            &self.deco.store,
-            &self.deco.options,
-            cd,
-            req.percentile,
-            req.budget_hint.or(self.config.serve.budget.ticks),
-        )
+    /// Fold `store` into shard `si`'s partition and keep it as the
+    /// shard's store; false (and counted) when the log cannot be read.
+    fn recover_into(&mut self, si: usize, mut store: PlanStore) -> bool {
+        match store.recover() {
+            Ok(part) => {
+                self.stats.recovered_entries += part.entries.len() as u64;
+                self.stats.recovered_frames += store.stats().frames_recovered;
+                self.stats.torn_bytes += store.stats().torn_bytes;
+                self.books.adopt(si, part);
+                self.stores[si].store = Some(store);
+                true
+            }
+            Err(_) => {
+                self.stats.store_failures += 1;
+                false
+            }
+        }
     }
 
     /// Kill one shard and bring it back. With a store attached the shard
@@ -286,74 +271,32 @@ impl ShardedServer {
     /// quarantine books) from snapshot + WAL; without one, the partition
     /// is lost (degraded mode) and the loss is counted.
     pub fn restart_shard(&mut self, shard: usize) {
-        assert!(shard < self.shards.len(), "shard {shard} out of range");
+        assert!(shard < self.stores.len(), "shard {shard} out of range");
         self.stats.restarts += 1;
-        let s = &mut self.shards[shard];
-        let had = s.entries.len() as u64;
-        s.entries.clear();
-        s.strikes.clear();
-        s.quarantine.clear();
+        let had = self.shard_len(shard) as u64;
+        self.books.adopt(shard, Partition::default());
         // Close the old handle before reopening the same files.
-        let dir = s.store.take().map(|st| st.dir().to_path_buf());
-        match dir {
-            Some(dir) => match PlanStore::open(&dir) {
-                Ok(mut store) => match store.recover() {
-                    Ok(state) => {
-                        self.stats.recovered_entries += state.entries.len() as u64;
-                        self.stats.recovered_frames += store.stats().frames_recovered;
-                        self.stats.torn_bytes += store.stats().torn_bytes;
-                        s.adopt(state);
-                        s.store = Some(store);
-                    }
-                    Err(_) => {
-                        self.stats.store_failures += 1;
-                        self.stats.lost_entries += had;
-                    }
-                },
-                Err(_) => {
-                    self.stats.store_failures += 1;
-                    self.stats.lost_entries += had;
-                }
-            },
-            None => {
-                self.stats.lost_entries += had;
+        let dir = self.stores[shard]
+            .store
+            .take()
+            .map(|st| st.dir().to_path_buf());
+        let recovered = match dir.map(|dir| PlanStore::open(&dir)) {
+            Some(Ok(store)) => self.recover_into(shard, store),
+            Some(Err(_)) => {
+                self.stats.store_failures += 1;
+                false
             }
+            None => false,
+        };
+        if !recovered {
+            self.stats.lost_entries += had;
         }
     }
 
     /// Compact one shard's WAL into a fresh snapshot of its live state.
     pub fn compact_shard(&mut self, shard: usize) {
         let epoch = self.deco.store.catalog_epoch();
-        let s = &mut self.shards[shard];
-        let Some(store) = s.store.as_mut() else {
-            return;
-        };
-        let mut state = RecoveredState {
-            epoch,
-            ..RecoveredState::default()
-        };
-        for (&key, e) in &s.entries {
-            state.entries.insert(
-                key,
-                deco_serve::store::RecoveredEntry {
-                    plan: e.plan.clone(),
-                    epoch: e.epoch,
-                    last_use: e.last_use,
-                },
-            );
-        }
-        state.strikes = s.strikes.clone();
-        state.quarantine = s.quarantine.clone();
-        match store.compact(&state.to_frames()) {
-            Ok(()) => {
-                self.stats.snapshots += 1;
-                s.appends_since_compact = 0;
-            }
-            Err(_) => {
-                self.stats.store_failures += 1;
-                s.store = None;
-            }
-        }
+        self.stores[shard].compact(epoch, self.books.partition(shard), &mut self.stats);
     }
 
     /// Replay a recorded trace under a quiescent session — no worker
@@ -389,139 +332,41 @@ impl ServeBackend for ShardedServer {
     }
 
     fn cache_get(&mut self, key: u64) -> Option<SupervisedPlan> {
-        // Same clock discipline as the single-process cache: the clock
-        // advances on every lookup, hit or miss.
-        self.clock += 1;
-        let clock = self.clock;
-        let si = self.router.shard_of(key);
-        let shard = &mut self.shards[si];
-        let hit = match shard.entries.get_mut(&key) {
-            Some(e) => {
-                e.last_use = clock;
-                Some(e.plan.clone())
-            }
-            None => None,
-        };
-        if hit.is_some() {
-            shard.append(
-                &StoreFrame::Touch {
-                    key,
-                    last_use: clock,
-                },
-                &mut self.stats,
-            );
-        }
-        hit
+        let sink = to_stores(&mut self.stores, &mut self.stats);
+        self.books.get(key, sink).cloned()
     }
 
     fn cache_insert(&mut self, key: u64, plan: &SupervisedPlan, epoch: u64) -> usize {
-        self.clock += 1;
-        let capacity = self.config.serve.cache_capacity;
-        if capacity == 0 {
-            return 0; // the documented no-op cache, tier-wide
-        }
-        let owner = self.router.shard_of(key);
-        let mut evicted = 0usize;
-        let total: usize = self.shards.iter().map(|s| s.entries.len()).sum();
-        if !self.shards[owner].entries.contains_key(&key) && total >= capacity {
-            // Global LRU victim: min (last_use, key) across every
-            // shard's partition — exactly the single-map cache's choice.
-            let mut victim: Option<(u64, u64, usize)> = None;
-            for (si, shard) in self.shards.iter().enumerate() {
-                for (&k, e) in &shard.entries {
-                    let cand = (e.last_use, k, si);
-                    if victim
-                        .map(|v| (cand.0, cand.1) < (v.0, v.1))
-                        .unwrap_or(true)
-                    {
-                        victim = Some(cand);
-                    }
-                }
-            }
-            if let Some((_, vk, vs)) = victim {
-                self.shards[vs].entries.remove(&vk);
-                self.shards[vs].append(&StoreFrame::Del { key: vk }, &mut self.stats);
-                evicted = 1;
-            }
-        }
-        let clock = self.clock;
-        let shard = &mut self.shards[owner];
-        shard.entries.insert(
-            key,
-            StoredEntry {
-                plan: plan.clone(),
-                epoch,
-                last_use: clock,
-            },
-        );
-        shard.append(
-            &StoreFrame::Put {
-                key,
-                epoch,
-                last_use: clock,
-                plan: plan.clone(),
-            },
-            &mut self.stats,
-        );
-        evicted
+        let sink = to_stores(&mut self.stores, &mut self.stats);
+        self.books.insert(key, plan.clone(), epoch, sink)
     }
 
     fn cache_purge_stale(&mut self, epoch: u64) -> usize {
-        let mut purged = 0usize;
-        for shard in &mut self.shards {
-            let stale: Vec<u64> = shard
-                .entries
-                .iter()
-                .filter(|(_, e)| e.epoch != epoch)
-                .map(|(&k, _)| k)
-                .collect();
-            for k in stale {
-                shard.entries.remove(&k);
-                shard.append(&StoreFrame::Del { key: k }, &mut self.stats);
-                purged += 1;
-            }
-        }
-        purged
+        let sink = to_stores(&mut self.stores, &mut self.stats);
+        self.books.purge(epoch, sink)
     }
 
     fn is_key_quarantined(&self, key: u64) -> bool {
-        self.shards[self.router.shard_of(key)]
-            .quarantine
-            .contains(&key)
+        self.books.is_quarantined(key)
     }
 
     fn strike_count(&self, key: u64) -> Option<u32> {
-        self.shards[self.router.shard_of(key)]
-            .strikes
-            .get(&key)
-            .copied()
+        self.books.strikes(key)
     }
 
     fn add_strike(&mut self, key: u64) -> u32 {
-        let si = self.router.shard_of(key);
-        let shard = &mut self.shards[si];
-        let count = {
-            let c = shard.strikes.entry(key).or_insert(0);
-            *c += 1;
-            *c
-        };
-        shard.append(&StoreFrame::Strike { key, count }, &mut self.stats);
-        count
+        let sink = to_stores(&mut self.stores, &mut self.stats);
+        self.books.strike(key, sink)
     }
 
     fn quarantine_key(&mut self, key: u64) {
-        let si = self.router.shard_of(key);
-        let shard = &mut self.shards[si];
-        shard.quarantine.insert(key);
-        shard.append(&StoreFrame::Quarantine { key }, &mut self.stats);
+        let sink = to_stores(&mut self.stores, &mut self.stats);
+        self.books.quarantine(key, sink)
     }
 
     fn clear_strikes(&mut self, key: u64) {
-        let si = self.router.shard_of(key);
-        let shard = &mut self.shards[si];
-        if shard.strikes.remove(&key).is_some() {
-            shard.append(&StoreFrame::ClearKey { key }, &mut self.stats);
-        }
+        let sink = to_stores(&mut self.stores, &mut self.stats);
+        self.books.clear(key, sink)
     }
 
     fn solve_jobs(
@@ -535,9 +380,10 @@ impl ServeBackend for ShardedServer {
         // Route each job to its owning shard's pool; pools run
         // concurrently and the per-job results are deterministic, so the
         // merged canonical map is independent of pool interleaving.
+        let router = self.books.router();
         let mut groups: Vec<Vec<SolveJob>> = (0..self.config.shards).map(|_| Vec::new()).collect();
         for job in jobs {
-            groups[self.router.shard_of(job.key)].push(job);
+            groups[router.shard_of(job.key)].push(job);
         }
         let deco = &self.deco;
         let (tx, rx) = crossbeam::channel::unbounded();
@@ -559,43 +405,27 @@ impl ServeBackend for ShardedServer {
     }
 
     fn refresh_calibration(&mut self, store: MetadataStore) -> (u64, usize) {
-        // Mirror PlanServer::refresh_calibration exactly: strictly
-        // increasing epoch, stale purge, clean books — plus one Epoch
-        // frame per shard so recovery applies the same discipline.
-        let old = self.deco.store.catalog_epoch();
-        self.deco.store = store;
-        while self.deco.store.catalog_epoch() <= old {
-            self.deco.store.bump_catalog_epoch();
-        }
-        let epoch = self.deco.store.catalog_epoch();
-        let mut purged = 0usize;
-        for shard in &mut self.shards {
-            let before = shard.entries.len();
-            shard.entries.retain(|_, e| e.epoch == epoch);
-            purged += before - shard.entries.len();
-            shard.strikes.clear();
-            shard.quarantine.clear();
-            shard.append(&StoreFrame::Epoch { epoch }, &mut self.stats);
-        }
-        (epoch, purged)
+        // PlanServer's refresh, plus one Epoch frame per shard so
+        // recovery applies the same discipline.
+        let epoch = install_calibration(&mut self.deco.store, store);
+        let sink = to_stores(&mut self.stores, &mut self.stats);
+        (epoch, self.books.refresh(epoch, sink))
     }
 
     fn on_cycle_boundary(&mut self, cycle: u64) {
         // Injected shard restarts land here, strictly between cycles,
         // in shard index order (deterministic for any schedule).
         if !self.fault_plan.is_quiescent() {
-            for shard in 0..self.shards.len() {
+            for shard in 0..self.stores.len() {
                 if self.fault_plan.restarts_at(cycle, shard) {
                     self.restart_shard(shard);
                 }
             }
         }
-        if self.config.snapshot_every > 0 {
-            for shard in 0..self.shards.len() {
-                if self.shards[shard].appends_since_compact >= self.config.snapshot_every {
-                    self.compact_shard(shard);
-                }
-            }
+        let epoch = self.deco.store.catalog_epoch();
+        for (si, store) in self.stores.iter_mut().enumerate() {
+            let part = self.books.partition(si);
+            store.maybe_compact(self.config.snapshot_every, epoch, part, &mut self.stats);
         }
     }
 
@@ -613,6 +443,7 @@ mod tests {
     use super::*;
     use deco_cloud::CloudSpec;
     use deco_core::supervisor::plan_with_fallback;
+    use deco_serve::ShardRouter;
     use deco_workflow::generators;
 
     fn small_deco() -> Deco {
@@ -697,8 +528,8 @@ mod tests {
         assert_eq!(t.quarantined_keys(), 1);
         t.clear_strikes(low);
         assert_eq!(t.strike_count(low), None);
-        assert_eq!(t.shards[0].strikes.len(), 0);
-        assert_eq!(t.shards[1].strikes.len(), 1);
+        assert_eq!(t.books.partition(0).strikes.len(), 0);
+        assert_eq!(t.books.partition(1).strikes.len(), 1);
     }
 
     #[test]
@@ -777,5 +608,116 @@ mod tests {
         t.restart_shard(0);
         assert_eq!(t.cache_len(), 6, "snapshot alone reproduces the state");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One books operation of the property below.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Get(u64),
+        Insert(u64, u64),
+        Purge(u64),
+        Strike(u64),
+        Clear(u64),
+        Quarantine(u64),
+        Refresh(u64),
+        Drop(usize),
+    }
+
+    /// Decode a drawn `(kind, key index, epoch)`; the twelve keys are
+    /// spread over the whole u64 range, so every partition count splits
+    /// them differently.
+    fn op((kind, i, e): (u8, u64, u64)) -> Op {
+        let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        match kind {
+            0 => Op::Get(k),
+            1 => Op::Insert(k, e),
+            2 => Op::Purge(e),
+            3 => Op::Strike(k),
+            4 => Op::Clear(k),
+            5 => Op::Quarantine(k),
+            6 => Op::Refresh(e),
+            _ => Op::Drop(i as usize),
+        }
+    }
+
+    /// Every mutation one operation made, per partition.
+    type Made = Vec<(usize, Mutation<u64>)>;
+
+    /// Run `op` on `books`, returning its decision (the evicted victim
+    /// for an insert) and the mutations it made. A drop names a
+    /// partition of the `n`-way books; on the one-partition reference it
+    /// forgets exactly the keys that partition owns.
+    fn run(books: &mut Books<u64>, op: Op, step: u64, n: usize) -> (String, Made) {
+        let mut made = Made::new();
+        let sink = |si: usize, m: &Mutation<u64>| made.push((si, m.clone()));
+        let decision = match op {
+            Op::Get(k) => format!("{:?}", books.get(k, sink).copied()),
+            Op::Insert(k, e) => format!("{}", books.insert(k, step, e, sink)),
+            Op::Purge(e) => format!("{}", books.purge(e, sink)),
+            Op::Strike(k) => format!("{}", books.strike(k, sink)),
+            Op::Clear(k) => format!("{:?}", books.clear(k, sink)),
+            Op::Quarantine(k) => format!("{:?}", books.quarantine(k, sink)),
+            Op::Refresh(e) => format!("{}", books.refresh(e, sink)),
+            Op::Drop(si) if books.router().shards() == n => {
+                format!("{}", books.drop_partition(si % n, sink))
+            }
+            Op::Drop(si) => {
+                let owner = ShardRouter::new(n);
+                let gone = |k: &u64| owner.shard_of(*k) == si % n;
+                let p = books.partition_mut(0);
+                let before = p.entries.len();
+                p.entries.retain(|k, _| !gone(k));
+                p.strikes.retain(|k, _| !gone(k));
+                p.quarantine.retain(|k| !gone(k));
+                format!("{}", before - p.entries.len())
+            }
+        };
+        let victim: Vec<u64> = made
+            .iter()
+            .filter_map(|(_, m)| match (op, m) {
+                (Op::Insert(..), Mutation::Del { key }) => Some(*key),
+                _ => None,
+            })
+            .collect();
+        (format!("{decision} victim {victim:?}"), made)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// (a) N-way books decide exactly what one partition decides —
+        /// hits, evictions and victims, strike totals, quarantine
+        /// verdicts, purge counts, the clock; (b) folding each
+        /// partition's mutations from empty reproduces it exactly.
+        #[test]
+        fn books_decide_like_one_partition_and_fold_back_from_their_mutations(
+            capacity in 0usize..8,
+            ops in proptest::collection::vec((0u8..8, 0u64..12, 0u64..3), 1..60),
+        ) {
+            for n in 1..=4usize {
+                let mut books = Books::new(n, capacity);
+                let mut reference = Books::new(1, capacity);
+                let mut folded: Vec<Partition<u64>> = vec![Partition::default(); n];
+                for (step, &drawn) in ops.iter().enumerate() {
+                    let op = op(drawn);
+                    let (got, made) = run(&mut books, op, step as u64, n);
+                    let (want, _) = run(&mut reference, op, step as u64, n);
+                    assert_eq!(&got, &want, "{:?} at {} partitions", op, n);
+                    assert_eq!(books.clock(), reference.clock());
+                    assert_eq!(books.len(), reference.len());
+                    for i in 0..12u64 {
+                        let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        assert_eq!(books.strikes(k), reference.strikes(k));
+                        assert_eq!(books.is_quarantined(k), reference.is_quarantined(k));
+                    }
+                    for (si, m) in made {
+                        folded[si].apply(m);
+                    }
+                }
+                for (si, part) in folded.iter().enumerate() {
+                    assert_eq!(part, books.partition(si));
+                }
+            }
+        }
     }
 }

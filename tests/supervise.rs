@@ -149,11 +149,16 @@ fn supervised_replay_is_byte_identical_at_1_2_and_4_shards() {
         assert_eq!(stats, ref_stats, "equal merged stats at {shards} shards");
         assert_eq!(stats.digest(), ref_stats.digest());
         assert_eq!(tier.cache_len(), ref_stats.misses as usize);
+        // `Suspect` only means one poll found a worker more than one
+        // heartbeat period overdue — a scheduling hiccup on a loaded
+        // machine, not a death — so the wall clock must not decide this
+        // test: what a quiescent replay guarantees is no death and no
+        // restart.
         assert!(
             tier.shard_liveness()
                 .iter()
-                .all(|l| *l == Liveness::Healthy),
-            "a quiescent replay leaves every worker healthy"
+                .all(|l| matches!(l, Liveness::Healthy | Liveness::Suspect)),
+            "a quiescent replay never restarts or quarantines a worker"
         );
         assert_eq!(tier.stats().crashes_detected, 0);
     }
@@ -332,7 +337,15 @@ fn a_crash_looping_worker_is_quarantined_and_served_by_fallback() {
         Liveness::Quarantined,
         "the crash loop must exhaust the strike budget (got {sup:?})"
     );
-    assert_eq!(tier.shard_liveness()[1], Liveness::Healthy);
+    // Shard 1 never dies; it may read `Suspect` if a poll caught it a
+    // heartbeat period late (scheduling, not death), never worse.
+    assert!(
+        matches!(
+            tier.shard_liveness()[1],
+            Liveness::Healthy | Liveness::Suspect
+        ),
+        "shard 1 is never restarted or quarantined (got {sup:?})"
+    );
     assert!(
         sup.quarantined_shards == 1 && sup.fallback_answers > 0,
         "quarantine must degrade to fallback answers (got {sup:?})"
