@@ -56,6 +56,34 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
+/// Append a byte string: a `u32` length, then the bytes.
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_u32(out, b.len() as u32);
+    out.extend_from_slice(b);
+}
+
+/// Append a UTF-8 string as [`put_bytes`] of its bytes.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
+}
+
+/// Append a bool as one byte, `0` or `1`.
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    put_u8(out, u8::from(v));
+}
+
+/// Append an optional value: `0` for `None`, `1` then `put`'s bytes for
+/// `Some`.
+pub fn put_opt<T>(out: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    match v {
+        None => put_u8(out, 0),
+        Some(v) => {
+            put_u8(out, 1);
+            put(out, v);
+        }
+    }
+}
+
 fn put_stage(out: &mut Vec<u8>, stage: PlanStage) {
     put_u8(
         out,
@@ -111,8 +139,7 @@ pub fn encode_supervised_plan(sp: &SupervisedPlan) -> Vec<u8> {
     put_u64(&mut out, sp.provenance.skipped.len() as u64);
     for skip in &sp.provenance.skipped {
         put_stage(&mut out, skip.stage);
-        put_u32(&mut out, skip.reason.len() as u32);
-        out.extend_from_slice(skip.reason.as_bytes());
+        put_str(&mut out, &skip.reason);
     }
     out
 }
@@ -123,9 +150,10 @@ pub fn encode_supervised_plan(sp: &SupervisedPlan) -> Vec<u8> {
 
 /// Bounds-checked little-endian reader over a byte slice. Every take is
 /// validated against the remaining input; failures surface as
-/// [`DecoError::Store`] (the wire codecs remap them to
-/// `DecoError::Transport`). Shared by the plan codec, [`crate::wire`],
-/// and the shard frame protocol.
+/// [`DecoError::Store`] (the wire codecs turn them into
+/// `DecoError::Transport` with [`on_pipe`] at their decode boundary).
+/// Shared by the plan codec, [`crate::wire`], the mutation codec of the
+/// plan store and journal, and the shard frame protocol.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -191,6 +219,41 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
+    /// Read a byte string written by [`put_bytes`].
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecoError> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
+
+    /// Read a string written by [`put_str`].
+    pub fn str(&mut self) -> Result<String, DecoError> {
+        String::from_utf8(self.bytes()?.to_vec())
+            .map_err(|_| DecoError::Store("payload corrupt: string is not UTF-8".into()))
+    }
+
+    /// Read a bool written by [`put_bool`]; any byte but `0`/`1` is an
+    /// error.
+    pub fn bool(&mut self) -> Result<bool, DecoError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(DecoError::Store(format!("payload corrupt: bool tag {t}"))),
+        }
+    }
+
+    /// Read an optional value written by [`put_opt`], the value with
+    /// `read`.
+    pub fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DecoError>,
+    ) -> Result<Option<T>, DecoError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            t => Err(DecoError::Store(format!("payload corrupt: option tag {t}"))),
+        }
+    }
+
     pub(crate) fn stage(&mut self) -> Result<PlanStage, DecoError> {
         match self.u8()? {
             0 => Ok(PlanStage::Deco),
@@ -208,12 +271,43 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Decode all of `bytes` with `read`: bytes left over are an error (every
+/// payload is length-framed by its container, so extra bytes mean
+/// in-place corruption).
+pub fn decode_all<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, DecoError>,
+) -> Result<T, DecoError> {
+    let mut r = Reader::new(bytes);
+    let v = read(&mut r)?;
+    if !r.done() {
+        return Err(DecoError::Store(format!(
+            "payload has {} trailing bytes",
+            bytes.len() - r.pos
+        )));
+    }
+    Ok(v)
+}
+
+/// A decode failure on a pipe means a broken peer, not a bad store: a
+/// [`DecoError::Store`] becomes a [`DecoError::Transport`]. The wire
+/// decoders apply it once, at their boundary.
+pub fn on_pipe(e: DecoError) -> DecoError {
+    match e {
+        DecoError::Store(m) => DecoError::Transport(m),
+        other => other,
+    }
+}
+
 /// Decode a payload produced by [`encode_supervised_plan`]. Every length
 /// is validated against the remaining bytes; trailing garbage is an error
 /// (the payload is length-framed by the store, so extra bytes mean the
 /// frame was corrupted in place).
 pub fn decode_supervised_plan(bytes: &[u8]) -> Result<SupervisedPlan, DecoError> {
-    let mut r = Reader::new(bytes);
+    decode_all(bytes, read_plan)
+}
+
+fn read_plan(r: &mut Reader<'_>) -> Result<SupervisedPlan, DecoError> {
     let version = r.u8()?;
     if version != CODEC_VERSION {
         return Err(DecoError::Store(format!(
@@ -263,22 +357,10 @@ pub fn decode_supervised_plan(bytes: &[u8]) -> Result<SupervisedPlan, DecoError>
     let n_skips = r.len("skip notes")?;
     let mut skipped = Vec::with_capacity(n_skips.min(64));
     for _ in 0..n_skips {
-        let skip_stage = r.stage()?;
-        let reason_len = r.u32()? as usize;
-        let raw = r.take(reason_len)?;
-        let reason = std::str::from_utf8(raw)
-            .map_err(|e| DecoError::Store(format!("plan payload corrupt: skip reason: {e}")))?
-            .to_string();
         skipped.push(StageSkip {
-            stage: skip_stage,
-            reason,
+            stage: r.stage()?,
+            reason: r.str()?,
         });
-    }
-    if !r.done() {
-        return Err(DecoError::Store(format!(
-            "plan payload has {} trailing bytes",
-            bytes.len() - r.pos
-        )));
     }
     Ok(SupervisedPlan {
         plan: DecoPlan {

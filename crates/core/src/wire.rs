@@ -24,7 +24,9 @@
 //! degrade to a tagged [`DecoError::Transport`] that preserves the
 //! rendered message.
 
-use crate::codec::{put_f64, put_u32, put_u64, put_u8, Reader};
+use crate::codec::{
+    decode_all, on_pipe, put_f64, put_opt, put_str, put_u32, put_u64, put_u8, Reader,
+};
 use crate::engine::{Deco, DecoOptions};
 use crate::error::DecoError;
 use deco_cloud::{CloudSpec, InstanceType, MetadataStore, Region, RetryConfig};
@@ -35,85 +37,16 @@ use deco_workflow::{TaskId, TaskProfile, Workflow};
 /// Wire format version; bump when any encoded shape changes.
 const WIRE_VERSION: u8 = 1;
 
-/// Cap on decoded collection lengths (tasks, bins, instance types). The
-/// shard protocol frames are already length-capped; this keeps a corrupt
-/// length field from forcing a huge allocation inside a valid frame.
-const MAX_LEN: u64 = 16_777_216;
-
-fn transport(what: &str, detail: impl std::fmt::Display) -> DecoError {
-    DecoError::Transport(format!("{what}: {detail}"))
+fn corrupt(detail: impl std::fmt::Display) -> DecoError {
+    DecoError::Transport(format!("wire payload corrupt: {detail}"))
 }
 
-// ---------------------------------------------------------------------------
-// Small shared pieces
-// ---------------------------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_f64(out, x);
-        }
-    }
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
-    }
-}
-
-fn get_str(r: &mut Reader<'_>) -> Result<String, DecoError> {
-    let n = r.u32().map_err(remap)? as usize;
-    let raw = r.take(n).map_err(remap)?;
-    std::str::from_utf8(raw)
-        .map(str::to_string)
-        .map_err(|e| transport("wire payload corrupt: string", e))
-}
-
-fn get_opt_f64(r: &mut Reader<'_>) -> Result<Option<f64>, DecoError> {
-    match r.u8().map_err(remap)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.f64().map_err(remap)?)),
-        t => Err(transport("wire payload corrupt", format!("option tag {t}"))),
-    }
-}
-
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, DecoError> {
-    match r.u8().map_err(remap)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64().map_err(remap)?)),
-        t => Err(transport("wire payload corrupt", format!("option tag {t}"))),
-    }
-}
-
-fn get_len(r: &mut Reader<'_>, what: &str) -> Result<usize, DecoError> {
-    let n = r.u64().map_err(remap)?;
-    if n > MAX_LEN {
-        return Err(transport(
-            "wire payload corrupt",
-            format!("{what} length {n} exceeds the {MAX_LEN} cap"),
-        ));
-    }
-    Ok(n as usize)
-}
-
-/// The plan-codec reader reports failures as [`DecoError::Store`]; on the
-/// transport path the same byte-level failure means a broken peer.
-fn remap(e: DecoError) -> DecoError {
-    match e {
-        DecoError::Store(m) => DecoError::Transport(m),
-        other => other,
+fn read_version(r: &mut Reader<'_>, what: &str) -> Result<(), DecoError> {
+    match r.u8()? {
+        WIRE_VERSION => Ok(()),
+        v => Err(corrupt(format!(
+            "{what} codec version {v}, expected {WIRE_VERSION}"
+        ))),
     }
 }
 
@@ -124,15 +57,17 @@ fn remap(e: DecoError) -> DecoError {
 /// Append a [`SearchBudget`] to `out` (no version byte — budgets are
 /// always embedded in a versioned parent payload).
 pub fn encode_budget(out: &mut Vec<u8>, b: &SearchBudget) {
-    put_opt_f64(out, b.ticks);
-    put_opt_f64(out, b.wall_seconds);
+    put_opt(out, b.ticks, put_f64);
+    put_opt(out, b.wall_seconds, put_f64);
 }
 
-/// Decode a [`SearchBudget`] written by [`encode_budget`].
+/// Decode a [`SearchBudget`] written by [`encode_budget`]. Reader-level:
+/// failures keep the reader's error type, for the enclosing decoder to
+/// map at its boundary.
 pub fn decode_budget(r: &mut Reader<'_>) -> Result<SearchBudget, DecoError> {
     Ok(SearchBudget {
-        ticks: get_opt_f64(r)?,
-        wall_seconds: get_opt_f64(r)?,
+        ticks: r.opt(Reader::f64)?,
+        wall_seconds: r.opt(Reader::f64)?,
     })
 }
 
@@ -168,41 +103,27 @@ pub fn encode_workflow(wf: &Workflow) -> Vec<u8> {
 
 /// Decode a workflow written by [`encode_workflow`].
 pub fn decode_workflow(bytes: &[u8]) -> Result<Workflow, DecoError> {
-    let mut r = Reader::new(bytes);
-    let version = r.u8().map_err(remap)?;
-    if version != WIRE_VERSION {
-        return Err(transport(
-            "wire payload corrupt",
-            format!("workflow codec version {version}, expected {WIRE_VERSION}"),
-        ));
-    }
-    let name = get_str(&mut r)?;
-    let mut wf = Workflow::new(name);
-    let n_tasks = get_len(&mut r, "tasks")?;
-    for _ in 0..n_tasks {
-        let tname = get_str(&mut r)?;
-        let exec = get_str(&mut r)?;
-        let cpu = r.f64().map_err(remap)?;
-        let read = r.f64().map_err(remap)?;
-        let write = r.f64().map_err(remap)?;
+    decode_all(bytes, read_workflow).map_err(on_pipe)
+}
+
+fn read_workflow(r: &mut Reader<'_>) -> Result<Workflow, DecoError> {
+    read_version(r, "workflow")?;
+    let mut wf = Workflow::new(r.str()?);
+    for _ in 0..r.len("tasks")? {
+        let tname = r.str()?;
+        let exec = r.str()?;
+        let (cpu, read, write) = (r.f64()?, r.f64()?, r.f64()?);
         if !(cpu >= 0.0 && read >= 0.0 && write >= 0.0) {
-            return Err(transport(
-                "wire payload corrupt",
-                format!("task {tname} has a negative profile component"),
-            ));
+            return Err(corrupt(format!(
+                "task {tname} has a negative profile component"
+            )));
         }
         wf.add_task(tname, exec, TaskProfile::new(cpu, read, write));
     }
-    let n_edges = get_len(&mut r, "edges")?;
-    for _ in 0..n_edges {
-        let from = TaskId(r.u32().map_err(remap)?);
-        let to = TaskId(r.u32().map_err(remap)?);
-        let bytes_moved = r.f64().map_err(remap)?;
-        wf.add_edge(from, to, bytes_moved)
-            .map_err(|e| transport("wire payload corrupt: edge", e))?;
-    }
-    if !r.done() {
-        return Err(transport("wire payload corrupt", "trailing bytes"));
+    for _ in 0..r.len("edges")? {
+        let (from, to) = (TaskId(r.u32()?), TaskId(r.u32()?));
+        wf.add_edge(from, to, r.f64()?)
+            .map_err(|e| corrupt(format!("edge: {e}")))?;
     }
     Ok(wf)
 }
@@ -221,21 +142,20 @@ fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
     }
 }
 
-fn get_hist(r: &mut Reader<'_>) -> Result<Histogram, DecoError> {
-    let lo = r.f64().map_err(remap)?;
-    let width = r.f64().map_err(remap)?;
-    let n = get_len(r, "histogram bins")?;
+fn read_hist(r: &mut Reader<'_>) -> Result<Histogram, DecoError> {
+    let lo = r.f64()?;
+    let width = r.f64()?;
+    let n = r.len("histogram bins")?;
     if !width.is_finite() || width <= 0.0 || n == 0 {
-        return Err(transport(
-            "wire payload corrupt",
-            format!("degenerate histogram geometry (width {width}, {n} bins)"),
-        ));
+        return Err(corrupt(format!(
+            "degenerate histogram geometry (width {width}, {n} bins)"
+        )));
     }
     let mut probs = Vec::with_capacity(n.min(65_536));
     for _ in 0..n {
-        let p = r.f64().map_err(remap)?;
+        let p = r.f64()?;
         if !(p >= 0.0 && p.is_finite()) {
-            return Err(transport("wire payload corrupt", "negative histogram mass"));
+            return Err(corrupt("negative histogram mass"));
         }
         probs.push(p);
     }
@@ -266,33 +186,33 @@ fn put_spec(out: &mut Vec<u8>, spec: &CloudSpec) {
     put_f64(out, spec.billing_quantum);
 }
 
-fn get_spec(r: &mut Reader<'_>) -> Result<CloudSpec, DecoError> {
-    let n_types = get_len(r, "instance types")?;
+fn read_spec(r: &mut Reader<'_>) -> Result<CloudSpec, DecoError> {
+    let n_types = r.len("instance types")?;
     let mut types = Vec::with_capacity(n_types.min(4096));
     for _ in 0..n_types {
         types.push(InstanceType {
-            name: get_str(r)?,
-            price_per_hour: r.f64().map_err(remap)?,
-            ecu: r.f64().map_err(remap)?,
-            seq_io_gamma: (r.f64().map_err(remap)?, r.f64().map_err(remap)?),
-            rand_io_normal: (r.f64().map_err(remap)?, r.f64().map_err(remap)?),
-            net_normal: (r.f64().map_err(remap)?, r.f64().map_err(remap)?),
+            name: r.str()?,
+            price_per_hour: r.f64()?,
+            ecu: r.f64()?,
+            seq_io_gamma: (r.f64()?, r.f64()?),
+            rand_io_normal: (r.f64()?, r.f64()?),
+            net_normal: (r.f64()?, r.f64()?),
         });
     }
-    let n_regions = get_len(r, "regions")?;
+    let n_regions = r.len("regions")?;
     let mut regions = Vec::with_capacity(n_regions.min(4096));
     for _ in 0..n_regions {
         regions.push(Region {
-            name: get_str(r)?,
-            price_multiplier: r.f64().map_err(remap)?,
+            name: r.str()?,
+            price_multiplier: r.f64()?,
         });
     }
     Ok(CloudSpec {
         types,
         regions,
-        inter_region_net: (r.f64().map_err(remap)?, r.f64().map_err(remap)?),
-        inter_region_price_per_gb: r.f64().map_err(remap)?,
-        billing_quantum: r.f64().map_err(remap)?,
+        inter_region_net: (r.f64()?, r.f64()?),
+        inter_region_price_per_gb: r.f64()?,
+        billing_quantum: r.f64()?,
     })
 }
 
@@ -324,64 +244,45 @@ pub fn encode_store(store: &MetadataStore) -> Vec<u8> {
 
 /// Decode a store written by [`encode_store`].
 pub fn decode_store(bytes: &[u8]) -> Result<MetadataStore, DecoError> {
-    let mut r = Reader::new(bytes);
-    let store = decode_store_body(&mut r)?;
-    if !r.done() {
-        return Err(transport("wire payload corrupt", "trailing bytes"));
-    }
-    Ok(store)
+    decode_all(bytes, read_store).map_err(on_pipe)
 }
 
-fn decode_store_body(r: &mut Reader<'_>) -> Result<MetadataStore, DecoError> {
-    let version = r.u8().map_err(remap)?;
-    if version != WIRE_VERSION {
-        return Err(transport(
-            "wire payload corrupt",
-            format!("store codec version {version}, expected {WIRE_VERSION}"),
-        ));
+fn read_store(r: &mut Reader<'_>) -> Result<MetadataStore, DecoError> {
+    read_version(r, "store")?;
+    let spec = read_spec(r)?;
+    let (n_types, n_regions) = (spec.types.len(), spec.regions.len());
+    let n_hists = r.len("histogram sets")?;
+    if n_hists != n_types {
+        return Err(corrupt(format!(
+            "{n_hists} histogram sets for {n_types} instance types"
+        )));
     }
-    let spec = get_spec(r)?;
-    let n_hists = get_len(r, "histogram sets")?;
-    if n_hists != spec.types.len() {
-        return Err(transport(
-            "wire payload corrupt",
-            format!(
-                "{n_hists} histogram sets for {} instance types",
-                spec.types.len()
-            ),
-        ));
-    }
-    let mut hists = Vec::with_capacity(n_hists.min(4096));
+    let mut hists = Vec::with_capacity(n_hists);
     for _ in 0..n_hists {
-        hists.push([get_hist(r)?, get_hist(r)?, get_hist(r)?]);
+        hists.push([read_hist(r)?, read_hist(r)?, read_hist(r)?]);
     }
-    let cross = get_hist(r)?;
-    let n_rows = get_len(r, "fail-rate rows")?;
-    if n_rows != spec.types.len() {
-        return Err(transport(
-            "wire payload corrupt",
-            format!("{n_rows} fail-rate rows for {} types", spec.types.len()),
-        ));
+    let cross = read_hist(r)?;
+    let n_rows = r.len("fail-rate rows")?;
+    if n_rows != n_types {
+        return Err(corrupt(format!(
+            "{n_rows} fail-rate rows for {n_types} types"
+        )));
     }
-    let mut fail_rates = Vec::with_capacity(n_rows.min(4096));
+    let mut fail_rates = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
-        let n_cols = get_len(r, "fail-rate columns")?;
-        if n_cols != spec.regions.len() {
-            return Err(transport(
-                "wire payload corrupt",
-                format!(
-                    "{n_cols} fail-rate columns for {} regions",
-                    spec.regions.len()
-                ),
-            ));
+        let n_cols = r.len("fail-rate columns")?;
+        if n_cols != n_regions {
+            return Err(corrupt(format!(
+                "{n_cols} fail-rate columns for {n_regions} regions"
+            )));
         }
-        let mut row = Vec::with_capacity(n_cols.min(4096));
+        let mut row = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            row.push(r.f64().map_err(remap)?);
+            row.push(r.f64()?);
         }
         fail_rates.push(row);
     }
-    let epoch = r.u64().map_err(remap)?;
+    let epoch = r.u64()?;
     Ok(MetadataStore::from_raw_parts(
         spec, hists, cross, fail_rates, epoch,
     ))
@@ -401,58 +302,45 @@ pub fn encode_engine(deco: &Deco) -> Vec<u8> {
     put_u64(&mut out, s.batch as u64);
     put_u64(&mut out, s.seed);
     encode_budget(&mut out, &s.budget);
-    put_opt_u64(&mut out, s.pool_reserve.map(|v| v as u64));
-    match &o.retry {
-        None => put_u8(&mut out, 0),
-        Some(rc) => {
-            put_u8(&mut out, 1);
-            put_u32(&mut out, rc.max_attempts);
-            put_f64(&mut out, rc.backoff_base);
-            put_f64(&mut out, rc.backoff_cap);
-        }
-    }
+    put_opt(&mut out, s.pool_reserve.map(|v| v as u64), put_u64);
+    put_opt(&mut out, o.retry.as_ref(), |out, rc| {
+        put_u32(out, rc.max_attempts);
+        put_f64(out, rc.backoff_base);
+        put_f64(out, rc.backoff_cap);
+    });
     out
 }
 
 /// Decode an engine written by [`encode_engine`].
 pub fn decode_engine(bytes: &[u8]) -> Result<Deco, DecoError> {
-    let mut r = Reader::new(bytes);
-    let store = decode_store_body(&mut r)?;
-    let mc_iters = r.u64().map_err(remap)? as usize;
-    let beam_width = r.u64().map_err(remap)? as usize;
-    let wlog_bins = r.u64().map_err(remap)? as usize;
-    let max_states = r.u64().map_err(remap)? as usize;
-    let patience = r.u64().map_err(remap)? as usize;
-    let batch = r.u64().map_err(remap)? as usize;
-    let seed = r.u64().map_err(remap)?;
-    let budget = decode_budget(&mut r)?;
-    let pool_reserve = get_opt_u64(&mut r)?.map(|v| v as usize);
-    let retry = match r.u8().map_err(remap)? {
-        0 => None,
-        1 => Some(RetryConfig {
-            max_attempts: r.u32().map_err(remap)?,
-            backoff_base: r.f64().map_err(remap)?,
-            backoff_cap: r.f64().map_err(remap)?,
-        }),
-        t => return Err(transport("wire payload corrupt", format!("retry tag {t}"))),
-    };
-    if !r.done() {
-        return Err(transport("wire payload corrupt", "trailing bytes"));
-    }
+    decode_all(bytes, read_engine).map_err(on_pipe)
+}
+
+fn read_engine(r: &mut Reader<'_>) -> Result<Deco, DecoError> {
+    let store = read_store(r)?;
+    let mc_iters = r.u64()? as usize;
+    let beam_width = r.u64()? as usize;
+    let wlog_bins = r.u64()? as usize;
     let mut deco = Deco::new(store);
     deco.options = DecoOptions {
         mc_iters,
-        search: SearchOptions {
-            max_states,
-            patience,
-            batch,
-            seed,
-            budget,
-            pool_reserve,
-        },
         beam_width,
         wlog_bins,
-        retry,
+        search: SearchOptions {
+            max_states: r.u64()? as usize,
+            patience: r.u64()? as usize,
+            batch: r.u64()? as usize,
+            seed: r.u64()?,
+            budget: decode_budget(r)?,
+            pool_reserve: r.opt(Reader::u64)?.map(|v| v as usize),
+        },
+        retry: r.opt(|r| {
+            Ok(RetryConfig {
+                max_attempts: r.u32()?,
+                backoff_base: r.f64()?,
+                backoff_cap: r.f64()?,
+            })
+        })?,
     };
     Ok(deco)
 }
@@ -465,35 +353,18 @@ pub fn decode_engine(bytes: &[u8]) -> Result<Deco, DecoError> {
 /// solve can produce; the structured parser/evaluator variants degrade to
 /// a rendered-message passthrough (tag 9).
 pub fn encode_error(out: &mut Vec<u8>, e: &DecoError) {
-    match e {
-        DecoError::Program(m) => {
-            put_u8(out, 1);
-            put_str(out, m);
-        }
-        DecoError::Translate(m) => {
-            put_u8(out, 2);
-            put_str(out, m);
-        }
-        DecoError::Plan(m) => {
-            put_u8(out, 3);
-            put_str(out, m);
-        }
-        DecoError::Infeasible(m) => {
-            put_u8(out, 4);
-            put_str(out, m);
-        }
-        DecoError::Store(m) => {
-            put_u8(out, 5);
-            put_str(out, m);
-        }
-        DecoError::Transport(m) => {
-            put_u8(out, 6);
-            put_str(out, m);
-        }
+    let (tag, msg) = match e {
+        DecoError::Program(m) => (1, m),
+        DecoError::Translate(m) => (2, m),
+        DecoError::Plan(m) => (3, m),
+        DecoError::Infeasible(m) => (4, m),
+        DecoError::Store(m) => (5, m),
+        DecoError::Transport(m) => (6, m),
         DecoError::Overloaded { queued, capacity } => {
             put_u8(out, 7);
             put_u64(out, *queued as u64);
             put_u64(out, *capacity as u64);
+            return;
         }
         DecoError::QuotaExceeded {
             tenant,
@@ -504,6 +375,7 @@ pub fn encode_error(out: &mut Vec<u8>, e: &DecoError) {
             put_u64(out, *tenant);
             put_u64(out, *queued as u64);
             put_u64(out, *quota as u64);
+            return;
         }
         // Structured source-position errors never occur on a worker's
         // solve path (workflows arrive pre-parsed); keep the rendered
@@ -511,35 +383,34 @@ pub fn encode_error(out: &mut Vec<u8>, e: &DecoError) {
         other @ (DecoError::Parse(_) | DecoError::Eval(_) | DecoError::Dax(_)) => {
             put_u8(out, 9);
             put_str(out, &other.to_string());
+            return;
         }
-    }
+    };
+    put_u8(out, tag);
+    put_str(out, msg);
 }
 
-/// Decode an error written by [`encode_error`].
+/// Decode an error written by [`encode_error`]. Reader-level, like
+/// [`decode_budget`].
 pub fn decode_error(r: &mut Reader<'_>) -> Result<DecoError, DecoError> {
-    Ok(match r.u8().map_err(remap)? {
-        1 => DecoError::Program(get_str(r)?),
-        2 => DecoError::Translate(get_str(r)?),
-        3 => DecoError::Plan(get_str(r)?),
-        4 => DecoError::Infeasible(get_str(r)?),
-        5 => DecoError::Store(get_str(r)?),
-        6 => DecoError::Transport(get_str(r)?),
+    Ok(match r.u8()? {
+        1 => DecoError::Program(r.str()?),
+        2 => DecoError::Translate(r.str()?),
+        3 => DecoError::Plan(r.str()?),
+        4 => DecoError::Infeasible(r.str()?),
+        5 => DecoError::Store(r.str()?),
+        6 => DecoError::Transport(r.str()?),
         7 => DecoError::Overloaded {
-            queued: r.u64().map_err(remap)? as usize,
-            capacity: r.u64().map_err(remap)? as usize,
+            queued: r.u64()? as usize,
+            capacity: r.u64()? as usize,
         },
         8 => DecoError::QuotaExceeded {
-            tenant: r.u64().map_err(remap)?,
-            queued: r.u64().map_err(remap)? as usize,
-            quota: r.u64().map_err(remap)? as usize,
+            tenant: r.u64()?,
+            queued: r.u64()? as usize,
+            quota: r.u64()? as usize,
         },
-        9 => DecoError::Transport(format!("remote solve failed: {}", get_str(r)?)),
-        t => {
-            return Err(transport(
-                "wire payload corrupt",
-                format!("unknown error tag {t}"),
-            ))
-        }
+        9 => DecoError::Transport(format!("remote solve failed: {}", r.str()?)),
+        t => return Err(corrupt(format!("unknown error tag {t}"))),
     })
 }
 

@@ -190,8 +190,9 @@ pub struct Entry<P> {
 /// One change to one [`Partition`] — the vocabulary every serving tier
 /// shares. Values are absolute (`Strike` carries the total, `Put` and
 /// `Touch` the final stamp), so folding a mutation twice is harmless.
-/// The plan store writes these verbatim ([`crate::store::StoreFrame`]),
-/// the worker pipe and the supervisor journal re-encode them.
+/// [`crate::store`] holds their one encoding, which the plan store
+/// writes as its frame body and the worker pipe and the supervisor
+/// journal wrap.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Mutation<P> {
@@ -219,6 +220,33 @@ pub enum Mutation<P> {
     /// Only the supervisor journal records it: a plan store is replaced
     /// with its partition, never told.
     Drop,
+}
+
+impl<P> Mutation<P> {
+    /// The same mutation with a `Put`'s plan replaced by `f(plan)` — a
+    /// lent reference, or nothing for a metadata-only sink.
+    pub fn map<Q>(&self, f: impl FnOnce(&P) -> Q) -> Mutation<Q> {
+        match *self {
+            Mutation::Put {
+                key,
+                epoch,
+                last_use,
+                ref plan,
+            } => Mutation::Put {
+                key,
+                epoch,
+                last_use,
+                plan: f(plan),
+            },
+            Mutation::Touch { key, last_use } => Mutation::Touch { key, last_use },
+            Mutation::Del { key } => Mutation::Del { key },
+            Mutation::Strike { key, count } => Mutation::Strike { key, count },
+            Mutation::ClearKey { key } => Mutation::ClearKey { key },
+            Mutation::Quarantine { key } => Mutation::Quarantine { key },
+            Mutation::Epoch { epoch } => Mutation::Epoch { epoch },
+            Mutation::Drop => Mutation::Drop,
+        }
+    }
 }
 
 /// One partition of the cache and its fault books: key → [`Entry`], the

@@ -22,7 +22,7 @@
 use crate::queue::QueuedRequest;
 use crate::request::{PlanRequest, Priority};
 use crate::stats::ServeStats;
-use deco_core::codec::{put_f64, put_u32, put_u64, put_u8, Reader};
+use deco_core::codec::{decode_all, put_f64, put_opt, put_u32, put_u64, put_u8, Reader};
 use deco_core::wire::{decode_budget, decode_workflow, encode_budget, encode_workflow};
 use deco_core::DecoError;
 use deco_solver::SearchBudget;
@@ -98,13 +98,7 @@ fn put_request(out: &mut Vec<u8>, req: &PlanRequest) {
     out.extend_from_slice(&wf);
     put_f64(out, req.deadline);
     put_f64(out, req.percentile);
-    match req.budget_hint {
-        Some(h) => {
-            put_u8(out, 1);
-            put_f64(out, h);
-        }
-        None => put_u8(out, 0),
-    }
+    put_opt(out, req.budget_hint, put_f64);
     put_priority(out, req.priority);
 }
 
@@ -114,11 +108,7 @@ fn read_request(r: &mut Reader<'_>) -> Result<PlanRequest, DecoError> {
     let workflow = decode_workflow(r.take(wf_len)?)?;
     let deadline = r.f64()?;
     let percentile = r.f64()?;
-    let budget_hint = match r.u8()? {
-        0 => None,
-        1 => Some(r.f64()?),
-        other => return Err(corrupt(&format!("unknown budget-hint tag {other}"))),
-    };
+    let budget_hint = r.opt(Reader::f64)?;
     let priority = read_priority(r)?;
     Ok(PlanRequest {
         tenant,
@@ -255,13 +245,7 @@ impl ServeCheckpoint {
             put_f64(out, p.deadline);
             put_f64(out, p.percentile);
             encode_budget(out, &p.budget);
-            match p.key_budget {
-                Some(b) => {
-                    put_u8(out, 1);
-                    put_f64(out, b);
-                }
-                None => put_u8(out, 0),
-            }
+            put_opt(out, p.key_budget, put_f64);
             put_u32(out, p.attempt);
             put_f64(out, p.not_before);
             put_u64(out, p.waiters.len() as u64);
@@ -294,13 +278,11 @@ impl ServeCheckpoint {
     /// Trailing bytes are an error: the payload is length-framed by its
     /// container, so extra bytes mean in-place corruption.
     pub fn decode(bytes: &[u8]) -> Result<ServeCheckpoint, DecoError> {
-        let mut r = Reader::new(bytes);
-        let mut ck = ServeCheckpoint::decode_head(&mut r)?;
-        ck.stats.waits = read_waits(&mut r)?;
-        if !r.done() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(ck)
+        decode_all(bytes, |r| {
+            let mut ck = ServeCheckpoint::decode_head(r)?;
+            ck.stats.waits = read_waits(r)?;
+            Ok(ck)
+        })
     }
 
     /// Read a head written by [`ServeCheckpoint::encode_head`];
@@ -323,11 +305,7 @@ impl ServeCheckpoint {
             let deadline = r.f64()?;
             let percentile = r.f64()?;
             let budget = decode_budget(r)?;
-            let key_budget = match r.u8()? {
-                0 => None,
-                1 => Some(r.f64()?),
-                other => return Err(corrupt(&format!("unknown key-budget tag {other}"))),
-            };
+            let key_budget = r.opt(Reader::f64)?;
             let attempt = r.u32()?;
             let not_before = r.f64()?;
             let waiter_len = r.len("retry waiters")?;

@@ -22,6 +22,9 @@
 //!   partitions of cache entries, crash strikes and quarantine under one
 //!   LRU clock — are the one cache-and-books state machine every serving
 //!   tier runs, emitting the [`Mutation`]s the durable tiers persist;
+//! * [`store`] — the WAL-backed plan store, and the one encoding of the
+//!   [`Mutation`] vocabulary: a store frame body is that encoding, and
+//!   the shard tier's journal and worker pipe wrap it;
 //! * [`faults`] — seeded, worker-count-invariant injection of solver
 //!   worker crashes and stragglers, keyed per (virtual worker, cycle);
 //! * [`server`] — the cycle loop and the scoped solver-worker pool (one

@@ -15,8 +15,11 @@
 //! [u32 LE body_len][body bytes][u64 LE StableHasher checksum of body]
 //! ```
 //!
-//! The body's first byte is a frame tag; plans inside `Put` frames use
-//! the canonical [`deco_core::encode_supervised_plan`] codec, so a
+//! The body is one [`Mutation`] in the mutation encoding defined here —
+//! the vocabulary's one codec, which the shard tier's supervisor journal
+//! and worker pipe wrap with a shard index or a sequence number. Plans
+//! inside `Put` frames use the canonical
+//! [`deco_core::encode_supervised_plan`] codec, so a
 //! recovered plan is bit-identical to the one that was cached (f64s
 //! round-trip as raw bits). Recovery replays the snapshot, then the WAL,
 //! and **stops at the first invalid frame**: a torn tail — a frame cut
@@ -32,11 +35,10 @@
 //! as in memory.
 
 use crate::cache::{Mutation, Partition};
-use deco_core::codec::{put_u32, put_u64, put_u8, Reader};
+use deco_core::codec::{decode_all, put_bytes, put_u32, put_u64, put_u8, Reader};
 use deco_core::supervisor::SupervisedPlan;
 use deco_core::{decode_supervised_plan, encode_supervised_plan, DecoError};
 use deco_prob::hash::StableHasher;
-use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -47,13 +49,18 @@ const FRAME_DOMAIN: u64 = 0x5E72_ECAC_4E00_0002;
 /// Reject frames claiming bodies larger than this (corrupt length word).
 pub const MAX_FRAME_BODY: usize = 64 * 1024 * 1024;
 
+// The mutation vocabulary's one tag table. Tag 8 is the journal's
+// tier-wide purge, which has no partition mutation.
 const TAG_PUT: u8 = 1;
 const TAG_TOUCH: u8 = 2;
 const TAG_DEL: u8 = 3;
 const TAG_STRIKE: u8 = 4;
 const TAG_CLEAR_KEY: u8 = 5;
 const TAG_QUARANTINE: u8 = 6;
-const TAG_EPOCH: u8 = 7;
+/// The tag of `Mutation::Epoch`, which the journal writes tier-wide:
+/// with no partition index after it.
+pub const TAG_EPOCH: u8 = 7;
+const TAG_DROP: u8 = 9;
 
 /// One durable mutation: a [`Mutation`] of the shard's partition, whose
 /// `Put` carries a whole plan (encoded with the canonical plan codec).
@@ -245,97 +252,143 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     Ok(Some(body))
 }
 
-/// Append the body (tag + fields) of the store frame recording `m`,
-/// encoding a `Put`'s plan from wherever it lives.
-fn put_body<P: Borrow<SupervisedPlan>>(out: &mut Vec<u8>, m: &Mutation<P>) {
-    match m {
-        Mutation::Put {
-            key,
-            epoch,
-            last_use,
-            plan,
-        } => {
-            put_u8(out, TAG_PUT);
-            put_u64(out, *key);
-            put_u64(out, *epoch);
-            put_u64(out, *last_use);
-            let payload = encode_supervised_plan(plan.borrow());
-            put_u32(out, payload.len() as u32);
-            out.extend_from_slice(&payload);
-        }
-        Mutation::Touch { key, last_use } => {
-            put_u8(out, TAG_TOUCH);
-            put_u64(out, *key);
-            put_u64(out, *last_use);
-        }
-        Mutation::Del { key } => {
-            put_u8(out, TAG_DEL);
-            put_u64(out, *key);
-        }
-        Mutation::Strike { key, count } => {
-            put_u8(out, TAG_STRIKE);
-            put_u64(out, *key);
-            put_u32(out, *count);
-        }
-        Mutation::ClearKey { key } => {
-            put_u8(out, TAG_CLEAR_KEY);
-            put_u64(out, *key);
-        }
-        Mutation::Quarantine { key } => {
-            put_u8(out, TAG_QUARANTINE);
-            put_u64(out, *key);
-        }
-        Mutation::Epoch { epoch } => {
-            put_u8(out, TAG_EPOCH);
-            put_u64(out, *epoch);
-        }
-        Mutation::Drop => {}
+/// A `Put`'s plan in the mutation encoding: a `u32` length and the
+/// canonical plan bytes for a [`SupervisedPlan`], nothing for `()` (the
+/// journal's metadata-only partitions). References encode what they
+/// lend, so a `Put` is written in place from a borrowed plan.
+pub trait Payload {
+    /// What decoding yields.
+    type Owned;
+    fn put_payload(&self, out: &mut Vec<u8>);
+    fn read_payload(r: &mut Reader<'_>) -> Result<Self::Owned, DecoError>;
+}
+
+impl Payload for () {
+    type Owned = ();
+    fn put_payload(&self, _: &mut Vec<u8>) {}
+    fn read_payload(_: &mut Reader<'_>) -> Result<(), DecoError> {
+        Ok(())
     }
 }
 
-/// Parse one frame body. `None` on any structural defect (unknown tag,
-/// short fields, bad plan payload, trailing bytes) — recovery treats
-/// that frame and everything after it as torn.
-fn decode_body(body: &[u8]) -> Option<StoreFrame> {
-    let mut r = Reader::new(body);
-    let frame = match r.u8().ok()? {
-        TAG_PUT => Mutation::Put {
-            key: r.u64().ok()?,
-            epoch: r.u64().ok()?,
-            last_use: r.u64().ok()?,
-            plan: {
-                let len = r.u32().ok()? as usize;
-                decode_supervised_plan(r.take(len).ok()?).ok()?
-            },
-        },
-        TAG_TOUCH => Mutation::Touch {
-            key: r.u64().ok()?,
-            last_use: r.u64().ok()?,
-        },
-        TAG_DEL => Mutation::Del { key: r.u64().ok()? },
-        TAG_STRIKE => Mutation::Strike {
-            key: r.u64().ok()?,
-            count: r.u32().ok()?,
-        },
-        TAG_CLEAR_KEY => Mutation::ClearKey { key: r.u64().ok()? },
-        TAG_QUARANTINE => Mutation::Quarantine { key: r.u64().ok()? },
-        TAG_EPOCH => Mutation::Epoch {
-            epoch: r.u64().ok()?,
-        },
-        _ => return None,
-    };
-    r.done().then_some(frame)
+impl Payload for SupervisedPlan {
+    type Owned = SupervisedPlan;
+    fn put_payload(&self, out: &mut Vec<u8>) {
+        put_bytes(out, &encode_supervised_plan(self));
+    }
+    fn read_payload(r: &mut Reader<'_>) -> Result<SupervisedPlan, DecoError> {
+        decode_supervised_plan(r.bytes()?)
+    }
 }
 
-impl<P: Borrow<SupervisedPlan>> Mutation<P> {
-    /// Serialize the full on-disk store frame: length, body, checksum —
-    /// for an owned [`StoreFrame`] and a lent `Mutation<&SupervisedPlan>`
-    /// alike.
+impl<T: Payload> Payload for &T {
+    type Owned = T::Owned;
+    fn put_payload(&self, out: &mut Vec<u8>) {
+        (**self).put_payload(out);
+    }
+    fn read_payload(r: &mut Reader<'_>) -> Result<T::Owned, DecoError> {
+        T::read_payload(r)
+    }
+}
+
+/// The mutation encoding: a tag byte, then the fields — `key`, `epoch`,
+/// `last_use` as `u64`, `count` as `u32`, a `Put`'s plan as its
+/// [`Payload`] last. A store frame body is exactly tag + fields; the
+/// supervisor journal puts a `u32` partition index between the two, the
+/// worker pipe a version byte before and a `u64` sequence number between.
+impl<P: Payload> Mutation<P> {
+    pub fn tag(&self) -> u8 {
+        match self {
+            Mutation::Put { .. } => TAG_PUT,
+            Mutation::Touch { .. } => TAG_TOUCH,
+            Mutation::Del { .. } => TAG_DEL,
+            Mutation::Strike { .. } => TAG_STRIKE,
+            Mutation::ClearKey { .. } => TAG_CLEAR_KEY,
+            Mutation::Quarantine { .. } => TAG_QUARANTINE,
+            Mutation::Epoch { .. } => TAG_EPOCH,
+            Mutation::Drop => TAG_DROP,
+        }
+    }
+
+    /// Append the fields (everything after the tag).
+    pub fn put_fields(&self, out: &mut Vec<u8>) {
+        match self {
+            Mutation::Put {
+                key,
+                epoch,
+                last_use,
+                plan,
+            } => {
+                put_u64(out, *key);
+                put_u64(out, *epoch);
+                put_u64(out, *last_use);
+                plan.put_payload(out);
+            }
+            Mutation::Touch { key, last_use } => {
+                put_u64(out, *key);
+                put_u64(out, *last_use);
+            }
+            Mutation::Strike { key, count } => {
+                put_u64(out, *key);
+                put_u32(out, *count);
+            }
+            Mutation::Del { key } | Mutation::ClearKey { key } | Mutation::Quarantine { key } => {
+                put_u64(out, *key)
+            }
+            Mutation::Epoch { epoch } => put_u64(out, *epoch),
+            Mutation::Drop => {}
+        }
+    }
+
+    /// Serialize the full on-disk store frame: length, tag + fields,
+    /// checksum — for an owned [`StoreFrame`] and a lent
+    /// `Mutation<&SupervisedPlan>` alike.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        frame_into(&mut out, |out| put_body(out, self));
+        frame_into(&mut out, |out| {
+            put_u8(out, self.tag());
+            self.put_fields(out);
+        });
         out
     }
+}
+
+impl<P: Payload<Owned = P>> Mutation<P> {
+    /// Read the fields of the mutation tagged `tag`; an unknown tag is an
+    /// error, like a short field.
+    pub fn read_fields(tag: u8, r: &mut Reader<'_>) -> Result<Self, DecoError> {
+        Ok(match tag {
+            TAG_PUT => Mutation::Put {
+                key: r.u64()?,
+                epoch: r.u64()?,
+                last_use: r.u64()?,
+                plan: P::read_payload(r)?,
+            },
+            TAG_TOUCH => Mutation::Touch {
+                key: r.u64()?,
+                last_use: r.u64()?,
+            },
+            TAG_DEL => Mutation::Del { key: r.u64()? },
+            TAG_STRIKE => Mutation::Strike {
+                key: r.u64()?,
+                count: r.u32()?,
+            },
+            TAG_CLEAR_KEY => Mutation::ClearKey { key: r.u64()? },
+            TAG_QUARANTINE => Mutation::Quarantine { key: r.u64()? },
+            TAG_EPOCH => Mutation::Epoch { epoch: r.u64()? },
+            TAG_DROP => Mutation::Drop,
+            t => return Err(DecoError::Store(format!("unknown mutation tag {t}"))),
+        })
+    }
+}
+
+/// Parse one store frame body. `None` on any structural defect (unknown
+/// tag, short fields, bad plan payload, trailing bytes, a `Drop`) —
+/// recovery treats that frame and everything after it as torn.
+fn decode_body(body: &[u8]) -> Option<StoreFrame> {
+    decode_all(body, |r| StoreFrame::read_fields(r.u8()?, r))
+        .ok()
+        .filter(|m| !matches!(m, Mutation::Drop))
 }
 
 /// Counters describing the store's life so far; surfaced through the

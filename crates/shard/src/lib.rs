@@ -29,7 +29,8 @@
 //! * [`proc`] — the supervised out-of-process tier:
 //!   [`proc::ShardSupervisor`] runs each shard as a heartbeat-monitored
 //!   child process (self-exec, length-prefixed checksummed frames over
-//!   stdin/stdout), detects crashes and hangs without consulting the
+//!   stdin/stdout, the mutation frames in `deco_serve::store`'s mutation
+//!   encoding), detects crashes and hangs without consulting the
 //!   fault schedule, restarts on the engine's capped-backoff series
 //!   under a strike budget, and degrades a shard past the budget to
 //!   provenance-tagged fallback-only answers — never a panic or stall.

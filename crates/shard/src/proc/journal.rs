@@ -6,7 +6,9 @@
 //! the serve-loop state is no longer the single point of loss. Every
 //! mirror mutation the supervisor commits is appended as a checksummed
 //! frame in the store codec's container (`[len][body][checksum]`,
-//! replayed with [`replay_frame_file`]'s torn-tail rules), and each
+//! replayed with [`replay_frame_file`]'s torn-tail rules) whose body is
+//! the store's mutation encoding with the shard index after the tag
+//! ([`JournalFrame::Shard`]), and each
 //! serve cycle is sealed by a [`JournalFrame::Commit`] carrying the
 //! authoritative clock, per-shard seq high-water marks, shard health,
 //! the *head* of the cycle loop's [`ServeCheckpoint`], and the response
@@ -39,11 +41,12 @@
 //! tmp+rename, then the WAL is truncated. Journal I/O failure is never fatal
 //! — the owner counts it and drops the journal: the unjournaled tier.
 
-use deco_core::codec::{put_u32, put_u64, put_u8, Reader};
+use deco_core::codec::{decode_all, put_bool, put_u32, put_u64, put_u8, Reader};
 use deco_core::DecoError;
 use deco_serve::checkpoint::{put_waits, read_waits, ServeCheckpoint};
 use deco_serve::store::{
     encode_frame, frame_into, replay_frame_file, write_frames_atomic_cadenced, MAX_FRAME_BODY,
+    TAG_EPOCH,
 };
 use deco_serve::{Mutation, Partition};
 use std::fs::{File, OpenOptions};
@@ -59,15 +62,9 @@ pub const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside the journal directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
-const TAG_PUT: u8 = 1;
-const TAG_TOUCH: u8 = 2;
-const TAG_DEL: u8 = 3;
-const TAG_STRIKE: u8 = 4;
-const TAG_CLEAR_KEY: u8 = 5;
-const TAG_QUARANTINE_KEY: u8 = 6;
-const TAG_EPOCH: u8 = 7;
+// Journal-only tags, clear of the mutation vocabulary's
+// (`deco_serve::store`, whose `Drop` is 9).
 const TAG_PURGE: u8 = 8;
-const TAG_DROP_SHARD: u8 = 9;
 const TAG_COMMIT: u8 = 10;
 const TAG_WAITS: u8 = 11;
 
@@ -170,7 +167,7 @@ fn put_commit_fields(out: &mut Vec<u8>, c: CommitRef<'_>, waits: u64) {
     put_u64(out, c.shard_health.len() as u64);
     for h in c.shard_health {
         put_u32(out, h.strikes);
-        put_u8(out, h.quarantined as u8);
+        put_bool(out, h.quarantined);
     }
     c.serve.encode_head(out);
     put_u64(out, waits);
@@ -181,9 +178,46 @@ fn put_commit_fields(out: &mut Vec<u8>, c: CommitRef<'_>, waits: u64) {
     }
 }
 
-/// One journal frame. Mutations mirror the supervisor→worker mutation
-/// vocabulary (absolute values, so folding is idempotent); `Waits`
-/// extends the wait log; `Commit` seals a group.
+fn read_commit(r: &mut Reader<'_>) -> Result<JournalFrame, DecoError> {
+    let cycle = r.u64()?;
+    let clock = r.u64()?;
+    let n = r.len("shard seqs")?;
+    let mut shard_seqs = Vec::with_capacity(n);
+    for _ in 0..n {
+        shard_seqs.push(r.u64()?);
+    }
+    let n = r.len("shard health")?;
+    let mut shard_health = Vec::with_capacity(n);
+    for _ in 0..n {
+        shard_health.push(ShardHealth {
+            strikes: r.u32()?,
+            quarantined: r.bool()?,
+        });
+    }
+    let serve = ServeCheckpoint::decode_head(r)?;
+    let waits = r.u64()?;
+    let n = r.len("lines")?;
+    let mut lines = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = r.len("line")?;
+        let bytes = r.take(len)?.to_vec();
+        lines.push(String::from_utf8(bytes).map_err(|_| corrupt("line is not UTF-8"))?);
+    }
+    let rec = CommitRecord {
+        cycle,
+        clock,
+        shard_seqs,
+        shard_health,
+        serve,
+        lines,
+    };
+    Ok(JournalFrame::Commit { rec, waits })
+}
+
+/// One journal frame. Per-shard mutations are the books' own
+/// [`Mutation`]s (absolute values, so folding is idempotent) in the
+/// mutation encoding; `Waits` extends the wait log; `Commit` seals a
+/// group.
 ///
 /// `Commit` carries a whole [`CommitRecord`] and dwarfs the bookkeeping
 /// variants — the same inherent WAL asymmetry as
@@ -192,93 +226,31 @@ fn put_commit_fields(out: &mut Vec<u8>, c: CommitRef<'_>, waits: u64) {
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum JournalFrame {
-    /// Entry inserted or superseded: `(key → epoch, last_use)`.
-    Put {
-        shard: u32,
-        key: u64,
-        epoch: u64,
-        last_use: u64,
-    },
-    /// Recency-only stamp for an existing entry.
-    Touch {
-        shard: u32,
-        key: u64,
-        last_use: u64,
-    },
-    Del {
-        shard: u32,
-        key: u64,
-    },
-    /// Absolute strike total for a content key.
-    Strike {
-        shard: u32,
-        key: u64,
-        count: u32,
-    },
-    ClearKey {
-        shard: u32,
-        key: u64,
-    },
-    QuarantineKey {
-        shard: u32,
-        key: u64,
-    },
+    /// A mutation of one shard's metadata partition (`key → epoch,
+    /// last_use` and the books), written as tag, `u32` shard, fields.
+    /// Never an `Epoch`: a refresh is tier-wide ([`JournalFrame::of`]).
+    Shard(u32, Mutation<()>),
     /// Calibration swap: every shard retains only `epoch` entries and
     /// clears its books (the refresh contract).
-    Epoch {
-        epoch: u64,
-    },
+    Epoch { epoch: u64 },
     /// Stale purge: retain only `epoch` entries, books untouched.
-    Purge {
-        epoch: u64,
-    },
-    /// A shard's partition is gone (lost restart or quarantine).
-    DropShard {
-        shard: u32,
-    },
+    Purge { epoch: u64 },
     /// The next block of `ServeStats::waits`: the fold is
     /// `truncate(base); extend(values)`, a `base` past it is corrupt.
-    Waits {
-        base: u64,
-        values: Vec<f64>,
-    },
+    Waits { base: u64, values: Vec<f64> },
     /// Seals a group. `rec.serve.stats.waits` is neither written nor
     /// read back: `waits` is the length the `Waits` fold must have.
-    Commit {
-        rec: CommitRecord,
-        waits: u64,
-    },
+    Commit { rec: CommitRecord, waits: u64 },
 }
 
 impl JournalFrame {
-    /// The frame recording mutation `m` of partition `shard`. `Epoch` is
-    /// tier-wide in the journal — one frame retains and clears every
-    /// shard — and `Drop` is `DropShard`.
+    /// The frame recording mutation `m` of partition `shard`, plan bytes
+    /// dropped. `Epoch` is tier-wide in the journal — one frame retains
+    /// and clears every shard.
     pub fn of<P>(shard: usize, m: &Mutation<P>) -> JournalFrame {
-        let shard = shard as u32;
         match *m {
-            Mutation::Put {
-                key,
-                epoch,
-                last_use,
-                ..
-            } => JournalFrame::Put {
-                shard,
-                key,
-                epoch,
-                last_use,
-            },
-            Mutation::Touch { key, last_use } => JournalFrame::Touch {
-                shard,
-                key,
-                last_use,
-            },
-            Mutation::Del { key } => JournalFrame::Del { shard, key },
-            Mutation::Strike { key, count } => JournalFrame::Strike { shard, key, count },
-            Mutation::ClearKey { key } => JournalFrame::ClearKey { shard, key },
-            Mutation::Quarantine { key } => JournalFrame::QuarantineKey { shard, key },
             Mutation::Epoch { epoch } => JournalFrame::Epoch { epoch },
-            Mutation::Drop => JournalFrame::DropShard { shard },
+            _ => JournalFrame::Shard(shard as u32, m.map(|_| ())),
         }
     }
 
@@ -289,63 +261,23 @@ impl JournalFrame {
         out
     }
 
-    /// Tag and fields: the body after its version byte.
+    /// Tag and fields: the body after its version byte. The tier-wide
+    /// `Epoch` is the bare mutation encoding.
     fn put_fields(&self, out: &mut Vec<u8>) {
         match self {
-            JournalFrame::Put {
-                shard,
-                key,
-                epoch,
-                last_use,
-            } => {
-                put_u8(out, TAG_PUT);
+            JournalFrame::Shard(shard, m) => {
+                put_u8(out, m.tag());
                 put_u32(out, *shard);
-                put_u64(out, *key);
-                put_u64(out, *epoch);
-                put_u64(out, *last_use);
+                m.put_fields(out);
             }
-            JournalFrame::Touch {
-                shard,
-                key,
-                last_use,
-            } => {
-                put_u8(out, TAG_TOUCH);
-                put_u32(out, *shard);
-                put_u64(out, *key);
-                put_u64(out, *last_use);
-            }
-            JournalFrame::Del { shard, key } => {
-                put_u8(out, TAG_DEL);
-                put_u32(out, *shard);
-                put_u64(out, *key);
-            }
-            JournalFrame::Strike { shard, key, count } => {
-                put_u8(out, TAG_STRIKE);
-                put_u32(out, *shard);
-                put_u64(out, *key);
-                put_u32(out, *count);
-            }
-            JournalFrame::ClearKey { shard, key } => {
-                put_u8(out, TAG_CLEAR_KEY);
-                put_u32(out, *shard);
-                put_u64(out, *key);
-            }
-            JournalFrame::QuarantineKey { shard, key } => {
-                put_u8(out, TAG_QUARANTINE_KEY);
-                put_u32(out, *shard);
-                put_u64(out, *key);
-            }
-            JournalFrame::Epoch { epoch } => {
-                put_u8(out, TAG_EPOCH);
-                put_u64(out, *epoch);
+            &JournalFrame::Epoch { epoch } => {
+                let m = Mutation::<()>::Epoch { epoch };
+                put_u8(out, m.tag());
+                m.put_fields(out);
             }
             JournalFrame::Purge { epoch } => {
                 put_u8(out, TAG_PURGE);
                 put_u64(out, *epoch);
-            }
-            JournalFrame::DropShard { shard } => {
-                put_u8(out, TAG_DROP_SHARD);
-                put_u32(out, *shard);
             }
             JournalFrame::Waits { base, values } => put_waits_fields(out, *base, values),
             JournalFrame::Commit { rec, waits } => put_commit_fields(out, rec.borrowed(), *waits),
@@ -354,102 +286,24 @@ impl JournalFrame {
 
     /// Parse one frame body. Any defect is a store error, never a panic.
     pub fn decode_body(body: &[u8]) -> Result<JournalFrame, DecoError> {
-        let mut r = Reader::new(body);
-        let version = r.u8()?;
-        if version != JOURNAL_VERSION {
-            return Err(corrupt(format!(
-                "version {version}, expected {JOURNAL_VERSION}"
-            )));
-        }
-        let tag = r.u8()?;
-        let frame = match tag {
-            TAG_PUT => JournalFrame::Put {
-                shard: r.u32()?,
-                key: r.u64()?,
-                epoch: r.u64()?,
-                last_use: r.u64()?,
-            },
-            TAG_TOUCH => JournalFrame::Touch {
-                shard: r.u32()?,
-                key: r.u64()?,
-                last_use: r.u64()?,
-            },
-            TAG_DEL => JournalFrame::Del {
-                shard: r.u32()?,
-                key: r.u64()?,
-            },
-            TAG_STRIKE => JournalFrame::Strike {
-                shard: r.u32()?,
-                key: r.u64()?,
-                count: r.u32()?,
-            },
-            TAG_CLEAR_KEY => JournalFrame::ClearKey {
-                shard: r.u32()?,
-                key: r.u64()?,
-            },
-            TAG_QUARANTINE_KEY => JournalFrame::QuarantineKey {
-                shard: r.u32()?,
-                key: r.u64()?,
-            },
-            TAG_EPOCH => JournalFrame::Epoch { epoch: r.u64()? },
-            TAG_PURGE => JournalFrame::Purge { epoch: r.u64()? },
-            TAG_DROP_SHARD => JournalFrame::DropShard { shard: r.u32()? },
-            TAG_COMMIT => {
-                let cycle = r.u64()?;
-                let clock = r.u64()?;
-                let n = r.len("shard seqs")?;
-                let mut shard_seqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    shard_seqs.push(r.u64()?);
-                }
-                let n = r.len("shard health")?;
-                let mut shard_health = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let strikes = r.u32()?;
-                    let quarantined = match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        t => return Err(corrupt(format!("quarantine flag {t}"))),
-                    };
-                    shard_health.push(ShardHealth {
-                        strikes,
-                        quarantined,
-                    });
-                }
-                let serve = ServeCheckpoint::decode_head(&mut r)?;
-                let waits = r.u64()?;
-                let n = r.len("lines")?;
-                let mut lines = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = r.len("line")?;
-                    let bytes = r.take(len)?;
-                    lines.push(
-                        String::from_utf8(bytes.to_vec())
-                            .map_err(|_| corrupt("line is not UTF-8"))?,
-                    );
-                }
-                JournalFrame::Commit {
-                    rec: CommitRecord {
-                        cycle,
-                        clock,
-                        shard_seqs,
-                        shard_health,
-                        serve,
-                        lines,
-                    },
-                    waits,
-                }
+        decode_all(body, |r| {
+            let version = r.u8()?;
+            if version != JOURNAL_VERSION {
+                return Err(corrupt(format!(
+                    "version {version}, expected {JOURNAL_VERSION}"
+                )));
             }
-            TAG_WAITS => JournalFrame::Waits {
-                base: r.u64()?,
-                values: read_waits(&mut r)?,
-            },
-            t => return Err(corrupt(format!("unknown frame tag {t}"))),
-        };
-        if !r.done() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(frame)
+            Ok(match r.u8()? {
+                TAG_EPOCH => JournalFrame::Epoch { epoch: r.u64()? },
+                TAG_PURGE => JournalFrame::Purge { epoch: r.u64()? },
+                TAG_COMMIT => read_commit(r)?,
+                TAG_WAITS => JournalFrame::Waits {
+                    base: r.u64()?,
+                    values: read_waits(r)?,
+                },
+                tag => JournalFrame::Shard(r.u32()?, Mutation::read_fields(tag, r)?),
+            })
+        })
     }
 
     /// Serialize the full container frame (length, body, checksum).
@@ -471,58 +325,33 @@ struct FoldState {
 }
 
 impl FoldState {
-    /// Fold one frame; per-shard frames are the partition mutations
-    /// [`JournalFrame::of`] recorded, folded back with `Partition::apply`.
+    /// Fold one frame: a shard's mutation with the books' own
+    /// [`Partition::apply`], the tier-wide frames on every shard.
     fn apply(&mut self, frame: &JournalFrame) {
-        let (shard, m) = match *frame {
-            JournalFrame::Put {
-                shard,
-                key,
-                epoch,
-                last_use,
-            } => (
-                shard,
-                Mutation::Put {
-                    key,
-                    epoch,
-                    last_use,
-                    plan: (),
-                },
-            ),
-            JournalFrame::Touch {
-                shard,
-                key,
-                last_use,
-            } => (shard, Mutation::Touch { key, last_use }),
-            JournalFrame::Del { shard, key } => (shard, Mutation::Del { key }),
-            JournalFrame::Strike { shard, key, count } => (shard, Mutation::Strike { key, count }),
-            JournalFrame::ClearKey { shard, key } => (shard, Mutation::ClearKey { key }),
-            JournalFrame::QuarantineKey { shard, key } => (shard, Mutation::Quarantine { key }),
-            JournalFrame::DropShard { shard } => (shard, Mutation::Drop),
-            JournalFrame::Epoch { epoch } => {
+        match frame {
+            JournalFrame::Shard(shard, m) => {
+                let si = *shard as usize;
+                if si >= self.parts.len() {
+                    self.parts.resize_with(si + 1, Partition::default);
+                }
+                self.parts[si].apply(m.clone());
+            }
+            &JournalFrame::Epoch { epoch } => {
                 for p in &mut self.parts {
                     p.apply(Mutation::Epoch { epoch });
                 }
-                return;
             }
-            JournalFrame::Purge { epoch } => {
+            &JournalFrame::Purge { epoch } => {
                 for p in &mut self.parts {
                     p.purge(epoch, |_| {});
                 }
-                return;
             }
-            JournalFrame::Waits { base, ref values } => {
-                self.waits.truncate(base as usize);
+            JournalFrame::Waits { base, values } => {
+                self.waits.truncate(*base as usize);
                 self.waits.extend_from_slice(values);
-                return;
             }
-            JournalFrame::Commit { .. } => return,
-        };
-        let si = shard as usize;
-        if si >= self.parts.len() {
-            self.parts.resize_with(si + 1, Partition::default);
+            JournalFrame::Commit { .. } => {}
         }
-        self.parts[si].apply(m);
     }
 
     /// Append the per-shard state as snapshot frames.
@@ -878,28 +707,29 @@ mod tests {
     #[test]
     fn every_frame_kind_round_trips() {
         let frames = vec![
-            JournalFrame::Put {
-                shard: 1,
-                key: 42,
-                epoch: 3,
-                last_use: 99,
-            },
-            JournalFrame::Touch {
-                shard: 0,
-                key: 42,
-                last_use: 100,
-            },
-            JournalFrame::Del { shard: 1, key: 7 },
-            JournalFrame::Strike {
-                shard: 0,
-                key: 9,
-                count: 2,
-            },
-            JournalFrame::ClearKey { shard: 0, key: 9 },
-            JournalFrame::QuarantineKey { shard: 1, key: 11 },
+            JournalFrame::Shard(
+                1,
+                Mutation::Put {
+                    key: 42,
+                    epoch: 3,
+                    last_use: 99,
+                    plan: (),
+                },
+            ),
+            JournalFrame::Shard(
+                0,
+                Mutation::Touch {
+                    key: 42,
+                    last_use: 100,
+                },
+            ),
+            JournalFrame::Shard(1, Mutation::Del { key: 7 }),
+            JournalFrame::Shard(0, Mutation::Strike { key: 9, count: 2 }),
+            JournalFrame::Shard(0, Mutation::ClearKey { key: 9 }),
+            JournalFrame::Shard(1, Mutation::Quarantine { key: 11 }),
             JournalFrame::Epoch { epoch: 4 },
             JournalFrame::Purge { epoch: 4 },
-            JournalFrame::DropShard { shard: 1 },
+            JournalFrame::Shard(1, Mutation::Drop),
             JournalFrame::Waits {
                 base: 2,
                 values: vec![0.0, -1.5, f64::MAX],
@@ -936,17 +766,23 @@ mod tests {
     #[test]
     fn corrupt_bodies_are_errors_never_panics() {
         assert!(JournalFrame::decode_body(&[]).is_err());
-        assert!(JournalFrame::decode_body(&[9, TAG_PUT]).is_err(), "version");
+        assert!(
+            JournalFrame::decode_body(&[9, TAG_PURGE]).is_err(),
+            "version"
+        );
         assert!(
             JournalFrame::decode_body(&[JOURNAL_VERSION, 200]).is_err(),
             "unknown tag"
         );
-        let mut body = JournalFrame::Put {
-            shard: 0,
-            key: 1,
-            epoch: 2,
-            last_use: 3,
-        }
+        let mut body = JournalFrame::Shard(
+            0,
+            Mutation::Put {
+                key: 1,
+                epoch: 2,
+                last_use: 3,
+                plan: (),
+            },
+        )
         .encode_body();
         body.truncate(body.len() - 3);
         assert!(JournalFrame::decode_body(&body).is_err(), "truncated");
@@ -978,29 +814,33 @@ mod tests {
         {
             let (mut j, rec) = SupervisorJournal::open(&dir, 0, 0).expect("open");
             assert!(rec.commit.is_none());
-            j.append(&JournalFrame::Put {
-                shard: 0,
-                key: 1,
-                epoch: 1,
-                last_use: 5,
-            });
-            j.append(&JournalFrame::Strike {
-                shard: 0,
-                key: 9,
-                count: 1,
-            });
+            j.append(&JournalFrame::Shard(
+                0,
+                Mutation::Put {
+                    key: 1,
+                    epoch: 1,
+                    last_use: 5,
+                    plan: (),
+                },
+            ));
+            j.append(&JournalFrame::Shard(
+                0,
+                Mutation::Strike { key: 9, count: 1 },
+            ));
             j.commit(sample_commit(1, 0, vec!["line0".into(), "line1".into()]))
                 .expect("commit 1");
-            j.append(&JournalFrame::Touch {
-                shard: 0,
-                key: 1,
-                last_use: 8,
-            });
-            j.append(&JournalFrame::QuarantineKey { shard: 1, key: 11 });
+            j.append(&JournalFrame::Shard(
+                0,
+                Mutation::Touch {
+                    key: 1,
+                    last_use: 8,
+                },
+            ));
+            j.append(&JournalFrame::Shard(1, Mutation::Quarantine { key: 11 }));
             j.commit(sample_commit(2, 2, vec!["line2".into()]))
                 .expect("commit 2");
             // An open group that never commits: must vanish on recovery.
-            j.append(&JournalFrame::Del { shard: 0, key: 1 });
+            j.append(&JournalFrame::Shard(0, Mutation::Del { key: 1 }));
             // (dropped without commit)
         }
         let (_j, rec) = SupervisorJournal::open(&dir, 0, 0).expect("reopen");
@@ -1023,20 +863,26 @@ mod tests {
         let dir = temp_journal_dir("torn");
         {
             let (mut j, _) = SupervisorJournal::open(&dir, 0, 0).expect("open");
-            j.append(&JournalFrame::Put {
-                shard: 0,
-                key: 1,
-                epoch: 1,
-                last_use: 5,
-            });
+            j.append(&JournalFrame::Shard(
+                0,
+                Mutation::Put {
+                    key: 1,
+                    epoch: 1,
+                    last_use: 5,
+                    plan: (),
+                },
+            ));
             j.commit(sample_commit(1, 0, vec!["line0".into()]))
                 .expect("commit 1");
-            j.append(&JournalFrame::Put {
-                shard: 0,
-                key: 2,
-                epoch: 1,
-                last_use: 6,
-            });
+            j.append(&JournalFrame::Shard(
+                0,
+                Mutation::Put {
+                    key: 2,
+                    epoch: 1,
+                    last_use: 6,
+                    plan: (),
+                },
+            ));
             j.commit(sample_commit(2, 1, vec!["line1".into()]))
                 .expect("commit 2");
         }
@@ -1048,12 +894,15 @@ mod tests {
         let wal = dir.join(WAL_FILE);
         let mut bytes = Vec::new();
         bytes.extend_from_slice(
-            &JournalFrame::Put {
-                shard: 0,
-                key: 3,
-                epoch: 1,
-                last_use: 7,
-            }
+            &JournalFrame::Shard(
+                0,
+                Mutation::Put {
+                    key: 3,
+                    epoch: 1,
+                    last_use: 7,
+                    plan: (),
+                },
+            )
             .encode(),
         );
         let group_start = bytes.len();
@@ -1090,12 +939,15 @@ mod tests {
             // snapshot_every = 1: compact after every commit.
             let (mut j, _) = SupervisorJournal::open(&dir, 1, 1).expect("open");
             for cycle in 1..=4u64 {
-                j.append(&JournalFrame::Put {
-                    shard: 0,
-                    key: cycle,
-                    epoch: 1,
-                    last_use: cycle,
-                });
+                j.append(&JournalFrame::Shard(
+                    0,
+                    Mutation::Put {
+                        key: cycle,
+                        epoch: 1,
+                        last_use: cycle,
+                        plan: (),
+                    },
+                ));
                 j.commit(sample_commit(
                     cycle,
                     cycle - 1,
@@ -1254,5 +1106,219 @@ mod tests {
             check(&rec, &sealed);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// The exact bytes of both on-disk formats — every plan-store frame,
+/// every journal frame and a compacted journal snapshot — pinned as
+/// `(length, StableHasher digest)`. Round-trip tests cannot see a change
+/// made symmetrically to an encoder and its decoder; this test can, so a
+/// codec refactor that must keep the formats has to keep it green
+/// unchanged.
+#[cfg(test)]
+mod format_pin {
+    use super::*;
+    use deco_cloud::{Plan, VmSlot};
+    use deco_core::engine::DecoPlan;
+    use deco_core::supervisor::{PlanProvenance, PlanStage, StageSkip, SupervisedPlan};
+    use deco_prob::hash::StableHasher;
+    use deco_serve::store::StoreFrame;
+    use deco_solver::{Evaluation, SearchStats};
+    use std::hash::Hasher;
+
+    fn fixed_plan() -> SupervisedPlan {
+        SupervisedPlan {
+            plan: DecoPlan {
+                types: vec![0, 3, 1],
+                plan: Plan {
+                    slots: vec![
+                        VmSlot {
+                            itype: 3,
+                            region: 0,
+                        },
+                        VmSlot {
+                            itype: 1,
+                            region: 2,
+                        },
+                    ],
+                    assign: vec![0, 1, 1],
+                    order: vec![0, 2, 1],
+                },
+                evaluation: Evaluation {
+                    feasible: true,
+                    objective: 12.625,
+                    constraint_margin: -0.0,
+                },
+                stats: SearchStats {
+                    states_evaluated: 120,
+                    batches: 4,
+                    modeled_eval_seconds: 0.25,
+                    host_eval_seconds: 0.017,
+                    wall_seconds: 0.019,
+                    budget_spent: 4096.5,
+                    truncated: false,
+                },
+            },
+            provenance: PlanProvenance {
+                stage: PlanStage::Heuristic,
+                truncated: true,
+                budget_spent: 4096.5,
+                skipped: vec![StageSkip {
+                    stage: PlanStage::Deco,
+                    reason: "budget starved".into(),
+                }],
+            },
+        }
+    }
+
+    fn fixed_commit() -> CommitRecord {
+        let mut serve = ServeCheckpoint {
+            next: 9,
+            now: 17.5,
+            refresh_next: 1,
+            emitted: 7,
+            ..ServeCheckpoint::default()
+        };
+        serve.stats.requests = 9;
+        serve.stats.planned = 7;
+        serve.stats.waits = vec![0.5, 1.25, 3.0];
+        CommitRecord {
+            cycle: 4,
+            clock: 41,
+            shard_seqs: vec![12, 5],
+            shard_health: vec![
+                ShardHealth {
+                    strikes: 2,
+                    quarantined: false,
+                },
+                ShardHealth {
+                    strikes: 0,
+                    quarantined: true,
+                },
+            ],
+            serve,
+            lines: vec!["seq=5 ok".into(), "seq=6 shed".into()],
+        }
+    }
+
+    /// Every per-shard mutation kind, `Put` first.
+    fn shard_mutations() -> Vec<(usize, Mutation<()>)> {
+        vec![
+            (
+                1,
+                Mutation::Put {
+                    key: 0xDEAD_BEEF,
+                    epoch: 3,
+                    last_use: 99,
+                    plan: (),
+                },
+            ),
+            (
+                0,
+                Mutation::Touch {
+                    key: 42,
+                    last_use: 100,
+                },
+            ),
+            (1, Mutation::Del { key: 7 }),
+            (0, Mutation::Strike { key: 9, count: 2 }),
+            (0, Mutation::ClearKey { key: 9 }),
+            (1, Mutation::Quarantine { key: 11 }),
+            (1, Mutation::Drop),
+        ]
+    }
+
+    fn pin(bytes: &[u8]) -> (usize, u64) {
+        let mut h = StableHasher::with_seed(0xF0F0_0001);
+        h.write(bytes);
+        (bytes.len(), h.finish())
+    }
+
+    #[test]
+    fn store_and_journal_bytes_are_pinned() {
+        let plan = fixed_plan();
+        let store = [
+            StoreFrame::Put {
+                key: 0xDEAD_BEEF,
+                epoch: 3,
+                last_use: 99,
+                plan: plan.clone(),
+            },
+            StoreFrame::Touch {
+                key: 42,
+                last_use: 100,
+            },
+            StoreFrame::Del { key: 7 },
+            StoreFrame::Strike { key: 9, count: 2 },
+            StoreFrame::ClearKey { key: 9 },
+            StoreFrame::Quarantine { key: 11 },
+            StoreFrame::Epoch { epoch: 4 },
+        ];
+        let mut journal: Vec<JournalFrame> = shard_mutations()
+            .iter()
+            .map(|(si, m)| JournalFrame::of(*si, m))
+            .collect();
+        journal.extend([
+            JournalFrame::of(0, &Mutation::<()>::Epoch { epoch: 4 }),
+            JournalFrame::Purge { epoch: 4 },
+            JournalFrame::Waits {
+                base: 2,
+                values: vec![0.0, -1.5, f64::MAX],
+            },
+            JournalFrame::Commit {
+                rec: fixed_commit(),
+                waits: 3,
+            },
+        ]);
+
+        // A compacted snapshot: one group of every per-shard kind but the
+        // drop (so the image keeps entries, strikes and quarantine),
+        // sealed by the fixed commit, then compacted.
+        let dir = std::env::temp_dir().join(format!("deco_format_pin_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut j, _) = SupervisorJournal::open(&dir, 0, 0).expect("open");
+        for (si, m) in shard_mutations()
+            .iter()
+            .filter(|(_, m)| *m != Mutation::Drop)
+        {
+            j.append(&JournalFrame::of(*si, m));
+        }
+        j.append(&JournalFrame::of(
+            0,
+            &Mutation::<()>::Strike { key: 13, count: 1 },
+        ));
+        j.commit(fixed_commit()).expect("commit");
+        j.compact().expect("compact");
+        let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let got: Vec<(usize, u64)> = store
+            .iter()
+            .map(|f| pin(&f.encode()))
+            .chain(journal.iter().map(|f| pin(&f.encode())))
+            .chain([pin(&snapshot)])
+            .collect();
+        let want: Vec<(usize, u64)> = vec![
+            (269, 0x9F5687FEE2AB3A30), // store Put
+            (29, 0x8AA0CC0AFC19D09B),  // store Touch
+            (21, 0x0ED8F9E76AD22086),  // store Del
+            (25, 0x00B8A867EEE97915),  // store Strike
+            (21, 0x318C0D60BE10A07A),  // store ClearKey
+            (21, 0x19B2015506520F33),  // store Quarantine
+            (21, 0xF5FBF7B4AFA89FAC),  // store Epoch
+            (42, 0x7B8FA77A1C0DF3F7),  // journal Put
+            (34, 0xD6C7A24CF3AAD6A6),  // journal Touch
+            (26, 0xCB2076C26ABEBE25),  // journal Del
+            (30, 0xCF51060DD84BC96A),  // journal Strike
+            (26, 0x60B6E44A7AB2708B),  // journal ClearKey
+            (26, 0x5D395070ACE8E310),  // journal Quarantine
+            (18, 0x290280FD0D4779EC),  // journal Drop
+            (22, 0xBDE0643479F058C3),  // journal Epoch
+            (22, 0x6625CD4667D86803),  // journal Purge
+            (54, 0x2B1A8B0930F512E2),  // journal Waits
+            (362, 0x9851C00D88DFA1B3), // journal Commit
+            (514, 0xF401E03945B51898), // journal snapshot
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -8,12 +8,14 @@
 //!
 //! * [`wire`] — the length-prefixed, checksummed frame protocol the
 //!   supervisor and workers speak over stdin/stdout (the store codec's
-//!   container, the engine codecs' payloads);
+//!   container; mutation frames in its mutation encoding, the engine
+//!   codecs' payloads);
 //! * [`monitor`] — the pure per-worker liveness state machine
 //!   (healthy → suspect → restarting → quarantined);
-//! * [`journal`] — the supervisor's own WAL+snapshot (mirror mutations
-//!   sealed per cycle by a commit record), so a standby can warm-fail
-//!   over through a supervisor SIGKILL;
+//! * [`journal`] — the supervisor's own WAL+snapshot (mirror mutations,
+//!   in the mutation encoding with a shard index, sealed per cycle by a
+//!   commit record), so a standby can warm-fail over through a
+//!   supervisor SIGKILL;
 //! * [`worker`] — the child-process entry point
 //!   ([`maybe_run_shard_worker`] dispatches on `--deco-shard-worker`);
 //! * [`supervisor`] — [`ShardSupervisor`], the parent-side

@@ -33,7 +33,8 @@
 use super::journal::{CommitRef, JournalFrame, ShardHealth, SupervisorJournal};
 use super::monitor::{Liveness, LivenessMonitor};
 use super::wire::{
-    encode_put, Frame, Hello, RecoverReport, Sabotage, WireJob, WorkerStoreStats, WORKER_ARG,
+    encode_assign, encode_mutation, Frame, Hello, RecoverReport, Sabotage, WorkerStoreStats,
+    WORKER_ARG,
 };
 use crate::faults::ShardFaultPlan;
 use deco_cloud::{capped_backoff, MetadataStore};
@@ -417,26 +418,25 @@ struct PendingGroup {
 /// refresh travels as `EpochSwap` with the new `catalog` bytes, and a
 /// dropped partition has no worker left to tell.
 fn wire_frame(seq: u64, m: &Mutation<Option<SupervisedPlan>>, catalog: &[u8]) -> Option<Vec<u8>> {
-    let frame = match *m {
+    match *m {
         Mutation::Put {
             key,
             epoch,
             last_use,
             ref plan,
-        } => return Some(encode_put(seq, key, epoch, last_use, plan.as_ref()?)),
-        Mutation::Touch { key, last_use } => Frame::Touch { seq, key, last_use },
-        Mutation::Del { key } => Frame::Del { seq, key },
-        Mutation::Strike { key, count } => Frame::Strike { seq, key, count },
-        Mutation::ClearKey { key } => Frame::ClearKey { seq, key },
-        Mutation::Quarantine { key } => Frame::Quarantine { seq, key },
-        Mutation::Epoch { epoch } => Frame::EpochSwap {
-            seq,
-            epoch,
-            store: catalog.to_vec(),
-        },
-        Mutation::Drop => return None,
-    };
-    Some(frame.encode())
+        } => {
+            let plan = plan.as_ref()?;
+            let put = Mutation::Put {
+                key,
+                epoch,
+                last_use,
+                plan,
+            };
+            Some(encode_mutation(seq, &put, catalog))
+        }
+        Mutation::Drop => None,
+        _ => Some(encode_mutation(seq, &m.map(|_| ()), catalog)),
+    }
 }
 
 /// Buffer one journal frame (a no-op when unjournaled). Appends are
@@ -1085,21 +1085,7 @@ impl Inner {
                 self.fallback_answers(deco, group, &mut scratch, &mut merged);
                 continue;
             }
-            let wire_jobs: Vec<WireJob> = group
-                .iter()
-                .map(|j| WireJob {
-                    key: j.key,
-                    deadline: j.deadline,
-                    percentile: j.percentile,
-                    budget: j.budget.clone(),
-                    workflow: j.workflow.clone(),
-                })
-                .collect();
-            let frame = Frame::AssignJobs {
-                cycle,
-                jobs: wire_jobs,
-            }
-            .encode();
+            let frame = encode_assign(cycle, &group);
             pending[si] = Some(PendingGroup {
                 jobs: group,
                 frame,

@@ -2,7 +2,7 @@
 //!
 //! Frames ride the same on-the-wire container as the durable store
 //! ([`deco_serve::store`]): `[u32 length][body][u64 checksum]`, written
-//! with [`encode_frame`] and read with [`read_frame`]. On a pipe a
+//! in place with [`frame_into`] and read with [`read_frame`]. On a pipe a
 //! failed checksum is fatal (a torn WAL tail is tolerable; a torn pipe
 //! frame means the peer is gone or insane), so every decode defect maps
 //! to [`DecoError::Transport`].
@@ -34,6 +34,14 @@
 //!   BarrierAck   cycle store-stats
 //! ```
 //!
+//! The mutation frames — `Touch` through `Quarantine`, and `EpochSwap`
+//! for an `Epoch` — are the books' [`Mutation`]s in the mutation encoding
+//! of [`deco_serve::store`]: its tag, then `seq`, then its fields (a
+//! `Put`'s plan as a `u32` length and the canonical plan bytes), the
+//! swap's catalog bytes last. The other frames' tags stay clear of the
+//! mutation tags. Version 2 moved to that encoding (version 1 had its own
+//! tags and `u64` byte-string lengths); `Hello` rejects a mismatch.
+//!
 //! Every mutation carries a sequence number and an **absolute** value
 //! (`Strike` carries the total, `Put`/`Get`/`Touch` carry the final
 //! LRU stamp),
@@ -43,38 +51,34 @@
 //! order, to the recovered worker. Since the worker processes its pipe
 //! serially, a `BarrierAck` acknowledges everything before it.
 
-use deco_core::codec::{put_f64, put_u32, put_u64, put_u8, Reader};
+use deco_core::codec::{
+    decode_all, on_pipe, put_bool, put_bytes, put_f64, put_opt, put_str, put_u32, put_u64, put_u8,
+    Reader,
+};
 use deco_core::supervisor::SupervisedPlan;
 use deco_core::wire::{
     decode_budget, decode_error, decode_workflow, encode_budget, encode_error, encode_workflow,
 };
-use deco_core::{decode_supervised_plan, encode_supervised_plan, DecoError};
-use deco_serve::store::frame_into;
-use deco_serve::{encode_frame, read_frame, Mutation, Partition};
+use deco_core::DecoError;
+use deco_serve::server::SolveJob;
+use deco_serve::store::{frame_into, Payload};
+use deco_serve::{read_frame, Mutation, Partition};
 use deco_solver::SearchBudget;
-use deco_workflow::Workflow;
 use std::io::{Read, Write};
 
 /// Version byte leading every frame body. Peers reject mismatches.
-pub const PROC_WIRE_VERSION: u8 = 1;
+pub const PROC_WIRE_VERSION: u8 = 2;
 
 /// The argv marker a supervised binary checks for at startup (see
 /// [`crate::proc::maybe_run_shard_worker`]).
 pub const WORKER_ARG: &str = "--deco-shard-worker";
 
-// Supervisor → worker tags.
-const TAG_HELLO: u8 = 1;
-const TAG_ASSIGN_JOBS: u8 = 2;
-const TAG_GET: u8 = 3;
-const TAG_PUT: u8 = 4;
-const TAG_DEL: u8 = 5;
-const TAG_STRIKE: u8 = 6;
-const TAG_CLEAR_KEY: u8 = 7;
-const TAG_QUARANTINE: u8 = 8;
-const TAG_EPOCH_SWAP: u8 = 9;
-const TAG_CYCLE_BARRIER: u8 = 10;
-const TAG_SHUTDOWN: u8 = 11;
-const TAG_TOUCH: u8 = 12;
+// Supervisor → worker tags besides the mutation frames'.
+const TAG_HELLO: u8 = 16;
+const TAG_ASSIGN_JOBS: u8 = 17;
+const TAG_GET: u8 = 18;
+const TAG_CYCLE_BARRIER: u8 = 19;
+const TAG_SHUTDOWN: u8 = 20;
 // Worker → supervisor tags.
 const TAG_HELLO_ACK: u8 = 64;
 const TAG_HEARTBEAT: u8 = 65;
@@ -87,85 +91,49 @@ fn corrupt(what: impl Into<String>) -> DecoError {
     DecoError::Transport(format!("frame corrupt: {}", what.into()))
 }
 
-/// Remap [`Reader`] underruns (typed as store errors) to transport.
-fn remap(e: DecoError) -> DecoError {
-    match e {
-        DecoError::Store(m) => DecoError::Transport(format!("frame corrupt: {m}")),
-        other => other,
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(r: &mut Reader<'_>) -> Result<String, DecoError> {
-    let n = r.u64().map_err(remap)? as usize;
-    let bytes = r.take(n).map_err(remap)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not UTF-8"))
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn get_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecoError> {
-    let n = r.u64().map_err(remap)? as usize;
-    r.take(n).map_err(remap)
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(v) => {
-            put_u8(out, 1);
-            put_u64(out, v);
-        }
-    }
-}
-
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, DecoError> {
-    match r.u8().map_err(remap)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64().map_err(remap)?)),
-        t => Err(corrupt(format!("option tag {t}"))),
-    }
-}
-
-fn get_bool(r: &mut Reader<'_>) -> Result<bool, DecoError> {
-    match r.u8().map_err(remap)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(corrupt(format!("bool tag {t}"))),
-    }
-}
-
-/// `Put` fields, plan encoded in place from a borrowed plan.
-fn put_put(
-    out: &mut Vec<u8>,
-    seq: u64,
-    key: u64,
-    epoch: u64,
-    last_use: u64,
-    plan: &SupervisedPlan,
-) {
-    put_u8(out, TAG_PUT);
+/// Append a mutation frame's tag, `seq` and fields, plus the catalog
+/// bytes of an `EpochSwap`.
+fn put_mutation<P: Payload>(out: &mut Vec<u8>, seq: u64, m: &Mutation<P>, catalog: &[u8]) {
+    put_u8(out, m.tag());
     put_u64(out, seq);
-    put_u64(out, key);
-    put_u64(out, epoch);
-    put_u64(out, last_use);
-    put_bytes(out, &encode_supervised_plan(plan));
+    m.put_fields(out);
+    if let Mutation::Epoch { .. } = m {
+        put_bytes(out, catalog);
+    }
 }
 
-/// The wire bytes of `Frame::Put` encoded from a borrowed plan — what
-/// the supervisor sends for a plan it lends rather than clones.
-pub fn encode_put(seq: u64, key: u64, epoch: u64, last_use: u64, plan: &SupervisedPlan) -> Vec<u8> {
+/// The wire frame applying `m` as sequence `seq`, written in place — a
+/// `Put` from its lent plan, an `Epoch` as the `EpochSwap` carrying
+/// `catalog`. What the supervisor sends for each mutation its books make.
+pub fn encode_mutation<P: Payload>(seq: u64, m: &Mutation<P>, catalog: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     frame_into(&mut out, |out| {
         put_u8(out, PROC_WIRE_VERSION);
-        put_put(out, seq, key, epoch, last_use, plan);
+        put_mutation(out, seq, m, catalog);
+    });
+    out
+}
+
+fn put_jobs(out: &mut Vec<u8>, cycle: u64, jobs: &[SolveJob]) {
+    put_u8(out, TAG_ASSIGN_JOBS);
+    put_u64(out, cycle);
+    put_u64(out, jobs.len() as u64);
+    for j in jobs {
+        put_u64(out, j.key);
+        put_f64(out, j.deadline);
+        put_f64(out, j.percentile);
+        encode_budget(out, &j.budget);
+        put_bytes(out, &encode_workflow(&j.workflow));
+    }
+}
+
+/// The `AssignJobs` wire frame, encoded from the borrowed jobs the
+/// supervisor keeps for re-dispatch and fallback.
+pub fn encode_assign(cycle: u64, jobs: &[SolveJob]) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame_into(&mut out, |out| {
+        put_u8(out, PROC_WIRE_VERSION);
+        put_jobs(out, cycle, jobs);
     });
     out
 }
@@ -202,17 +170,6 @@ pub struct Hello {
     /// the standby replays only frames past this high-water mark (replay
     /// is idempotent, so over-replay after a torn ack is harmless).
     pub resume_seq: u64,
-}
-
-/// One cold solve shipped to a worker.
-#[derive(Debug, Clone)]
-pub struct WireJob {
-    pub key: u64,
-    /// Canonical (bucket-floored) deadline.
-    pub deadline: f64,
-    pub percentile: f64,
-    pub budget: SearchBudget,
-    pub workflow: Workflow,
 }
 
 /// What a worker recovered from its store, reported in `HelloAck`.
@@ -289,7 +246,7 @@ pub enum Frame {
     Hello(Hello),
     AssignJobs {
         cycle: u64,
-        jobs: Vec<WireJob>,
+        jobs: Vec<SolveJob>,
     },
     Get {
         seq: u64,
@@ -365,355 +322,218 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Serialize the frame body (no length/checksum container).
-    pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        put_u8(&mut out, PROC_WIRE_VERSION);
-        match self {
-            Frame::Hello(h) => {
-                put_u8(&mut out, TAG_HELLO);
-                put_u32(&mut out, h.shard_index);
-                put_u32(&mut out, h.workers);
-                match &h.store_dir {
-                    None => put_u8(&mut out, 0),
-                    Some(d) => {
-                        put_u8(&mut out, 1);
-                        put_str(&mut out, d);
-                    }
-                }
-                put_u64(&mut out, h.snapshot_every);
-                put_u64(&mut out, h.sync_every);
-                put_u64(&mut out, h.heartbeat_ms);
-                put_bytes(&mut out, &h.engine);
-                put_opt_u64(&mut out, h.sabotage.hang_after_assigns);
-                put_opt_u64(&mut out, h.sabotage.exit_after_assigns);
-                put_u64(&mut out, h.resume_seq);
-            }
-            Frame::AssignJobs { cycle, jobs } => {
-                put_u8(&mut out, TAG_ASSIGN_JOBS);
-                put_u64(&mut out, *cycle);
-                put_u64(&mut out, jobs.len() as u64);
-                for j in jobs {
-                    put_u64(&mut out, j.key);
-                    put_f64(&mut out, j.deadline);
-                    put_f64(&mut out, j.percentile);
-                    encode_budget(&mut out, &j.budget);
-                    put_bytes(&mut out, &encode_workflow(&j.workflow));
-                }
-            }
-            Frame::Get { seq, key, last_use } => {
-                put_u8(&mut out, TAG_GET);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *last_use);
-            }
-            Frame::Touch { seq, key, last_use } => {
-                put_u8(&mut out, TAG_TOUCH);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *last_use);
-            }
+    /// The mutation a worker-bound mutation frame applies, with its seq
+    /// and an `EpochSwap`'s catalog bytes (empty for the others); any
+    /// other frame comes back unchanged. The worker's dispatch. (`Err`
+    /// hands the frame back; it is not an error value to shrink.)
+    #[allow(clippy::result_large_err)]
+    pub fn into_mutation(self) -> Result<(u64, Mutation<SupervisedPlan>, Vec<u8>), Frame> {
+        let (seq, m) = match self {
             Frame::Put {
                 seq,
                 key,
                 epoch,
                 last_use,
                 plan,
-            } => put_put(&mut out, *seq, *key, *epoch, *last_use, plan),
-            Frame::Del { seq, key } => {
-                put_u8(&mut out, TAG_DEL);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *key);
-            }
-            Frame::Strike { seq, key, count } => {
-                put_u8(&mut out, TAG_STRIKE);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *key);
-                put_u32(&mut out, *count);
-            }
-            Frame::ClearKey { seq, key } => {
-                put_u8(&mut out, TAG_CLEAR_KEY);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *key);
-            }
-            Frame::Quarantine { seq, key } => {
-                put_u8(&mut out, TAG_QUARANTINE);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *key);
-            }
+            } => (
+                seq,
+                Mutation::Put {
+                    key,
+                    epoch,
+                    last_use,
+                    plan,
+                },
+            ),
+            Frame::Touch { seq, key, last_use } => (seq, Mutation::Touch { key, last_use }),
+            Frame::Del { seq, key } => (seq, Mutation::Del { key }),
+            Frame::Strike { seq, key, count } => (seq, Mutation::Strike { key, count }),
+            Frame::ClearKey { seq, key } => (seq, Mutation::ClearKey { key }),
+            Frame::Quarantine { seq, key } => (seq, Mutation::Quarantine { key }),
             Frame::EpochSwap { seq, epoch, store } => {
-                put_u8(&mut out, TAG_EPOCH_SWAP);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *epoch);
-                put_bytes(&mut out, store);
+                return Ok((seq, Mutation::Epoch { epoch }, store))
+            }
+            other => return Err(other),
+        };
+        Ok((seq, m, Vec::new()))
+    }
+
+    /// The mutation frame applying `m` as sequence `seq` — the inverse
+    /// of [`into_mutation`](Self::into_mutation); a `Drop` has no frame.
+    fn of(seq: u64, m: Mutation<SupervisedPlan>, catalog: Vec<u8>) -> Option<Frame> {
+        Some(match m {
+            Mutation::Put {
+                key,
+                epoch,
+                last_use,
+                plan,
+            } => Frame::Put {
+                seq,
+                key,
+                epoch,
+                last_use,
+                plan,
+            },
+            Mutation::Touch { key, last_use } => Frame::Touch { seq, key, last_use },
+            Mutation::Del { key } => Frame::Del { seq, key },
+            Mutation::Strike { key, count } => Frame::Strike { seq, key, count },
+            Mutation::ClearKey { key } => Frame::ClearKey { seq, key },
+            Mutation::Quarantine { key } => Frame::Quarantine { seq, key },
+            Mutation::Epoch { epoch } => Frame::EpochSwap {
+                seq,
+                epoch,
+                store: catalog,
+            },
+            Mutation::Drop => return None,
+        })
+    }
+
+    /// A mutation frame lent as its mutation: seq, the mutation, and an
+    /// `EpochSwap`'s catalog bytes (empty for the others).
+    fn lend(&self) -> Option<(u64, Mutation<&SupervisedPlan>, &[u8])> {
+        let (seq, m) = match *self {
+            Frame::Put {
+                seq,
+                key,
+                epoch,
+                last_use,
+                ref plan,
+            } => (
+                seq,
+                Mutation::Put {
+                    key,
+                    epoch,
+                    last_use,
+                    plan,
+                },
+            ),
+            Frame::Touch { seq, key, last_use } => (seq, Mutation::Touch { key, last_use }),
+            Frame::Del { seq, key } => (seq, Mutation::Del { key }),
+            Frame::Strike { seq, key, count } => (seq, Mutation::Strike { key, count }),
+            Frame::ClearKey { seq, key } => (seq, Mutation::ClearKey { key }),
+            Frame::Quarantine { seq, key } => (seq, Mutation::Quarantine { key }),
+            Frame::EpochSwap {
+                seq,
+                epoch,
+                ref store,
+            } => return Some((seq, Mutation::Epoch { epoch }, store)),
+            _ => return None,
+        };
+        Some((seq, m, &[]))
+    }
+
+    /// Append the body: version, tag, fields.
+    fn put_body(&self, out: &mut Vec<u8>) {
+        put_u8(out, PROC_WIRE_VERSION);
+        if let Some((seq, m, catalog)) = self.lend() {
+            return put_mutation(out, seq, &m, catalog);
+        }
+        match self {
+            Frame::Hello(h) => {
+                put_u8(out, TAG_HELLO);
+                put_u32(out, h.shard_index);
+                put_u32(out, h.workers);
+                put_opt(out, h.store_dir.as_deref(), put_str);
+                put_u64(out, h.snapshot_every);
+                put_u64(out, h.sync_every);
+                put_u64(out, h.heartbeat_ms);
+                put_bytes(out, &h.engine);
+                put_opt(out, h.sabotage.hang_after_assigns, put_u64);
+                put_opt(out, h.sabotage.exit_after_assigns, put_u64);
+                put_u64(out, h.resume_seq);
+            }
+            Frame::AssignJobs { cycle, jobs } => put_jobs(out, *cycle, jobs),
+            Frame::Get { seq, key, last_use } => {
+                put_u8(out, TAG_GET);
+                put_u64(out, *seq);
+                put_u64(out, *key);
+                put_u64(out, *last_use);
             }
             Frame::CycleBarrier { cycle } => {
-                put_u8(&mut out, TAG_CYCLE_BARRIER);
-                put_u64(&mut out, *cycle);
+                put_u8(out, TAG_CYCLE_BARRIER);
+                put_u64(out, *cycle);
             }
-            Frame::Shutdown => put_u8(&mut out, TAG_SHUTDOWN),
+            Frame::Shutdown => put_u8(out, TAG_SHUTDOWN),
             Frame::HelloAck(rep) => {
-                put_u8(&mut out, TAG_HELLO_ACK);
-                put_u8(&mut out, rep.store_ok as u8);
-                put_u64(&mut out, rep.recovered_entries);
-                put_u64(&mut out, rep.recovered_frames);
-                put_u64(&mut out, rep.torn_bytes);
-                put_u64(&mut out, rep.entries.len() as u64);
+                put_u8(out, TAG_HELLO_ACK);
+                put_bool(out, rep.store_ok);
+                put_u64(out, rep.recovered_entries);
+                put_u64(out, rep.recovered_frames);
+                put_u64(out, rep.torn_bytes);
+                put_u64(out, rep.entries.len() as u64);
                 for &(key, epoch, last_use) in &rep.entries {
-                    put_u64(&mut out, key);
-                    put_u64(&mut out, epoch);
-                    put_u64(&mut out, last_use);
+                    put_u64(out, key);
+                    put_u64(out, epoch);
+                    put_u64(out, last_use);
                 }
-                put_u64(&mut out, rep.strikes.len() as u64);
+                put_u64(out, rep.strikes.len() as u64);
                 for &(key, count) in &rep.strikes {
-                    put_u64(&mut out, key);
-                    put_u32(&mut out, count);
+                    put_u64(out, key);
+                    put_u32(out, count);
                 }
-                put_u64(&mut out, rep.quarantine.len() as u64);
+                put_u64(out, rep.quarantine.len() as u64);
                 for &key in &rep.quarantine {
-                    put_u64(&mut out, key);
+                    put_u64(out, key);
                 }
             }
-            Frame::Heartbeat => put_u8(&mut out, TAG_HEARTBEAT),
+            Frame::Heartbeat => put_u8(out, TAG_HEARTBEAT),
             Frame::Applied { seq } => {
-                put_u8(&mut out, TAG_APPLIED);
-                put_u64(&mut out, *seq);
+                put_u8(out, TAG_APPLIED);
+                put_u64(out, *seq);
             }
             Frame::GotPlan { seq, plan } => {
-                put_u8(&mut out, TAG_GOT_PLAN);
-                put_u64(&mut out, *seq);
-                match plan {
-                    None => put_u8(&mut out, 0),
-                    Some(p) => {
-                        put_u8(&mut out, 1);
-                        put_bytes(&mut out, &encode_supervised_plan(p));
-                    }
-                }
+                put_u8(out, TAG_GOT_PLAN);
+                put_u64(out, *seq);
+                put_opt(out, plan.as_ref(), |out, p| p.put_payload(out));
             }
             Frame::JobResults { cycle, results } => {
-                put_u8(&mut out, TAG_JOB_RESULTS);
-                put_u64(&mut out, *cycle);
-                put_u64(&mut out, results.len() as u64);
+                put_u8(out, TAG_JOB_RESULTS);
+                put_u64(out, *cycle);
+                put_u64(out, results.len() as u64);
                 for (key, budget, result) in results {
-                    put_u64(&mut out, *key);
-                    encode_budget(&mut out, budget);
+                    put_u64(out, *key);
+                    encode_budget(out, budget);
                     match result {
                         Ok(plan) => {
-                            put_u8(&mut out, 1);
-                            put_bytes(&mut out, &encode_supervised_plan(plan));
+                            put_u8(out, 1);
+                            plan.put_payload(out);
                         }
                         Err(e) => {
-                            put_u8(&mut out, 0);
-                            encode_error(&mut out, e);
+                            put_u8(out, 0);
+                            encode_error(out, e);
                         }
                     }
                 }
             }
             Frame::BarrierAck { cycle, stats } => {
-                put_u8(&mut out, TAG_BARRIER_ACK);
-                put_u64(&mut out, *cycle);
-                put_u64(&mut out, stats.wal_appends);
-                put_u64(&mut out, stats.snapshots);
-                put_u64(&mut out, stats.syncs);
-                put_u64(&mut out, stats.store_failures);
+                put_u8(out, TAG_BARRIER_ACK);
+                put_u64(out, *cycle);
+                put_u64(out, stats.wal_appends);
+                put_u64(out, stats.snapshots);
+                put_u64(out, stats.syncs);
+                put_u64(out, stats.store_failures);
             }
+            // The mutation frames, lent above.
+            _ => {}
         }
+    }
+
+    /// Serialize the frame body (no length/checksum container).
+    pub fn encode_body(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32);
+        self.put_body(&mut out);
         out
     }
 
     /// Parse one frame body. Any defect is [`DecoError::Transport`].
     pub fn decode_body(body: &[u8]) -> Result<Frame, DecoError> {
-        let mut r = Reader::new(body);
-        let version = r.u8().map_err(remap)?;
-        if version != PROC_WIRE_VERSION {
-            return Err(corrupt(format!(
-                "protocol version {version}, expected {PROC_WIRE_VERSION}"
-            )));
-        }
-        let tag = r.u8().map_err(remap)?;
-        let frame = match tag {
-            TAG_HELLO => {
-                let shard_index = r.u32().map_err(remap)?;
-                let workers = r.u32().map_err(remap)?;
-                let store_dir = match r.u8().map_err(remap)? {
-                    0 => None,
-                    1 => Some(get_str(&mut r)?),
-                    t => return Err(corrupt(format!("store_dir tag {t}"))),
-                };
-                let snapshot_every = r.u64().map_err(remap)?;
-                let sync_every = r.u64().map_err(remap)?;
-                let heartbeat_ms = r.u64().map_err(remap)?;
-                let engine = get_bytes(&mut r)?.to_vec();
-                let sabotage = Sabotage {
-                    hang_after_assigns: get_opt_u64(&mut r)?,
-                    exit_after_assigns: get_opt_u64(&mut r)?,
-                };
-                let resume_seq = r.u64().map_err(remap)?;
-                Frame::Hello(Hello {
-                    shard_index,
-                    workers,
-                    store_dir,
-                    snapshot_every,
-                    sync_every,
-                    heartbeat_ms,
-                    engine,
-                    sabotage,
-                    resume_seq,
-                })
-            }
-            TAG_ASSIGN_JOBS => {
-                let cycle = r.u64().map_err(remap)?;
-                let n = r.u64().map_err(remap)? as usize;
-                let mut jobs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let key = r.u64().map_err(remap)?;
-                    let deadline = r.f64().map_err(remap)?;
-                    let percentile = r.f64().map_err(remap)?;
-                    let budget = decode_budget(&mut r).map_err(remap)?;
-                    let workflow = decode_workflow(get_bytes(&mut r)?)?;
-                    jobs.push(WireJob {
-                        key,
-                        deadline,
-                        percentile,
-                        budget,
-                        workflow,
-                    });
-                }
-                Frame::AssignJobs { cycle, jobs }
-            }
-            TAG_GET => Frame::Get {
-                seq: r.u64().map_err(remap)?,
-                key: r.u64().map_err(remap)?,
-                last_use: r.u64().map_err(remap)?,
-            },
-            TAG_TOUCH => Frame::Touch {
-                seq: r.u64().map_err(remap)?,
-                key: r.u64().map_err(remap)?,
-                last_use: r.u64().map_err(remap)?,
-            },
-            TAG_PUT => {
-                let seq = r.u64().map_err(remap)?;
-                let key = r.u64().map_err(remap)?;
-                let epoch = r.u64().map_err(remap)?;
-                let last_use = r.u64().map_err(remap)?;
-                let plan = decode_supervised_plan(get_bytes(&mut r)?).map_err(remap)?;
-                Frame::Put {
-                    seq,
-                    key,
-                    epoch,
-                    last_use,
-                    plan,
-                }
-            }
-            TAG_DEL => Frame::Del {
-                seq: r.u64().map_err(remap)?,
-                key: r.u64().map_err(remap)?,
-            },
-            TAG_STRIKE => Frame::Strike {
-                seq: r.u64().map_err(remap)?,
-                key: r.u64().map_err(remap)?,
-                count: r.u32().map_err(remap)?,
-            },
-            TAG_CLEAR_KEY => Frame::ClearKey {
-                seq: r.u64().map_err(remap)?,
-                key: r.u64().map_err(remap)?,
-            },
-            TAG_QUARANTINE => Frame::Quarantine {
-                seq: r.u64().map_err(remap)?,
-                key: r.u64().map_err(remap)?,
-            },
-            TAG_EPOCH_SWAP => Frame::EpochSwap {
-                seq: r.u64().map_err(remap)?,
-                epoch: r.u64().map_err(remap)?,
-                store: get_bytes(&mut r)?.to_vec(),
-            },
-            TAG_CYCLE_BARRIER => Frame::CycleBarrier {
-                cycle: r.u64().map_err(remap)?,
-            },
-            TAG_SHUTDOWN => Frame::Shutdown,
-            TAG_HELLO_ACK => {
-                let store_ok = get_bool(&mut r)?;
-                let recovered_entries = r.u64().map_err(remap)?;
-                let recovered_frames = r.u64().map_err(remap)?;
-                let torn_bytes = r.u64().map_err(remap)?;
-                let n = r.u64().map_err(remap)? as usize;
-                let mut entries = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    entries.push((
-                        r.u64().map_err(remap)?,
-                        r.u64().map_err(remap)?,
-                        r.u64().map_err(remap)?,
-                    ));
-                }
-                let n = r.u64().map_err(remap)? as usize;
-                let mut strikes = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    strikes.push((r.u64().map_err(remap)?, r.u32().map_err(remap)?));
-                }
-                let n = r.u64().map_err(remap)? as usize;
-                let mut quarantine = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    quarantine.push(r.u64().map_err(remap)?);
-                }
-                Frame::HelloAck(RecoverReport {
-                    store_ok,
-                    recovered_entries,
-                    recovered_frames,
-                    torn_bytes,
-                    entries,
-                    strikes,
-                    quarantine,
-                })
-            }
-            TAG_HEARTBEAT => Frame::Heartbeat,
-            TAG_APPLIED => Frame::Applied {
-                seq: r.u64().map_err(remap)?,
-            },
-            TAG_GOT_PLAN => {
-                let seq = r.u64().map_err(remap)?;
-                let plan = match r.u8().map_err(remap)? {
-                    0 => None,
-                    1 => Some(decode_supervised_plan(get_bytes(&mut r)?).map_err(remap)?),
-                    t => return Err(corrupt(format!("plan tag {t}"))),
-                };
-                Frame::GotPlan { seq, plan }
-            }
-            TAG_JOB_RESULTS => {
-                let cycle = r.u64().map_err(remap)?;
-                let n = r.u64().map_err(remap)? as usize;
-                let mut results = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let key = r.u64().map_err(remap)?;
-                    let budget = decode_budget(&mut r).map_err(remap)?;
-                    let result = match r.u8().map_err(remap)? {
-                        1 => Ok(decode_supervised_plan(get_bytes(&mut r)?).map_err(remap)?),
-                        0 => Err(decode_error(&mut r).map_err(remap)?),
-                        t => return Err(corrupt(format!("result tag {t}"))),
-                    };
-                    results.push((key, budget, result));
-                }
-                Frame::JobResults { cycle, results }
-            }
-            TAG_BARRIER_ACK => Frame::BarrierAck {
-                cycle: r.u64().map_err(remap)?,
-                stats: WorkerStoreStats {
-                    wal_appends: r.u64().map_err(remap)?,
-                    snapshots: r.u64().map_err(remap)?,
-                    syncs: r.u64().map_err(remap)?,
-                    store_failures: r.u64().map_err(remap)?,
-                },
-            },
-            t => return Err(corrupt(format!("unknown frame tag {t}"))),
-        };
-        if !r.done() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(frame)
+        decode_all(body, read_body).map_err(on_pipe)
     }
 
-    /// Serialize the full wire frame (length, body, checksum).
+    /// Serialize the full wire frame (length, body, checksum), in place.
     pub fn encode(&self) -> Vec<u8> {
-        encode_frame(&self.encode_body())
+        let mut out = Vec::new();
+        frame_into(&mut out, |out| self.put_body(out));
+        out
     }
 
     /// Write the frame and flush — a frame on a pipe is only useful once
@@ -735,12 +555,130 @@ impl Frame {
     }
 }
 
+fn read_body(r: &mut Reader<'_>) -> Result<Frame, DecoError> {
+    let version = r.u8()?;
+    if version != PROC_WIRE_VERSION {
+        return Err(corrupt(format!(
+            "protocol version {version}, expected {PROC_WIRE_VERSION}"
+        )));
+    }
+    Ok(match r.u8()? {
+        TAG_HELLO => Frame::Hello(Hello {
+            shard_index: r.u32()?,
+            workers: r.u32()?,
+            store_dir: r.opt(Reader::str)?,
+            snapshot_every: r.u64()?,
+            sync_every: r.u64()?,
+            heartbeat_ms: r.u64()?,
+            engine: r.bytes()?.to_vec(),
+            sabotage: Sabotage {
+                hang_after_assigns: r.opt(Reader::u64)?,
+                exit_after_assigns: r.opt(Reader::u64)?,
+            },
+            resume_seq: r.u64()?,
+        }),
+        TAG_ASSIGN_JOBS => {
+            let cycle = r.u64()?;
+            let n = r.u64()? as usize;
+            let mut jobs = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                jobs.push(SolveJob {
+                    key: r.u64()?,
+                    deadline: r.f64()?,
+                    percentile: r.f64()?,
+                    budget: decode_budget(r)?,
+                    workflow: decode_workflow(r.bytes()?)?,
+                });
+            }
+            Frame::AssignJobs { cycle, jobs }
+        }
+        TAG_GET => Frame::Get {
+            seq: r.u64()?,
+            key: r.u64()?,
+            last_use: r.u64()?,
+        },
+        TAG_CYCLE_BARRIER => Frame::CycleBarrier { cycle: r.u64()? },
+        TAG_SHUTDOWN => Frame::Shutdown,
+        TAG_HELLO_ACK => {
+            let store_ok = r.bool()?;
+            let recovered_entries = r.u64()?;
+            let recovered_frames = r.u64()?;
+            let torn_bytes = r.u64()?;
+            let n = r.u64()? as usize;
+            let mut entries = Vec::with_capacity(n.min(65_536));
+            for _ in 0..n {
+                entries.push((r.u64()?, r.u64()?, r.u64()?));
+            }
+            let n = r.u64()? as usize;
+            let mut strikes = Vec::with_capacity(n.min(65_536));
+            for _ in 0..n {
+                strikes.push((r.u64()?, r.u32()?));
+            }
+            let n = r.u64()? as usize;
+            let mut quarantine = Vec::with_capacity(n.min(65_536));
+            for _ in 0..n {
+                quarantine.push(r.u64()?);
+            }
+            Frame::HelloAck(RecoverReport {
+                store_ok,
+                recovered_entries,
+                recovered_frames,
+                torn_bytes,
+                entries,
+                strikes,
+                quarantine,
+            })
+        }
+        TAG_HEARTBEAT => Frame::Heartbeat,
+        TAG_APPLIED => Frame::Applied { seq: r.u64()? },
+        TAG_GOT_PLAN => Frame::GotPlan {
+            seq: r.u64()?,
+            plan: r.opt(SupervisedPlan::read_payload)?,
+        },
+        TAG_JOB_RESULTS => {
+            let cycle = r.u64()?;
+            let n = r.u64()? as usize;
+            let mut results = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                let key = r.u64()?;
+                let budget = decode_budget(r)?;
+                let result = match r.u8()? {
+                    1 => Ok(SupervisedPlan::read_payload(r)?),
+                    0 => Err(decode_error(r)?),
+                    t => return Err(corrupt(format!("result tag {t}"))),
+                };
+                results.push((key, budget, result));
+            }
+            Frame::JobResults { cycle, results }
+        }
+        TAG_BARRIER_ACK => Frame::BarrierAck {
+            cycle: r.u64()?,
+            stats: WorkerStoreStats {
+                wal_appends: r.u64()?,
+                snapshots: r.u64()?,
+                syncs: r.u64()?,
+                store_failures: r.u64()?,
+            },
+        },
+        // A mutation frame: the mutation encoding with `seq` after the tag.
+        tag => {
+            let seq = r.u64()?;
+            let m = Mutation::read_fields(tag, r)?;
+            let catalog = match m {
+                Mutation::Epoch { .. } => r.bytes()?.to_vec(),
+                _ => Vec::new(),
+            };
+            Frame::of(seq, m, catalog).ok_or_else(|| corrupt("a partition drop has no frame"))?
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use deco_cloud::{CloudSpec, MetadataStore};
     use deco_core::supervisor::plan_with_fallback;
-    use deco_core::Deco;
+    use deco_core::{encode_supervised_plan, Deco};
     use deco_workflow::generators;
     use std::io::Cursor;
 
@@ -863,7 +801,7 @@ mod tests {
         let wf = generators::pipeline(3, 40.0, 1);
         let assign = Frame::AssignJobs {
             cycle: 4,
-            jobs: vec![WireJob {
+            jobs: vec![SolveJob {
                 key: 77,
                 deadline: 3600.0,
                 percentile: 0.9,

@@ -27,7 +27,7 @@ use crate::server::{ShardStats, ShardStore};
 use deco_core::supervisor::SupervisedPlan;
 use deco_core::wire::{decode_engine, decode_store};
 use deco_core::Deco;
-use deco_serve::server::{solve_jobs_on_pool, SolveJob};
+use deco_serve::server::solve_jobs_on_pool;
 use deco_serve::store::{PlanStore, StoreConfig};
 use deco_serve::{Mutation, Partition};
 use std::path::Path;
@@ -196,8 +196,21 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
                 return EXIT_TRANSPORT;
             }
         };
-        let reply = match frame {
-            Frame::AssignJobs { cycle, jobs } => {
+        let reply = match frame.into_mutation() {
+            // A refresh swaps the catalog before folding its epoch.
+            Ok((seq, m, catalog)) => {
+                if let Mutation::Epoch { .. } = m {
+                    match decode_store(&catalog) {
+                        Ok(fresh) => worker.deco.store = fresh,
+                        Err(_) => {
+                            stop.store(true, Ordering::Relaxed);
+                            return EXIT_TRANSPORT;
+                        }
+                    }
+                }
+                worker.apply(seq, m)
+            }
+            Err(Frame::AssignJobs { cycle, jobs }) => {
                 worker.assigns_seen += 1;
                 if let Some(n) = worker.exit_after_assigns {
                     if worker.assigns_seen > n {
@@ -216,16 +229,6 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
                     // heartbeating: a hang, not a crash.
                     continue;
                 }
-                let jobs: Vec<SolveJob> = jobs
-                    .into_iter()
-                    .map(|j| SolveJob {
-                        key: j.key,
-                        workflow: j.workflow,
-                        deadline: j.deadline,
-                        percentile: j.percentile,
-                        budget: j.budget,
-                    })
-                    .collect();
                 let solved = solve_jobs_on_pool(&worker.deco, jobs, worker.workers);
                 let results = solved
                     .into_iter()
@@ -233,46 +236,12 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
                     .collect();
                 Frame::JobResults { cycle, results }
             }
-            Frame::Get { seq, key, last_use } => {
+            Err(Frame::Get { seq, key, last_use }) => {
                 worker.apply(seq, Mutation::Touch { key, last_use });
                 let plan = worker.part.entries.get(&key).map(|e| e.plan.clone());
                 Frame::GotPlan { seq, plan }
             }
-            // The recency half of a Get: the supervisor already answered
-            // the hit from its own copy of the plan.
-            Frame::Touch { seq, key, last_use } => {
-                worker.apply(seq, Mutation::Touch { key, last_use })
-            }
-            Frame::Put {
-                seq,
-                key,
-                epoch,
-                last_use,
-                plan,
-            } => worker.apply(
-                seq,
-                Mutation::Put {
-                    key,
-                    epoch,
-                    last_use,
-                    plan,
-                },
-            ),
-            Frame::Del { seq, key } => worker.apply(seq, Mutation::Del { key }),
-            Frame::Strike { seq, key, count } => worker.apply(seq, Mutation::Strike { key, count }),
-            Frame::ClearKey { seq, key } => worker.apply(seq, Mutation::ClearKey { key }),
-            Frame::Quarantine { seq, key } => worker.apply(seq, Mutation::Quarantine { key }),
-            Frame::EpochSwap { seq, epoch, store } => {
-                match decode_store(&store) {
-                    Ok(fresh) => worker.deco.store = fresh,
-                    Err(_) => {
-                        stop.store(true, Ordering::Relaxed);
-                        return EXIT_TRANSPORT;
-                    }
-                }
-                worker.apply(seq, Mutation::Epoch { epoch })
-            }
-            Frame::CycleBarrier { cycle } => {
+            Err(Frame::CycleBarrier { cycle }) => {
                 let epoch = worker.deco.store.catalog_epoch();
                 let every = worker.snapshot_every;
                 worker
@@ -283,13 +252,13 @@ fn run_worker(stdin: &mut impl std::io::Read, out: &SharedWriter) -> i32 {
                     stats: worker.store_stats(),
                 }
             }
-            Frame::Shutdown => {
+            Err(Frame::Shutdown) => {
                 stop.store(true, Ordering::Relaxed);
                 return EXIT_OK;
             }
             // Worker→supervisor frames arriving here mean the peer is
             // confused; treat as transport failure rather than guessing.
-            _ => {
+            Err(_) => {
                 stop.store(true, Ordering::Relaxed);
                 return EXIT_TRANSPORT;
             }

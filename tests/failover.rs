@@ -198,10 +198,12 @@ fn journal_groups(bytes: &[u8]) -> Vec<Group> {
 const DRIVER_ARG: &str = "--failover-driver";
 
 fn run_failover_driver(args: &[String]) -> ! {
-    let [out_path, shards, journal, persist, n, abort_at, faulted] = args else {
-        eprintln!("driver args: out shards journal persist n abort_at faulted");
+    let [out_path, shards, journal, persist, n, abort_at, faulted, pause_after] = args else {
+        eprintln!("driver args: out shards journal persist n abort_at faulted pause_after");
         std::process::exit(2);
     };
+    let pause_after: Option<u64> =
+        (pause_after != "none").then(|| pause_after.parse().expect("pause"));
     let shards: usize = shards.parse().expect("shards");
     let n: u32 = n.parse().expect("trace length");
     let deco = small_deco();
@@ -224,11 +226,26 @@ fn run_failover_driver(args: &[String]) -> ! {
         // final line — which the harness then drops as incomplete.
         writeln!(out, "RESP {idx}\t{}", r.canonical_line()).expect("driver write");
         out.flush().expect("driver flush");
+        if pause_after == Some(idx + 1) {
+            // The pause point: this line's commit is durable and the
+            // line is out; wait here for the harness's SIGKILL.
+            loop {
+                std::thread::sleep(std::time::Duration::from_secs(60));
+            }
+        }
     };
     let (_, stats, halted) = tier.serve_trace_journaled(&trace, &session, None, &mut emit);
     assert!(!halted, "the driver only aborts, it never halts");
     writeln!(out, "DONE {:016x}", stats.digest()).expect("driver done");
     std::process::exit(0);
+}
+
+/// How a driver's run ends before its trace does.
+enum DriverEnd {
+    /// The supervisor fault plan aborts the process at this cycle.
+    AbortAt(u64),
+    /// The driver blocks after emitting this many lines until killed.
+    PauseAfter(u64),
 }
 
 fn spawn_driver(
@@ -237,9 +254,13 @@ fn spawn_driver(
     journal: &Path,
     persist: &Path,
     n: u32,
-    abort_at: Option<u64>,
+    end: DriverEnd,
     faulted: bool,
 ) -> std::process::Child {
+    let (abort_at, pause_after) = match end {
+        DriverEnd::AbortAt(c) => (c.to_string(), "none".into()),
+        DriverEnd::PauseAfter(k) => ("none".into(), k.to_string()),
+    };
     let exe = std::env::current_exe().expect("current exe");
     std::process::Command::new(exe)
         .arg(DRIVER_ARG)
@@ -248,8 +269,9 @@ fn spawn_driver(
         .arg(journal)
         .arg(persist)
         .arg(n.to_string())
-        .arg(abort_at.map_or_else(|| "none".into(), |c| c.to_string()))
+        .arg(abort_at)
         .arg(if faulted { "1" } else { "0" })
+        .arg(pause_after)
         .stdout(std::process::Stdio::null())
         .spawn()
         .expect("spawn driver")
@@ -357,9 +379,17 @@ fn abort_takeover_is_byte_identical_at_1_2_and_4_shards() {
         let journal = temp_dir(&format!("abort_j_{shards}"));
         let persist = temp_dir(&format!("abort_p_{shards}"));
         let out = temp_dir(&format!("abort_o_{shards}")).with_extension("log");
-        let status = spawn_driver(&out, shards, &journal, &persist, n, Some(6), false)
-            .wait()
-            .expect("driver wait");
+        let status = spawn_driver(
+            &out,
+            shards,
+            &journal,
+            &persist,
+            n,
+            DriverEnd::AbortAt(6),
+            false,
+        )
+        .wait()
+        .expect("driver wait");
         assert!(!status.success(), "the driver must die by its own abort");
         let (mut printed, done) = read_driver_output(&out);
         assert!(done.is_none(), "an aborted driver never reports DONE");
@@ -389,16 +419,26 @@ fn abort_takeover_is_byte_identical_at_1_2_and_4_shards() {
     }
 }
 
-/// A real SIGKILL at an arbitrary moment mid-trace — not a commit
-/// boundary the schedule chose — and the takeover still splices to the
-/// reference stream.
+/// A real SIGKILL from outside, mid-trace — not a commit boundary the
+/// fault schedule chose, but mid-emission, while the driver waits at its
+/// pause point — and the takeover still splices to the reference stream.
 fn sigkill_takeover_is_byte_identical() {
     let n = 24;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
     let journal = temp_dir("kill_j");
     let persist = temp_dir("kill_p");
     let out = temp_dir("kill_o").with_extension("log");
-    let mut child = spawn_driver(&out, 2, &journal, &persist, n, None, false);
+    // The driver pauses after emitting its sixth line, so the kill lands
+    // at a known point after a durable commit instead of racing the poll.
+    let mut child = spawn_driver(
+        &out,
+        2,
+        &journal,
+        &persist,
+        n,
+        DriverEnd::PauseAfter(6),
+        false,
+    );
     // Let the primary serve real traffic, then kill it cold.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     loop {
@@ -451,7 +491,7 @@ fn chained_takeovers_under_worker_faults_are_byte_identical() {
     let persist = temp_dir("chain_p");
     let out = temp_dir("chain_o").with_extension("log");
     // Primary dies at cycle 4 — before the refresh at arrival 8.5.
-    let status = spawn_driver(&out, 2, &journal, &persist, n, Some(4), true)
+    let status = spawn_driver(&out, 2, &journal, &persist, n, DriverEnd::AbortAt(4), true)
         .wait()
         .expect("driver wait");
     assert!(!status.success());
