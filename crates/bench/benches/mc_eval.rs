@@ -27,7 +27,7 @@ const SEED: u64 = 7;
 const FRONTIER_KS: [usize; 3] = [8, 32, 128];
 
 /// A synthetic beam frontier: K distinct type vectors over the same DAG,
-/// the shape `beam_search` hands to `evaluate_frontier`.
+/// the shape of one `beam_search` batch.
 fn beam_plans(wf: &Workflow, spec: &CloudSpec, k: usize) -> Vec<Plan> {
     (0..k)
         .map(|i| {
@@ -124,8 +124,8 @@ fn paired_median_secs(
     (a, b, ratio)
 }
 
-/// One compile-and-evaluate pass over `plans` as a single frontier — the
-/// unit of work `SchedulingProblem::evaluate_frontier` performs per block.
+/// One compile-and-evaluate pass over `plans` as a single frontier; at
+/// K = 1 the unit of work `SchedulingProblem::evaluate` performs per state.
 fn frontier_pass(
     skel: &FrontierSkeleton,
     spec: &CloudSpec,

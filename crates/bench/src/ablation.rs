@@ -3,7 +3,7 @@
 use crate::common::{Env, ROOT_SEED};
 use deco_cloud::sim::run_plan_many;
 use deco_core::SchedulingProblem;
-use deco_solver::SearchOptions;
+use deco_solver::{astar_search, beam_search, generic_search, SearchOptions};
 use deco_workflow::generators;
 
 #[derive(Debug, Clone)]
@@ -81,8 +81,7 @@ pub fn prob_vs_det(env: &Env) -> AblationResult {
             // suitable" motivation).
             p.pack_safety = 1.0;
         }
-        let best = p
-            .solve_beam(&opts(env), 4, &env.backend())
+        let best = beam_search(&p, &opts(env), 4, &env.backend())
             .best
             .expect("feasible");
         let plan = p.plan_of(&best.0);
@@ -111,8 +110,8 @@ pub fn astar_vs_generic(env: &Env) -> AblationResult {
     // A* incumbent pruning is licensed by the monotone Equation (1)
     // objective (the paper's formulation).
     p.objective = deco_core::ObjectiveMode::FractionalMean;
-    let g = p.solve_generic(&opts(env), &env.backend());
-    let a = p.solve_astar(&opts(env), &env.backend());
+    let g = generic_search(&p, &opts(env), &env.backend());
+    let a = astar_search(&p, &opts(env), &env.backend());
     let cost = |r: &deco_solver::SearchResult<Vec<usize>>| {
         r.best
             .as_ref()
@@ -140,8 +139,8 @@ pub fn explore_vs_exploit(env: &Env) -> AblationResult {
     let wf = generators::montage(1, ROOT_SEED ^ 3);
     let p = problem(env, &wf, 0.9);
     let o = opts(env);
-    let bfs = p.solve_generic(&o, &env.backend());
-    let beam = p.solve_beam(&o, 4, &env.backend());
+    let bfs = generic_search(&p, &o, &env.backend());
+    let beam = beam_search(&p, &o, 4, &env.backend());
     let get = |r: &deco_solver::SearchResult<Vec<usize>>| {
         (
             r.stats.states_evaluated as f64,
@@ -178,7 +177,7 @@ pub fn mc_iterations(env: &Env) -> AblationResult {
     for iters in [10usize, 50, 100, 400] {
         let mut p = tight_problem(env, &wf, 0.96);
         p.mc_iters = iters;
-        match p.solve_beam(&opts(env), 4, &env.backend()).best {
+        match beam_search(&p, &opts(env), 4, &env.backend()).best {
             Some((state, eval)) => {
                 let plan = p.plan_of(&state);
                 let (makespans, _) =
@@ -211,7 +210,7 @@ pub fn operation_set(env: &Env) -> AblationResult {
     for (label, promote_only) in [("promote-only", true), ("promote+demote", false)] {
         let mut p = problem(env, &wf, 0.9);
         p.promote_only = promote_only;
-        let r = p.solve_beam(&opts(env), 4, &env.backend());
+        let r = beam_search(&p, &opts(env), 4, &env.backend());
         rows.push(AblationRow {
             label: label.into(),
             values: vec![

@@ -12,7 +12,7 @@
 use crate::common::{row, Env, ROOT_SEED};
 use deco_core::SchedulingProblem;
 use deco_gpu::DeviceSpec;
-use deco_solver::{EvalBackend, SearchOptions};
+use deco_solver::{beam_search, EvalBackend, SearchOptions};
 use deco_workflow::generators;
 use deco_workflow::Workflow;
 
@@ -51,7 +51,7 @@ fn measure(env: &Env, wf: &Workflow, label: &str) -> SpeedupRow {
         seed: ROOT_SEED,
         ..Default::default()
     };
-    let run = |backend: &EvalBackend| problem.solve_beam(&opts, 4, backend).stats;
+    let run = |backend: &EvalBackend| beam_search(&problem, &opts, 4, backend).stats;
     let seq = run(&EvalBackend::SeqCpu);
     let cpu6 = run(&EvalBackend::ParCpu(6));
     let gpu = run(&EvalBackend::SimGpu(DeviceSpec::k40()));

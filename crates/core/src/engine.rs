@@ -99,6 +99,26 @@ impl Deco {
         &self.store.spec
     }
 
+    /// The scheduling problem this engine plans `wf` against: estimates
+    /// fold in the store's failure rates when `options.retry` is set, and
+    /// every state runs `options.mc_iters` Monte-Carlo iterations.
+    pub(crate) fn problem<'a>(
+        &'a self,
+        wf: &'a Workflow,
+        deadline: f64,
+        percentile: f64,
+    ) -> SchedulingProblem<'a> {
+        let (spec, store) = (self.spec(), &self.store);
+        let mut problem = match &self.options.retry {
+            Some(retry) => {
+                SchedulingProblem::new_failure_aware(wf, spec, store, deadline, percentile, retry)
+            }
+            None => SchedulingProblem::new(wf, spec, store, deadline, percentile),
+        };
+        problem.mc_iters = self.options.mc_iters;
+        problem
+    }
+
     /// Typed fast path for the scheduling problem: same pipeline, compiled
     /// evaluator, suitable for 1000-task workflows.
     pub fn plan_workflow(
@@ -108,19 +128,9 @@ impl Deco {
         percentile: f64,
         backend: &EvalBackend,
     ) -> Option<DecoPlan> {
-        let mut problem = match &self.options.retry {
-            Some(retry) => SchedulingProblem::new_failure_aware(
-                wf,
-                self.spec(),
-                &self.store,
-                deadline,
-                percentile,
-                retry,
-            ),
-            None => SchedulingProblem::new(wf, self.spec(), &self.store, deadline, percentile),
-        };
-        problem.mc_iters = self.options.mc_iters;
-        let result = problem.solve_beam(&self.options.search, self.options.beam_width, backend);
+        let problem = self.problem(wf, deadline, percentile);
+        let o = &self.options;
+        let result = beam_search(&problem, &o.search, o.beam_width, backend);
         result.best.map(|(types, evaluation)| DecoPlan {
             plan: problem.plan_of(&types),
             types,
@@ -369,7 +379,7 @@ impl SearchProblem for WlogSchedulingProblem<'_> {
         schedule_neighbors(self.wf, s, self.spec.k(), false)
     }
 
-    fn evaluate(&self, s: &Vec<usize>, seed: u64) -> Evaluation {
+    fn evaluate(&self, s: &Vec<usize>, seed: u64, _: &mut ()) -> Evaluation {
         let worst = if self.goal_minimize() {
             f64::INFINITY
         } else {

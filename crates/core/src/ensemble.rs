@@ -112,7 +112,7 @@ impl<'a> EnsembleProblem<'a> {
             .map(|(m, &d)| {
                 let mut p = SchedulingProblem::new(&m.workflow, spec, store, d, percentile);
                 p.mc_iters = mc_iters;
-                match p.solve_beam(search, 4, backend).best {
+                match beam_search(&p, search, 4, backend).best {
                     Some((state, eval)) => MemberPlan {
                         plan: Some(p.plan_of(&state)),
                         cost: eval.objective,
@@ -166,7 +166,7 @@ impl SearchProblem for EnsembleProblem<'_> {
         out
     }
 
-    fn evaluate(&self, s: &Vec<bool>, _seed: u64) -> Evaluation {
+    fn evaluate(&self, s: &Vec<bool>, _seed: u64, _: &mut ()) -> Evaluation {
         let cost = self.cost_of(s);
         let score: f64 = s
             .iter()

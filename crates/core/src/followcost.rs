@@ -203,7 +203,7 @@ impl SearchProblem for FollowCostProblem<'_> {
         out
     }
 
-    fn evaluate(&self, s: &Vec<usize>, _seed: u64) -> Evaluation {
+    fn evaluate(&self, s: &Vec<usize>, _seed: u64, _: &mut ()) -> Evaluation {
         let mut cost = 0.0;
         let mut feasible = true;
         let mut min_slack_ratio = f64::INFINITY;

@@ -25,7 +25,9 @@ use crate::scheduling::SchedulingProblem;
 use deco_baselines::autoscaling::autoscaling_types;
 use deco_baselines::heuristic::offline_region_choice;
 use deco_cloud::plan::mean_exec_seconds;
-use deco_solver::{eval::state_seed, EvalBackend, SearchBudget, SearchProblem, SearchStats};
+use deco_solver::{
+    beam_search, eval::state_seed, EvalBackend, SearchBudget, SearchProblem, SearchStats,
+};
 use deco_workflow::Workflow;
 
 /// Which stage of the degradation chain produced the plan.
@@ -120,14 +122,19 @@ pub fn plan_with_fallback_scratch(
     scratch: &mut FrontierScratch,
 ) -> Result<SupervisedPlan, DecoError> {
     validate_request(wf, deadline, percentile)?;
-    let mut problem = build_problem(deco, wf, deadline, percentile);
+    let mut problem = deco.problem(wf, deadline, percentile);
 
     let mut skipped = Vec::new();
 
     // --- stage 1: the compiled Deco solver, under the budget -------------
     let mut opts = deco.options.search.clone();
     opts.budget = budget.clone();
-    let result = problem.solve_beam(&opts, deco.options.beam_width, &EvalBackend::SeqCpu);
+    let result = beam_search(
+        &problem,
+        &opts,
+        deco.options.beam_width,
+        &EvalBackend::SeqCpu,
+    );
     let spent = result.stats.budget_spent;
     match result.best {
         Some((types, evaluation)) => {
@@ -192,7 +199,7 @@ pub fn plan_fallback_only(
     scratch: &mut FrontierScratch,
 ) -> Result<SupervisedPlan, DecoError> {
     validate_request(wf, deadline, percentile)?;
-    let mut problem = build_problem(deco, wf, deadline, percentile);
+    let mut problem = deco.problem(wf, deadline, percentile);
     let skipped = vec![StageSkip {
         stage: PlanStage::Deco,
         reason: skip_reason.to_string(),
@@ -226,23 +233,6 @@ fn validate_request(wf: &Workflow, deadline: f64, percentile: f64) -> Result<(),
         )));
     }
     Ok(())
-}
-
-fn build_problem<'a>(
-    deco: &'a Deco,
-    wf: &'a Workflow,
-    deadline: f64,
-    percentile: f64,
-) -> SchedulingProblem<'a> {
-    let spec = &deco.store.spec;
-    let mut problem = match &deco.options.retry {
-        Some(retry) => {
-            SchedulingProblem::new_failure_aware(wf, spec, &deco.store, deadline, percentile, retry)
-        }
-        None => SchedulingProblem::new(wf, spec, &deco.store, deadline, percentile),
-    };
-    problem.mc_iters = deco.options.mc_iters;
-    problem
 }
 
 /// Stages 2 and 3 of the chain, shared by the budgeted entry points (after
@@ -288,7 +278,7 @@ fn degrade_chain(
             let types = vec![ty; wf.len()];
             let region = offline_region_choice(wf, spec, &types, 0);
             problem.region = region;
-            let evaluation = problem.evaluate_with(&types, state_seed(0xFA11, &types), scratch);
+            let evaluation = problem.evaluate(&types, state_seed(0xFA11, &types), scratch);
             let plan = problem.plan_of(&types);
             return SupervisedPlan {
                 plan: DecoPlan {
@@ -314,7 +304,7 @@ fn degrade_chain(
     // --- stage 3: autoscaling static plan (always succeeds) --------------
     let types = autoscaling_types(wf, spec, deadline);
     problem.region = 0;
-    let evaluation = problem.evaluate_with(&types, state_seed(0xFA11, &types), scratch);
+    let evaluation = problem.evaluate(&types, state_seed(0xFA11, &types), scratch);
     let plan = deco_cloud::Plan::packed_deadline(wf, &types, 0, spec, deadline);
     SupervisedPlan {
         plan: DecoPlan {

@@ -302,7 +302,6 @@ pub fn encode_engine(deco: &Deco) -> Vec<u8> {
     put_u64(&mut out, s.batch as u64);
     put_u64(&mut out, s.seed);
     encode_budget(&mut out, &s.budget);
-    put_opt(&mut out, s.pool_reserve.map(|v| v as u64), put_u64);
     put_opt(&mut out, o.retry.as_ref(), |out, rc| {
         put_u32(out, rc.max_attempts);
         put_f64(out, rc.backoff_base);
@@ -332,7 +331,6 @@ fn read_engine(r: &mut Reader<'_>) -> Result<Deco, DecoError> {
             batch: r.u64()? as usize,
             seed: r.u64()?,
             budget: decode_budget(r)?,
-            pool_reserve: r.opt(Reader::u64)?.map(|v| v as usize),
         },
         retry: r.opt(|r| {
             Ok(RetryConfig {
@@ -461,7 +459,6 @@ mod tests {
             ticks: Some(1.5e9),
             wall_seconds: None,
         };
-        deco.options.search.pool_reserve = Some(96);
         deco.options.retry = Some(RetryConfig {
             max_attempts: 3,
             backoff_base: 8.0,
@@ -473,7 +470,6 @@ mod tests {
         assert_eq!(back.options.search.seed, 0xDEAD_BEEF);
         assert_eq!(back.options.search.budget.ticks, Some(1.5e9));
         assert_eq!(back.options.search.budget.wall_seconds, None);
-        assert_eq!(back.options.search.pool_reserve, Some(96));
         let rc = back.options.retry.expect("retry config");
         assert_eq!(rc.max_attempts, 3);
         assert_eq!(encode_engine(&deco), encode_engine(&back));

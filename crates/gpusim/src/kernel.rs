@@ -5,8 +5,8 @@
 //! host worker threads (crossbeam scope) and measuring each block's
 //! single-core work to feed the timing model.
 //!
-//! The block function receives `(block_input, block_index)` and performs
-//! the whole block's thread-parallel work (e.g. `threads_per_block`
+//! The block function receives `(block_input, block_index, worker_state)`
+//! and performs the whole block's thread-parallel work (e.g. `threads_per_block`
 //! Monte-Carlo iterations); lane parallelism *within* a block is accounted
 //! for analytically by the timing model rather than oversubscribing the
 //! host.
@@ -44,34 +44,16 @@ impl<R> LaunchReport<R> {
 /// * `threads_per_block` — lane-parallel width inside one block (the
 ///   paper's `K`, e.g. the Monte-Carlo iteration count).
 /// * `block_bytes` — per-block working set, for the shared-memory model.
-/// * `block_fn(input, block_idx)` — the block's whole work.
+/// * `worker_init()` — runs once on each worker thread; the value is
+///   threaded through every block that worker executes.
+/// * `block_fn(input, block_idx, worker_state)` — the block's whole work.
 ///
 /// Blocks execute concurrently across host cores (capped at the device's
 /// SM count — the paper runs one block per SM), so results are bitwise
 /// identical to a sequential run while wall-clock improves; the returned
 /// [`KernelTiming`] is the modeled device time.
-pub fn launch<S: Sync, R: Send>(
-    device: &DeviceSpec,
-    inputs: &[S],
-    threads_per_block: usize,
-    block_bytes: usize,
-    block_fn: impl Fn(&S, usize) -> R + Sync,
-) -> LaunchReport<R> {
-    launch_with(
-        device,
-        inputs,
-        threads_per_block,
-        block_bytes,
-        || (),
-        |s, b, ()| block_fn(s, b),
-    )
-}
-
-/// [`launch`] with per-worker mutable state: `worker_init()` runs once on
-/// each worker thread and the resulting value is threaded through every
-/// block that worker executes.
 ///
-/// This is how evaluation scratch buffers (see `deco-core`'s
+/// The worker state is how evaluation scratch buffers (see `deco-core`'s
 /// `FrontierScratch`) are reused across the blocks of a batch without
 /// allocation and without sharing: one scratch per worker, not per block.
 /// Block results must not depend on the scratch's prior contents (workers
@@ -147,10 +129,17 @@ mod tests {
     fn results_arrive_in_block_order() {
         let d = DeviceSpec::cpu(4);
         let inputs: Vec<u64> = (0..64).collect();
-        let report = launch(&d, &inputs, 8, 0, |&x, idx| {
-            assert_eq!(x, idx as u64);
-            x * x
-        });
+        let report = launch_with(
+            &d,
+            &inputs,
+            8,
+            0,
+            || (),
+            |&x, idx, ()| {
+                assert_eq!(x, idx as u64);
+                x * x
+            },
+        );
         let values = report.values();
         assert_eq!(values, (0..64).map(|x| x * x).collect::<Vec<u64>>());
     }
@@ -159,7 +148,7 @@ mod tests {
     fn identical_to_sequential_reference() {
         let d = DeviceSpec::k40();
         let inputs: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let report = launch(&d, &inputs, 128, 1024, |&x, _| (x * 1.5).sqrt());
+        let report = launch_with(&d, &inputs, 128, 1024, || (), |&x, _, ()| (x * 1.5).sqrt());
         let seq: Vec<f64> = inputs.iter().map(|&x| (x * 1.5).sqrt()).collect();
         assert_eq!(report.values(), seq);
     }
@@ -168,14 +157,21 @@ mod tests {
     fn timing_reflects_work() {
         let d = DeviceSpec::cpu(2);
         let inputs = vec![200_000u64; 6];
-        let report = launch(&d, &inputs, 1, 0, |&n, _| {
-            // Busy work so host_seconds is measurably > 0.
-            let mut acc = 0u64;
-            for i in 0..n {
-                acc = acc.wrapping_add(i).rotate_left(1);
-            }
-            acc
-        });
+        let report = launch_with(
+            &d,
+            &inputs,
+            1,
+            0,
+            || (),
+            |&n, _, ()| {
+                // Busy work so host_seconds is measurably > 0.
+                let mut acc = 0u64;
+                for i in 0..n {
+                    acc = acc.wrapping_add(i).rotate_left(1);
+                }
+                acc
+            },
+        );
         assert!(report.timing.host_seconds > 0.0);
         assert_eq!(report.timing.waves, 3);
         assert!(report.timing.modeled_seconds <= report.timing.host_seconds);
@@ -184,7 +180,7 @@ mod tests {
     #[test]
     fn single_block_launch() {
         let d = DeviceSpec::k40();
-        let report = launch(&d, &[7u32], 192, 100, |&x, _| x + 1);
+        let report = launch_with(&d, &[7u32], 192, 100, || (), |&x, _, ()| x + 1);
         assert_eq!(report.timing.waves, 1);
         assert_eq!(report.values(), vec![8]);
     }
@@ -209,6 +205,6 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         let d = DeviceSpec::k40();
-        launch(&d, &[1], 0, 0, |&x: &i32, _| x);
+        launch_with(&d, &[1], 0, 0, || (), |&x: &i32, _, ()| x);
     }
 }

@@ -28,5 +28,5 @@ pub mod kernel;
 pub mod timing;
 
 pub use device::DeviceSpec;
-pub use kernel::{launch, launch_with, BlockResult, LaunchReport};
+pub use kernel::{launch_with, BlockResult, LaunchReport};
 pub use timing::{model, model_ticks, KernelTiming};

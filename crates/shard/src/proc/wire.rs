@@ -67,7 +67,8 @@ use deco_solver::SearchBudget;
 use std::io::{Read, Write};
 
 /// Version byte leading every frame body. Peers reject mismatches.
-pub const PROC_WIRE_VERSION: u8 = 2;
+/// Version 3 dropped the beam-reserve slot from the `Hello` engine bytes.
+pub const PROC_WIRE_VERSION: u8 = 3;
 
 /// The argv marker a supervised binary checks for at startup (see
 /// [`crate::proc::maybe_run_shard_worker`]).

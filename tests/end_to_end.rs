@@ -78,17 +78,17 @@ totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
     let mut typed = deco_core::SchedulingProblem::new(&wf, &spec, &deco.store, deadline, 0.9);
     typed.mc_iters = 80;
     typed.objective = deco_core::ObjectiveMode::FractionalMean;
-    let typed_result = typed
-        .solve_beam(
-            &deco_solver::SearchOptions {
-                max_states: 400,
-                ..Default::default()
-            },
-            4,
-            &EvalBackend::SeqCpu,
-        )
-        .best
-        .expect("typed plan");
+    let typed_result = deco_solver::beam_search(
+        &typed,
+        &deco_solver::SearchOptions {
+            max_states: 400,
+            ..Default::default()
+        },
+        4,
+        &EvalBackend::SeqCpu,
+    )
+    .best
+    .expect("typed plan");
     let typed_plan = deco_core::DecoPlan {
         plan: typed.plan_of(&typed_result.0),
         types: typed_result.0.clone(),

@@ -332,16 +332,16 @@ fn all_backends() -> [deco::solver::EvalBackend; 5] {
     ]
 }
 
-/// Chunking a frontier into candidate blocks and spreading the blocks over
-/// workers changes how candidates are evaluated, not what the search
-/// decides: beam and A* runs on every backend and worker count (1/2/8 host
-/// cores and the GPU model) find the same incumbent after the same states
-/// and batches as the sequential run. The tick charge is a device-model
-/// quantity, so the whole `deterministic_key` is compared wherever the
-/// device model is the sequential one (`ParCpu(1)`).
+/// Spreading a frontier's blocks (one per state) over workers changes how
+/// fast candidates are evaluated, not what the search decides: beam and
+/// A* runs on every backend and worker count (1/2/8 host cores and the GPU
+/// model) find the same incumbent after the same states and batches as
+/// the sequential run. The tick charge is a device-model quantity, so the
+/// whole `deterministic_key` is compared wherever the device model is the
+/// sequential one (`ParCpu(1)`).
 #[test]
 fn search_is_backend_and_worker_count_invariant() {
-    use deco::solver::{EvalBackend, SearchOptions};
+    use deco::solver::{astar_search, beam_search, EvalBackend, SearchOptions};
     let spec = CloudSpec::amazon_ec2();
     let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 20);
     let opts = SearchOptions {
@@ -352,8 +352,8 @@ fn search_is_backend_and_worker_count_invariant() {
         let problem = frontier_search_problem(&wf, &spec, &store);
         for beam in [Some(2), Some(4), None] {
             let solve = |backend: &EvalBackend| match beam {
-                Some(w) => problem.solve_beam(&opts, w, backend),
-                None => problem.solve_astar(&opts, backend),
+                Some(w) => beam_search(&problem, &opts, w, backend),
+                None => astar_search(&problem, &opts, backend),
             };
             let [seq, others @ ..] = all_backends();
             let reference = solve(&seq);
@@ -380,19 +380,20 @@ fn search_is_backend_and_worker_count_invariant() {
     }
 }
 
-/// `evaluate_batch` stitches a frontier's candidate blocks back in input
-/// order: over a frontier spanning several blocks (the last one partial),
-/// every backend returns, element by element, exactly what evaluating each
-/// state on its own returns.
+/// `evaluate_batch` stitches a frontier's blocks back in input order: over
+/// a frontier of 71 states, every backend returns, element by element,
+/// exactly what evaluating each state on its own with a fresh scratch
+/// returns, although its workers reuse theirs across states.
 #[test]
 fn evaluate_batch_matches_per_state_evaluate() {
+    use deco::engine::estimate::FrontierScratch;
     use deco::solver::eval::{evaluate_batch, state_seed};
     use deco::solver::SearchProblem;
     let spec = CloudSpec::amazon_ec2();
     let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 20);
     let wf = generators::ligo(30, 1);
     let problem = frontier_search_problem(&wf, &spec, &store);
-    let len = 2 * problem.frontier_block() + 7;
+    let len = 71;
     let mut states = vec![problem.initial()];
     for i in 0.. {
         if states.len() >= len {
@@ -408,7 +409,7 @@ fn evaluate_batch_matches_per_state_evaluate() {
     let root = 0xD5C0;
     let per_state: Vec<_> = states
         .iter()
-        .map(|s| problem.evaluate(s, state_seed(root, s)))
+        .map(|s| problem.evaluate(s, state_seed(root, s), &mut FrontierScratch::new()))
         .collect();
     for backend in &all_backends() {
         let (batched, _) = evaluate_batch(&problem, &states, backend, root);
@@ -454,10 +455,10 @@ fn frontier_compile_rejects_nonconforming_plans() {
 
 #[test]
 fn gpu_model_cpu1_is_identity_baseline() {
-    use deco::gpu::{launch, DeviceSpec};
+    use deco::gpu::{launch_with, DeviceSpec};
     let d = DeviceSpec::single_core();
     let inputs: Vec<u64> = (0..32).collect();
-    let report = launch(&d, &inputs, 1, 0, |&x, _| x * 2);
+    let report = launch_with(&d, &inputs, 1, 0, || (), |&x, _, ()| x * 2);
     // On a single full-speed core, modeled time == host time.
     assert!((report.timing.modeled_seconds - report.timing.host_seconds).abs() < 1e-9);
 }
