@@ -9,7 +9,10 @@
 //! constraint of Section 3.1 (exactly one type per task) and searches
 //! type-vector states, evaluating each state by swapping its `configs`
 //! facts into the interpreter and running Monte-Carlo inference on the
-//! goal and constraints (Algorithms 1 and 2).
+//! goal and constraints (Algorithms 1 and 2). Each search worker owns a
+//! clone of the compiled evaluator, so states evaluate in parallel on the
+//! caller's backend with bit-identical results, and every query runs under
+//! [`WLOG_STEP_LIMIT`].
 //!
 //! The typed fast path ([`Deco::plan_workflow`]) runs the same three-part
 //! pipeline with a compiled evaluator; the integration tests cross-check
@@ -28,12 +31,31 @@ use deco_wlog::machine::MachineError;
 use deco_wlog::problog::{Evaluator, ProbProgram};
 use deco_wlog::program::{Goal, WlogProgram};
 use deco_workflow::Workflow;
-use parking_lot::Mutex;
+use std::sync::OnceLock;
 
 /// IR-construction failures are translation errors: the program validated,
 /// but a clause or weighted group could not be grounded.
 fn translate_err(e: MachineError) -> DecoError {
     DecoError::Translate(e.0)
+}
+
+/// Step budget of one WLog query on the declarative path: resolution steps
+/// plus the term cells unification, comparison and copying visit. The
+/// largest query of the test suite and of the `plan_wlog` benchmark takes
+/// 450 steps, so this leaves more than 2,000× headroom. A program that
+/// does not terminate (`loop :- loop.`, or a left-recursive rule) exhausts
+/// it, and planning fails with [`DecoError::Eval`] instead of spinning.
+pub const WLOG_STEP_LIMIT: u64 = 1_000_000;
+
+/// Reject engine options that cannot plan: every state runs
+/// `mc_iters` Monte-Carlo iterations, so there must be at least one.
+pub(crate) fn check_mc_iters(options: &DecoOptions) -> Result<(), DecoError> {
+    if options.mc_iters == 0 {
+        return Err(DecoError::Plan(
+            "mc_iters must be at least 1 (Monte-Carlo iterations per state)".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Engine configuration.
@@ -147,6 +169,7 @@ impl Deco {
         wf: &Workflow,
         backend: &EvalBackend,
     ) -> Result<DecoPlan, DecoError> {
+        check_mc_iters(&self.options)?;
         let program = WlogProgram::parse(program_src)?;
         program.validate()?;
         let goal = program
@@ -270,31 +293,32 @@ impl Deco {
                 var_functor.0, var_functor.1
             )));
         }
+        let mut evaluator = Evaluator::new(prob).map_err(translate_err)?;
+        evaluator.machine.step_limit = Some(WLOG_STEP_LIMIT);
         let problem = WlogSchedulingProblem {
             wf,
             spec: self.spec(),
-            evaluator: Mutex::new(Evaluator::new(prob).map_err(translate_err)?),
+            evaluator,
             program: program.clone(),
             goal,
             var_functor,
             mc_iters: self.options.mc_iters,
             state_bytes: table.state_bytes(),
+            runaway: OnceLock::new(),
         };
-        // The interpreter serializes state evaluation (the Mutex), so the
-        // WLog path always runs the sequential backend; the typed path is
-        // the one the device-model comparisons use.
-        let _ = backend;
-        let seq = EvalBackend::SeqCpu;
         let result = if program.astar {
-            astar_search(&problem, &self.options.search, &seq)
+            astar_search(&problem, &self.options.search, backend)
         } else {
             beam_search(
                 &problem,
                 &self.options.search,
                 self.options.beam_width,
-                &seq,
+                backend,
             )
         };
+        if let Some(e) = problem.runaway.get() {
+            return Err(DecoError::Eval(e.clone()));
+        }
         let (types, evaluation) = result.best.ok_or_else(|| {
             DecoError::Infeasible(if result.stats.truncated {
                 format!(
@@ -335,7 +359,10 @@ fn edge_fact(from: Term, to: Term) -> deco_wlog::ast::Clause {
 struct WlogSchedulingProblem<'a> {
     wf: &'a Workflow,
     spec: &'a CloudSpec,
-    evaluator: Mutex<Evaluator>,
+    /// The compiled program. Each search worker clones it into its scratch
+    /// on first use; the clone shares the compiled clauses and owns only
+    /// the state facts and the interpreter's stacks.
+    evaluator: Evaluator,
     program: WlogProgram,
     /// The validated goal, held by value so evaluation never re-inspects
     /// the program's `Option<Goal>`.
@@ -343,11 +370,25 @@ struct WlogSchedulingProblem<'a> {
     var_functor: (String, usize),
     mc_iters: usize,
     state_bytes: usize,
+    /// Set by the first query that exhausts [`WLOG_STEP_LIMIT`]: the program
+    /// does not terminate, so every later state is skipped and planning
+    /// reports this error.
+    runaway: OnceLock<MachineError>,
 }
 
 impl WlogSchedulingProblem<'_> {
     fn goal_minimize(&self) -> bool {
         self.goal.kind == deco_wlog::program::GoalKind::Minimize
+    }
+
+    /// Whether a failed query ran out of steps; the first such error is
+    /// kept for the caller.
+    fn exhausted(&self, ev: &Evaluator, e: &MachineError) -> bool {
+        let out = ev.machine.steps() > WLOG_STEP_LIMIT;
+        if out {
+            let _ = self.runaway.set(e.clone());
+        }
+        out
     }
 
     /// The state's variable facts (the declared functor, e.g. `configs/3`):
@@ -369,7 +410,7 @@ impl WlogSchedulingProblem<'_> {
 
 impl SearchProblem for WlogSchedulingProblem<'_> {
     type State = Vec<usize>;
-    type Scratch = ();
+    type Scratch = Option<Evaluator>;
 
     fn initial(&self) -> Vec<usize> {
         vec![self.spec.cheapest_type(); self.wf.len()]
@@ -379,13 +420,19 @@ impl SearchProblem for WlogSchedulingProblem<'_> {
         schedule_neighbors(self.wf, s, self.spec.k(), false)
     }
 
-    fn evaluate(&self, s: &Vec<usize>, seed: u64, _: &mut ()) -> Evaluation {
+    fn evaluate(&self, s: &Vec<usize>, seed: u64, scratch: &mut Option<Evaluator>) -> Evaluation {
         let worst = if self.goal_minimize() {
             f64::INFINITY
         } else {
             f64::NEG_INFINITY
         };
-        let mut ev = self.evaluator.lock();
+        if self.runaway.get().is_some() {
+            return Evaluation::infeasible(worst);
+        }
+        // Every query resets the interpreter, and the state facts below
+        // replace the previous state's, so the verdict does not depend on
+        // what this worker evaluated before.
+        let ev = scratch.get_or_insert_with(|| self.evaluator.clone());
         let (f, a) = (self.var_functor.0.as_str(), self.var_functor.1);
         if ev.set_state_facts(f, a, self.state_facts(s)).is_err() {
             // A state whose facts do not ground is unschedulable, not a
@@ -403,6 +450,7 @@ impl SearchProblem for WlogSchedulingProblem<'_> {
                     feasible &= ok;
                     margin = margin.min(est.value);
                 }
+                Err(e) if self.exhausted(ev, &e) => return Evaluation::infeasible(worst),
                 Err(_) => {
                     feasible = false;
                     margin = 0.0;
@@ -411,7 +459,10 @@ impl SearchProblem for WlogSchedulingProblem<'_> {
         }
         let objective = match ev.goal_value(&self.goal, self.mc_iters, &mut rng) {
             Ok(est) => est.value,
-            Err(_) => return Evaluation::infeasible(worst),
+            Err(e) => {
+                self.exhausted(ev, &e);
+                return Evaluation::infeasible(worst);
+            }
         };
         Evaluation {
             feasible,
@@ -526,6 +577,79 @@ totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
             .plan_workflow_wlog(&src, &wf, &EvalBackend::SeqCpu)
             .expect("astar path");
         assert!(plan.evaluation.feasible);
+    }
+
+    #[test]
+    fn non_terminating_programs_fail_with_a_step_limit_error() {
+        let mut d = deco();
+        d.options.mc_iters = 4;
+        d.options.search.max_states = 12;
+        let wf = generators::pipeline(2, 300.0, 0);
+        let base = example1(1e6, 90);
+        for looping in [
+            "totalcost(Ct) :- totalcost(Ct).",
+            "loop :- loop.\nmaxtime(P, T) :- loop.",
+        ] {
+            // The looping clause comes first, so it is tried before any
+            // terminating alternative.
+            let src = format!("{looping}\n{base}");
+            let t = std::time::Instant::now();
+            let err = d
+                .plan_workflow_wlog(&src, &wf, &EvalBackend::ParCpu(2))
+                .expect_err("a runaway program cannot plan");
+            assert!(
+                t.elapsed().as_secs_f64() < 5.0,
+                "{looping}: {:?}",
+                t.elapsed()
+            );
+            match err {
+                DecoError::Eval(e) => assert!(e.0.contains("step limit"), "{e}"),
+                other => panic!("{looping}: expected a step-limit error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_monte_carlo_iterations_are_rejected() {
+        let mut d = deco();
+        d.options.mc_iters = 0;
+        let wf = generators::pipeline(2, 300.0, 0);
+        let err = d
+            .plan_workflow_wlog(&example1(1e6, 90), &wf, &EvalBackend::SeqCpu)
+            .unwrap_err();
+        assert!(matches!(err, DecoError::Plan(_)), "{err}");
+        let (dmin, dmax) = crate::estimate::deadline_anchors(&wf, &d.store.spec);
+        let err = crate::supervisor::plan_with_fallback(
+            &d,
+            &wf,
+            0.5 * (dmin + dmax),
+            0.9,
+            &deco_solver::SearchBudget::unlimited(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, DecoError::Plan(_)), "{err}");
+    }
+
+    #[test]
+    fn the_wlog_path_runs_on_the_callers_backend() {
+        let d = deco();
+        let wf = generators::fork_join(2, 1200.0, (64u64 << 20) as f64);
+        let (dmin, dmax) = crate::estimate::deadline_anchors(&wf, &d.store.spec);
+        let src = example1(0.5 * (dmin + dmax), 90);
+        let seq = d
+            .plan_workflow_wlog(&src, &wf, &EvalBackend::SeqCpu)
+            .unwrap();
+        let k40 = EvalBackend::SimGpu(deco_gpu::DeviceSpec::k40());
+        let gpu = d.plan_workflow_wlog(&src, &wf, &k40).unwrap();
+        assert_eq!(gpu.types, seq.types);
+        assert_eq!(gpu.evaluation, seq.evaluation);
+        assert_eq!(gpu.stats.states_evaluated, seq.stats.states_evaluated);
+        assert_eq!(gpu.stats.batches, seq.stats.batches);
+        // The device model charged is the K40's, not a sequential core's.
+        assert_ne!(
+            gpu.stats.budget_spent.to_bits(),
+            seq.stats.budget_spent.to_bits()
+        );
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn plan_with_fallback_scratch(
     budget: &SearchBudget,
     scratch: &mut FrontierScratch,
 ) -> Result<SupervisedPlan, DecoError> {
-    validate_request(wf, deadline, percentile)?;
+    validate_request(deco, wf, deadline, percentile)?;
     let mut problem = deco.problem(wf, deadline, percentile);
 
     let mut skipped = Vec::new();
@@ -198,7 +198,7 @@ pub fn plan_fallback_only(
     skip_reason: &str,
     scratch: &mut FrontierScratch,
 ) -> Result<SupervisedPlan, DecoError> {
-    validate_request(wf, deadline, percentile)?;
+    validate_request(deco, wf, deadline, percentile)?;
     let mut problem = deco.problem(wf, deadline, percentile);
     let skipped = vec![StageSkip {
         stage: PlanStage::Deco,
@@ -218,7 +218,13 @@ pub fn plan_fallback_only(
 
 /// Structural validation shared by every supervised entry point, ahead of
 /// any constructor that asserts.
-fn validate_request(wf: &Workflow, deadline: f64, percentile: f64) -> Result<(), DecoError> {
+fn validate_request(
+    deco: &Deco,
+    wf: &Workflow,
+    deadline: f64,
+    percentile: f64,
+) -> Result<(), DecoError> {
+    crate::engine::check_mc_iters(&deco.options)?;
     if wf.is_empty() {
         return Err(DecoError::Plan("workflow has no tasks".into()));
     }

@@ -318,6 +318,11 @@ pub fn decode_engine(bytes: &[u8]) -> Result<Deco, DecoError> {
 fn read_engine(r: &mut Reader<'_>) -> Result<Deco, DecoError> {
     let store = read_store(r)?;
     let mc_iters = r.u64()? as usize;
+    if mc_iters == 0 {
+        return Err(DecoError::Store(
+            "engine has zero Monte-Carlo iterations per state".into(),
+        ));
+    }
     let beam_width = r.u64()? as usize;
     let wlog_bins = r.u64()? as usize;
     let mut deco = Deco::new(store);
@@ -446,6 +451,18 @@ mod tests {
         }
         // Deterministic encoding: equal stores, equal bytes.
         assert_eq!(encode_store(&store), encode_store(&back));
+    }
+
+    #[test]
+    fn an_engine_without_monte_carlo_iterations_is_rejected() {
+        let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 10);
+        let mut deco = Deco::new(store);
+        deco.options.mc_iters = 0;
+        match decode_engine(&encode_engine(&deco)) {
+            Err(DecoError::Transport(_)) => {}
+            Err(other) => panic!("expected a transport error, got {other}"),
+            Ok(_) => panic!("an engine with mc_iters = 0 decoded"),
+        }
     }
 
     #[test]

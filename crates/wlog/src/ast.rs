@@ -154,37 +154,6 @@ impl Clause {
     pub fn rule(head: Term, body: Vec<Term>) -> Clause {
         Clause { head, body }
     }
-
-    /// Rename every variable with a unique suffix, so that two activations
-    /// of the same clause never share variables.
-    pub fn rename(&self, counter: &mut u64) -> Clause {
-        *counter += 1;
-        let suffix = *counter;
-        fn go(t: &Term, suffix: u64) -> Term {
-            match t {
-                Term::Var(v) if v == "_" => {
-                    // Each underscore is a distinct fresh variable; pair it
-                    // with its address-ish uniqueness via the suffix plus a
-                    // thread-local counter is overkill — a shared name per
-                    // clause activation suffices because `_` never co-refers.
-                    Term::Var(format!("_#{suffix}"))
-                }
-                Term::Var(v) => Term::Var(format!("{v}#{suffix}")),
-                Term::Compound(f, args) => {
-                    Term::Compound(f.clone(), args.iter().map(|a| go(a, suffix)).collect())
-                }
-                Term::List(items, tail) => Term::List(
-                    items.iter().map(|a| go(a, suffix)).collect(),
-                    tail.as_ref().map(|t| Box::new(go(t, suffix))),
-                ),
-                other => other.clone(),
-            }
-        }
-        Clause {
-            head: go(&self.head, suffix),
-            body: self.body.iter().map(|t| go(t, suffix)).collect(),
-        }
-    }
 }
 
 impl fmt::Display for Clause {
@@ -242,23 +211,5 @@ mod tests {
         assert_eq!(c.to_string(), "p(X) :- q(X,2).");
         let l = Term::List(vec![Term::num(1.0)], Some(Box::new(Term::var("T"))));
         assert_eq!(l.to_string(), "[1|T]");
-    }
-
-    #[test]
-    fn rename_refreshes_all_vars_consistently() {
-        let c = Clause::rule(
-            Term::compound("p", vec![Term::var("X")]),
-            vec![Term::compound("q", vec![Term::var("X"), Term::var("Y")])],
-        );
-        let mut n = 0;
-        let r1 = c.rename(&mut n);
-        let r2 = c.rename(&mut n);
-        assert_ne!(r1, r2, "two activations must not share variables");
-        // X in head and body stays the same variable inside one activation.
-        if let (Term::Compound(_, h), Term::Compound(_, b)) = (&r1.head, &r1.body[0]) {
-            assert_eq!(h[0], b[0]);
-        } else {
-            panic!("shape");
-        }
     }
 }

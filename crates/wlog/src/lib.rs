@@ -17,9 +17,12 @@
 //! * [`ast`] — terms, clauses, and the WLog program structure.
 //! * [`lexer`] / [`parser`] — concrete syntax, including the `95%` / `10h`
 //!   literals of constraint built-ins.
-//! * [`unify`] — substitutions and unification.
-//! * [`machine`] — SLD resolution with backtracking, cut, and the ProLog
-//!   built-ins (`is`, comparisons, `findall`, `setof`, `sum`, `max`, …).
+//! * `unify` — compiled terms, binding slots with a trail, and
+//!   unification (internal to the machine).
+//! * [`machine`] — clauses compiled to templates with first-argument
+//!   indexing, and iterative SLD resolution with backtracking, cut, and the
+//!   ProLog built-ins (`is`, comparisons, `findall`, `setof`, `sum`, `max`,
+//!   …).
 //! * [`problog`] — the probabilistic IR: weighted rules, annotated
 //!   disjunctions (one alternative per histogram bin), and Monte-Carlo
 //!   query evaluation.
@@ -32,7 +35,7 @@ pub mod machine;
 pub mod parser;
 pub mod problog;
 pub mod program;
-pub mod unify;
+mod unify;
 
 pub use ast::{Clause, Term};
 pub use machine::Machine;

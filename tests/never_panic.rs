@@ -42,6 +42,18 @@ totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
 maxtime(Path,T) :- totalcost(T).
 "#;
 
+/// A program whose goal never terminates (left recursion): planning it
+/// must end in an error from the interpreter's step budget.
+const WLOG_RUNAWAY_SRC: &str = r#"
+import(amazonec2).
+import(workflow).
+minimize Ct in totalcost(Ct).
+T in maxtime(Path,T) satisfies deadline(90%, 3000s).
+configs(Tid,Vid,Con) forall task(Tid) and vm(Vid).
+totalcost(Ct) :- totalcost(Ct).
+maxtime(Path,T) :- T is 1.
+"#;
+
 fn tiny_deco() -> Deco {
     let spec = CloudSpec::amazon_ec2();
     let store = MetadataStore::from_ground_truth(spec, 10);
@@ -579,6 +591,15 @@ proptest! {
     ) {
         let doc = emit_dax(&generators::montage(1, seed)).unwrap();
         drive_dax(&mutate(&doc, &picks));
+    }
+
+    /// Mutations of the non-terminating program never panic (nor hang):
+    /// the ones that still loop end at the step budget.
+    #[test]
+    fn mutated_runaway_programs_never_panic_wlog(
+        picks in proptest::collection::vec((0usize..4096, 0u8..3, 32u8..127), 0..4)
+    ) {
+        drive_wlog(&mutate(WLOG_RUNAWAY_SRC, &picks));
     }
 
     /// Every truncation of a valid program is rejected or planned, never a

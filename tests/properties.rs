@@ -7,7 +7,7 @@ use deco::prob::dist::{Dist, Gamma, Normal};
 use deco::prob::rng::seeded;
 use deco::prob::Histogram;
 use deco::wlog::ast::Term;
-use deco::wlog::unify::Bindings;
+use deco::wlog::machine::{Database, Machine};
 use deco::workflow::dax::{emit_dax, parse_dax};
 use deco::workflow::generators;
 use proptest::prelude::*;
@@ -261,11 +261,11 @@ proptest! {
         }
     }
 
-    /// Unification round-trip: after unifying a pattern with a ground
-    /// term, resolving the pattern yields exactly that term.
+    /// Unification round-trip: after `Pattern = Ground` the resolved
+    /// pattern is exactly the ground term.
     #[test]
     fn unification_round_trips(x in -1e6f64..1e6, y in -1e6f64..1e6) {
-        let mut b = Bindings::new();
+        let mut m = Machine::new(Database::new());
         let pattern = Term::compound(
             "f",
             vec![Term::var("A"), Term::compound("g", vec![Term::var("B"), Term::var("A")])],
@@ -274,35 +274,45 @@ proptest! {
             "f",
             vec![Term::num(x), Term::compound("g", vec![Term::num(y), Term::num(x)])],
         );
-        prop_assert!(b.unify(&pattern, &ground));
-        prop_assert_eq!(b.resolve(&pattern), ground);
+        let sols = m.solve_all(&Term::compound("=", vec![pattern.clone(), ground.clone()])).unwrap();
+        prop_assert_eq!(sols, vec![Term::compound("=", vec![ground.clone(), ground])]);
         // Inconsistent ground term must fail when x != y.
         if x != y {
-            let mut b2 = Bindings::new();
             let bad = Term::compound(
                 "f",
                 vec![Term::num(x), Term::compound("g", vec![Term::num(y), Term::num(y)])],
             );
-            prop_assert!(!b2.unify(&pattern, &bad));
+            prop_assert!(!m.provable(&Term::compound("=", vec![pattern, bad])).unwrap());
         }
     }
 
-    /// Undoing to a mark restores unifiability.
+    /// Backtracking undoes every binding: the second solution of
+    /// `member(K, [0, 1]), V0 = f(K, v0), …` binds each variable afresh.
     #[test]
     fn bindings_undo_is_complete(vals in proptest::collection::vec(-100f64..100.0, 1..8)) {
-        let mut b = Bindings::new();
-        let mark = b.mark();
+        let mut m = Machine::new(Database::new());
+        let mut query = Term::compound(
+            "member",
+            vec![Term::var("K"), Term::list(vec![Term::num(0.0), Term::num(1.0)])],
+        );
         for (i, &v) in vals.iter().enumerate() {
-            let var = Term::var(format!("V{i}"));
-            let ok = b.unify(&var, &Term::num(v));
-            prop_assert!(ok);
+            let bind = Term::compound(
+                "=",
+                vec![
+                    Term::var(format!("V{i}")),
+                    Term::compound("f", vec![Term::var("K"), Term::num(v)]),
+                ],
+            );
+            query = Term::compound(",", vec![query, bind]);
         }
-        b.undo(mark);
-        // All variables free again: they can take fresh, different values.
-        for (i, &v) in vals.iter().enumerate() {
-            let var = Term::var(format!("V{i}"));
-            let ok = b.unify(&var, &Term::num(v + 1.0));
-            prop_assert!(ok);
+        let sols = m.solve_all(&query).unwrap();
+        prop_assert_eq!(sols.len(), 2);
+        for (k, sol) in sols.iter().enumerate() {
+            let text = sol.to_string();
+            for &v in &vals {
+                let want = Term::compound("f", vec![Term::num(k as f64), Term::num(v)]).to_string();
+                prop_assert!(text.contains(&want), "solution {} lacks {}: {}", k, want, text);
+            }
         }
     }
 }
