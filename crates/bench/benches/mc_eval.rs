@@ -6,7 +6,10 @@
 //!
 //! Beyond the criterion output, the bench writes `BENCH_mc_eval.json` at
 //! the repository root with the measured medians and speedups so future
-//! PRs can track the trajectory without parsing bench logs.
+//! PRs can track the trajectory without parsing bench logs. Each case also
+//! records the device model's 1-core time for the same work (`tasks ×
+//! mc_iters × HOST_SECONDS_PER_CELL`) and its ratio to the measured
+//! `mc_evaluate_plan` time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deco_cloud::{CloudSpec, MetadataStore, Plan};
@@ -14,6 +17,7 @@ use deco_core::estimate::{
     mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier, ExecTimeTable, FrontierScratch,
     FrontierSkeleton,
 };
+use deco_gpu::HOST_SECONDS_PER_CELL;
 use deco_workflow::generators;
 use deco_workflow::Workflow;
 use std::time::{Duration, Instant};
@@ -337,6 +341,24 @@ fn mc_eval(c: &mut Criterion) {
             budget,
         );
         let speedup = ref_s / k1_s;
+        // The device model's 1-core time for the same work, beside the
+        // measured one: a drifting ratio means `HOST_SECONDS_PER_CELL` no
+        // longer describes this kernel (a warning, never a failure).
+        let modeled_s = (wf.len() * MC_ITERS) as f64 * HOST_SECONDS_PER_CELL;
+        let model_ratio = modeled_s / fresh_s;
+        println!(
+            "mc_eval {:<12} modeled 1-core {:>10.1} us  measured {:>10.1} us  modeled/measured {:.2}",
+            case.name,
+            modeled_s * 1e6,
+            fresh_s * 1e6,
+            model_ratio
+        );
+        if !(0.5..=2.0).contains(&model_ratio) {
+            println!(
+                "mc_eval WARNING {}: HOST_SECONDS_PER_CELL is off by {model_ratio:.2}x here",
+                case.name
+            );
+        }
         println!(
             "mc_eval {:<12} tasks={:<5} slots={:<5} reference {:>10.1} us  frontier_k1 {:>10.1} us  \
              mc_evaluate_plan {:>10.1} us  speedup {:.2}x",
@@ -351,14 +373,16 @@ fn mc_eval(c: &mut Criterion) {
         rows.push(format!(
             "    {{\"name\": \"{}\", \"tasks\": {}, \"mc_iters\": {}, \
              \"reference_us\": {:.3}, \"frontier_k1_us\": {:.3}, \"mc_evaluate_plan_us\": {:.3}, \
-             \"speedup\": {:.3}}}",
+             \"speedup\": {:.3}, \"modeled_1core_us\": {:.3}, \"modeled_over_measured\": {:.3}}}",
             case.name,
             wf.len(),
             MC_ITERS,
             ref_s * 1e6,
             k1_s * 1e6,
             fresh_s * 1e6,
-            speedup
+            speedup,
+            modeled_s * 1e6,
+            model_ratio
         ));
     }
 

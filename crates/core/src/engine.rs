@@ -142,7 +142,8 @@ impl Deco {
     }
 
     /// Typed fast path for the scheduling problem: same pipeline, compiled
-    /// evaluator, suitable for 1000-task workflows.
+    /// evaluator, suitable for 1000-task workflows. `None` when no plan is
+    /// feasible or `options.mc_iters` is zero.
     pub fn plan_workflow(
         &self,
         wf: &Workflow,
@@ -150,6 +151,7 @@ impl Deco {
         percentile: f64,
         backend: &EvalBackend,
     ) -> Option<DecoPlan> {
+        check_mc_iters(&self.options).ok()?;
         let problem = self.problem(wf, deadline, percentile);
         let o = &self.options;
         let result = beam_search(&problem, &o.search, o.beam_width, backend);
@@ -482,6 +484,10 @@ impl SearchProblem for WlogSchedulingProblem<'_> {
     fn threads_per_state(&self) -> usize {
         self.mc_iters
     }
+
+    fn cells_per_thread(&self) -> usize {
+        self.wf.len()
+    }
 }
 
 #[cfg(test)]
@@ -619,6 +625,8 @@ totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
             .unwrap_err();
         assert!(matches!(err, DecoError::Plan(_)), "{err}");
         let (dmin, dmax) = crate::estimate::deadline_anchors(&wf, &d.store.spec);
+        let typed = d.plan_workflow(&wf, 0.5 * (dmin + dmax), 0.9, &EvalBackend::SeqCpu);
+        assert!(typed.is_none());
         let err = crate::supervisor::plan_with_fallback(
             &d,
             &wf,

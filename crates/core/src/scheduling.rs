@@ -200,6 +200,10 @@ impl SearchProblem for SchedulingProblem<'_> {
         self.mc_iters
     }
 
+    fn cells_per_thread(&self) -> usize {
+        self.wf.len()
+    }
+
     fn children_monotone(&self) -> bool {
         // Hourly billing breaks cost monotonicity under promotion (a
         // faster type can need fewer instance-hours), so incumbent pruning
@@ -270,9 +274,9 @@ mod tests {
                 n
             })
             .collect();
-        let (seq, _) = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 77);
-        let (par, _) = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6), 77);
-        let (gpu, _) = evaluate_batch(
+        let seq = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 77);
+        let par = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6), 77);
+        let gpu = evaluate_batch(
             &p,
             &states,
             &EvalBackend::SimGpu(deco_gpu::DeviceSpec::k40()),

@@ -9,24 +9,24 @@
 //!
 //! No GPU is assumed here. Instead this crate provides a *device model*
 //! that (a) really executes kernels block-parallel on host threads, so
-//! results are identical and wall-clock speedup is real, and (b) reports a
-//! *modeled* kernel time derived from measured per-block work and the
-//! device's throughput parameters — SM count, lanes per SM, per-lane speed
-//! relative to a host core, shared-memory capacity per block, and a
-//! global-memory spill penalty once a block's working set exceeds shared
-//! memory. The spill term is what makes speedups *decline with workflow
-//! size*, the paper's Section 6.3.2 observation (36×/22×/18× for
-//! 20/100/1000-task ensembles).
+//! results are identical and wall-clock speedup is real, and (b) counts a
+//! *modeled* kernel time from the launch shape alone — counted cells, no
+//! measured time — and the device's throughput parameters: SM count, lanes
+//! per SM, per-lane speed relative to a host core, shared-memory capacity
+//! per block, and a global-memory spill penalty once a block's working set
+//! exceeds shared memory. The spill term is what makes speedups *decline
+//! with workflow size*, the paper's Section 6.3.2 observation (36×/22×/18×
+//! for 20/100/1000-task ensembles).
 //!
 //! * [`device`] — device descriptions ([`DeviceSpec::k40`],
 //!   [`DeviceSpec::cpu`]).
 //! * [`kernel`] — the launch API: blocks of lane-parallel thread work.
-//! * [`timing`] — the throughput/timing model.
+//! * [`timing`] — the throughput/timing model in ticks.
 
 pub mod device;
 pub mod kernel;
 pub mod timing;
 
 pub use device::DeviceSpec;
-pub use kernel::{launch_with, BlockResult, LaunchReport};
-pub use timing::{model, model_ticks, KernelTiming};
+pub use kernel::launch_with;
+pub use timing::{model_ticks, HOST_SECONDS_PER_CELL};

@@ -4,8 +4,8 @@
 //! probabilities and objective (Algorithm 1) — the solver's hot loop. The
 //! paper runs it on the GPU with one thread block per state; the CPU
 //! comparison uses an OpenMP port on six cores. [`EvalBackend`] selects the
-//! device model a frontier batch runs under and accumulates the modeled
-//! evaluation time, from which the Section 6.3 speedups are reported.
+//! device model a frontier batch runs under; the search charges each batch
+//! that device's ticks, from which the Section 6.3 speedups are reported.
 
 use crate::SearchProblem;
 use deco_gpu::{launch_with, DeviceSpec};
@@ -75,37 +75,24 @@ pub fn state_seed<S: Hash>(root_seed: u64, state: &S) -> u64 {
 /// Evaluate a batch of states on the backend's device model: one launch,
 /// one block per state, each worker threading its own
 /// [`SearchProblem::Scratch`] through the states it runs. Returns the
-/// evaluations (in input order) and the modeled kernel timing.
+/// evaluations in input order.
 ///
 /// Every state is seeded by [`state_seed`] and blocks are stitched back in
 /// input order, so the worker count changes wall-clock only: the
 /// evaluations are bit-identical on every backend.
-///
-/// The timing charges every block the batch's mean measured host seconds.
-/// A wave's modeled time is its slowest block, and one microsecond-scale
-/// state's own reading is mostly timer and scheduler noise: charging each
-/// block its own reading would bill every wave for its noisiest state, and
-/// a wider device packs more states into a wave. The mean keeps the
-/// measured total and lets the launch geometry decide.
 pub fn evaluate_batch<P: SearchProblem>(
     problem: &P,
     states: &[P::State],
     backend: &EvalBackend,
     root_seed: u64,
-) -> (Vec<Evaluation>, deco_gpu::KernelTiming) {
-    let device = backend.device();
-    let (threads, bytes) = (problem.threads_per_state(), problem.state_bytes());
-    let report = launch_with(
-        &device,
+) -> Vec<Evaluation> {
+    launch_with(
+        &backend.device(),
         states,
-        threads,
-        bytes,
+        problem.threads_per_state(),
         P::Scratch::default,
         |s, _, scratch| problem.evaluate(s, state_seed(root_seed, s), scratch),
-    );
-    let mean = report.timing.host_seconds / states.len().max(1) as f64;
-    let timing = deco_gpu::model(&device, &vec![mean; states.len()], threads, bytes);
-    (report.values(), timing)
+    )
 }
 
 #[cfg(test)]
@@ -137,21 +124,20 @@ mod tests {
     fn batch_matches_pointwise() {
         let p = Toy;
         let states = vec![vec![0, 0], vec![1, 1], vec![2, 2]];
-        let (evals, timing) = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 1);
+        let evals = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 1);
         assert_eq!(evals.len(), 3);
         assert!(!evals[0].feasible);
         assert!(evals[1].feasible);
         assert_eq!(evals[2].objective, 4.0);
-        assert!(timing.host_seconds >= 0.0);
     }
 
     #[test]
     fn backends_agree_on_results() {
         let p = Toy;
         let states = vec![vec![0, 1], vec![2, 0]];
-        let (a, _) = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 9);
-        let (b, _) = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6), 9);
-        let (c, _) = evaluate_batch(&p, &states, &EvalBackend::SimGpu(DeviceSpec::k40()), 9);
+        let a = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 9);
+        let b = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6), 9);
+        let c = evaluate_batch(&p, &states, &EvalBackend::SimGpu(DeviceSpec::k40()), 9);
         assert_eq!(a, b);
         assert_eq!(a, c);
     }

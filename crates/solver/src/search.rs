@@ -2,7 +2,7 @@
 
 use crate::eval::{evaluate_batch, EvalBackend, Evaluation};
 use crate::SearchProblem;
-use deco_gpu::{model_ticks, DeviceSpec};
+use deco_gpu::{model_ticks, DeviceSpec, HOST_SECONDS_PER_CELL};
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::time::Instant;
 
@@ -110,9 +110,10 @@ impl Default for SearchOptions {
 pub struct SearchStats {
     pub states_evaluated: usize,
     pub batches: usize,
-    /// Modeled evaluation seconds on the chosen backend's device.
+    /// Modeled evaluation seconds on the chosen backend's device: the
+    /// ticks charged, in cells of [`deco_gpu::HOST_SECONDS_PER_CELL`].
     pub modeled_eval_seconds: f64,
-    /// Measured single-core seconds of all evaluation work.
+    /// Measured wall seconds of all evaluation batches on the host.
     pub host_eval_seconds: f64,
     /// Wall-clock of the whole search on the host.
     pub wall_seconds: f64,
@@ -124,8 +125,9 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// The deterministic subset of the stats: everything except the two
-    /// measured host timings. Two runs with the same seed and budget must
-    /// agree on this tuple exactly — the anytime determinism contract.
+    /// measured host timings (`modeled_eval_seconds` follows from
+    /// `budget_spent`). Two runs with the same seed and budget must agree
+    /// on this tuple exactly — the anytime determinism contract.
     pub fn deterministic_key(&self) -> (usize, usize, u64, bool) {
         (
             self.states_evaluated,
@@ -216,11 +218,11 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
     /// the patience rule and does not count toward it.
     fn step(&mut self, batch: &[P::State], patience: Option<usize>) -> Option<Vec<Evaluation>> {
         let problem = self.problem;
-        let (evals, timing) = evaluate_batch(problem, batch, self.backend, self.opts.seed);
+        let t = Instant::now();
+        let evals = evaluate_batch(problem, batch, self.backend, self.opts.seed);
+        self.stats.host_eval_seconds += t.elapsed().as_secs_f64();
         self.stats.states_evaluated += batch.len();
         self.stats.batches += 1;
-        self.stats.modeled_eval_seconds += timing.modeled_seconds;
-        self.stats.host_eval_seconds += timing.host_seconds;
         self.stats.budget_spent += model_ticks(
             &self.device,
             batch.len(),
@@ -258,6 +260,9 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
 
     fn finish(mut self) -> SearchResult<P::State> {
         self.stats.wall_seconds = self.t0.elapsed().as_secs_f64();
+        self.stats.modeled_eval_seconds = self.stats.budget_spent
+            * self.problem.cells_per_thread() as f64
+            * HOST_SECONDS_PER_CELL;
         SearchResult {
             best: self.best,
             stats: self.stats,

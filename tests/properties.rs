@@ -346,8 +346,9 @@ fn all_backends() -> [deco::solver::EvalBackend; 5] {
 /// fast candidates are evaluated, not what the search decides: beam and
 /// A* runs on every backend and worker count (1/2/8 host cores and the GPU
 /// model) find the same incumbent after the same states and batches as
-/// the sequential run. The tick charge is a device-model quantity, so the
-/// whole `deterministic_key` is compared wherever the device model is the
+/// the sequential run. The tick charge and the modeled seconds are
+/// device-model quantities: each repeats bit for bit on every backend, and
+/// both match the sequential run wherever the device model is the
 /// sequential one (`ParCpu(1)`).
 #[test]
 fn search_is_backend_and_worker_count_invariant() {
@@ -358,17 +359,31 @@ fn search_is_backend_and_worker_count_invariant() {
         max_states: 60,
         ..SearchOptions::default()
     };
-    for wf in [generators::ligo(30, 1), generators::montage(12, 1)] {
-        let problem = frontier_search_problem(&wf, &spec, &store);
+    for (i, wf) in [generators::ligo(30, 1), generators::montage(12, 1)]
+        .iter()
+        .enumerate()
+    {
+        let problem = frontier_search_problem(wf, &spec, &store);
         for beam in [Some(2), Some(4), None] {
             let solve = |backend: &EvalBackend| match beam {
                 Some(w) => beam_search(&problem, &opts, w, backend),
                 None => astar_search(&problem, &opts, backend),
             };
+            if i == 0 && beam == Some(2) {
+                // Repeatability, once per backend (a search is ~1 s here).
+                for backend in &all_backends() {
+                    assert_eq!(
+                        solve(backend).stats.modeled_eval_seconds.to_bits(),
+                        solve(backend).stats.modeled_eval_seconds.to_bits(),
+                        "{backend:?}: modeled seconds differ between runs"
+                    );
+                }
+            }
             let [seq, others @ ..] = all_backends();
             let reference = solve(&seq);
             for backend in &others {
                 let run = solve(backend);
+                let modeled = run.stats.modeled_eval_seconds.to_bits();
                 let (key, want) = (
                     run.stats.deterministic_key(),
                     reference.stats.deterministic_key(),
@@ -380,6 +395,11 @@ fn search_is_backend_and_worker_count_invariant() {
                 );
                 if backend.name() == seq.name() {
                     assert_eq!(key, want, "{backend:?} beam={beam:?}: ticks diverged");
+                    assert_eq!(
+                        modeled,
+                        reference.stats.modeled_eval_seconds.to_bits(),
+                        "{backend:?} beam={beam:?}: modeled seconds diverged"
+                    );
                 }
                 assert_eq!(
                     run.best, reference.best,
@@ -422,7 +442,7 @@ fn evaluate_batch_matches_per_state_evaluate() {
         .map(|s| problem.evaluate(s, state_seed(root, s), &mut FrontierScratch::new()))
         .collect();
     for backend in &all_backends() {
-        let (batched, _) = evaluate_batch(&problem, &states, backend, root);
+        let batched = evaluate_batch(&problem, &states, backend, root);
         assert_eq!(
             batched, per_state,
             "{backend:?}: batch diverged from per-state"
@@ -463,14 +483,30 @@ fn frontier_compile_rejects_nonconforming_plans() {
     }
 }
 
+/// On one full-speed core the device model is the identity on counted
+/// work: a search's modeled seconds are exactly its states × threads per
+/// state × cells per thread × `HOST_SECONDS_PER_CELL`.
 #[test]
 fn gpu_model_cpu1_is_identity_baseline() {
-    use deco::gpu::{launch_with, DeviceSpec};
-    let d = DeviceSpec::single_core();
-    let inputs: Vec<u64> = (0..32).collect();
-    let report = launch_with(&d, &inputs, 1, 0, || (), |&x, _, ()| x * 2);
-    // On a single full-speed core, modeled time == host time.
-    assert!((report.timing.modeled_seconds - report.timing.host_seconds).abs() < 1e-9);
+    use deco::gpu::HOST_SECONDS_PER_CELL;
+    use deco::solver::{beam_search, EvalBackend, SearchOptions, SearchProblem};
+    let spec = CloudSpec::amazon_ec2();
+    let store = deco::cloud::MetadataStore::from_ground_truth(spec.clone(), 20);
+    let wf = generators::ligo(30, 1);
+    let problem = frontier_search_problem(&wf, &spec, &store);
+    let opts = SearchOptions {
+        max_states: 60,
+        ..SearchOptions::default()
+    };
+    let stats = beam_search(&problem, &opts, 4, &EvalBackend::SeqCpu).stats;
+    let cells = stats.states_evaluated * problem.threads_per_state() * problem.cells_per_thread();
+    assert_eq!(problem.cells_per_thread(), wf.len());
+    assert_eq!(
+        stats.modeled_eval_seconds.to_bits(),
+        (cells as f64 * HOST_SECONDS_PER_CELL).to_bits(),
+        "{} states",
+        stats.states_evaluated
+    );
 }
 
 #[test]
