@@ -104,10 +104,7 @@ fn main() {
     let t0 = Instant::now();
     let mut fleet = FleetServer::new(
         deco.clone(),
-        ServeConfig {
-            fleet: true,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
         FleetConfig {
             policy: FleetPolicy::default(),
             seed: 11,

@@ -1,20 +1,20 @@
-//! Overload goodput: arrival rates at 2–10× solve capacity, with the
-//! deadline-aware shed estimate on vs off (ROADMAP item).
+//! Overload goodput: arrival rates at 2–10× solve capacity under the
+//! deadline-aware shed policy (shed only waiters whose canonical
+//! deadline has already expired).
 //!
 //! The serving loop runs on deterministic virtual ticks: each cycle
 //! advances the clock by its service ticks, so "capacity" is directly
 //! measurable. A calibration run pushes a burst of unique cold shapes
 //! through the server and divides the accumulated service ticks by the
 //! number of solves; the overload traces then space arrivals at
-//! `S / m` ticks for multipliers m ∈ {2, 5, 10}. Every request carries
-//! a deadline relative to its own arrival, so a backlogged queue turns
-//! into genuinely unmeetable waiters — the input the shed policy (and
-//! its `shed_estimate` forecast) exists to triage.
+//! `S / m` ticks for multipliers m ∈ {2, 5, 10}, one run per multiplier.
 //!
 //! Writes `BENCH_overload.json` at the repository root: goodput
-//! (planned / offered), shed, and rejected counts per (multiplier,
-//! shed_estimate, shed_quantile) cell — the estimate runs at the median
-//! and at the default pessimistic p90 of each shape's solve costs.
+//! (planned / offered), shed and rejected counts, and `admitted_late` —
+//! planned requests whose wait before their solve cycle exceeded their
+//! canonical deadline, the deadline misses among admitted requests.
+//! Every value is a function of the seeded trace and the tick model, so
+//! the file is byte-identical from run to run.
 
 use deco_cloud::{CloudSpec, MetadataStore};
 use deco_core::estimate::deadline_anchors;
@@ -40,15 +40,14 @@ fn engine() -> Deco {
 /// One arrival per tick step over four recurring Montage variants.
 /// Deadlines differ per arrival by more than the canonical bucket, so
 /// every request is a distinct cache key (a cold solve — the offered
-/// load is `1/gap` solves per tick) while the *shape* recurs, which is
-/// what feeds the per-shape `shed_estimate` service model.
+/// load is `1/gap` solves per tick).
 ///
-/// Deadlines are relative to arrival with heterogeneous slack:
-/// `window` is in units of the calibrated per-solve service time, and
-/// requests cycle through {1, 4, 7, 10, 13}× that. Under backlog the
-/// tight-window waiters drift into the band where they are not yet
-/// expired but can no longer fit one more solve — exactly the band the
-/// `shed_estimate` forecast (and nothing else) can act on. The
+/// Each request's deadline is `at_tick + slack`, where `slack` is
+/// `window` (the calibrated per-solve service time) times one of
+/// {1, 4, 7, 10, 13}, cycling. The server measures a deadline from the
+/// request's own arrival, so the arrival tick inflates it: a request's
+/// effective slack grows with its index in the trace, late arrivals are
+/// almost never doomed, and at 2× load nothing is ever shed. The
 /// calibration run passes an infinite window so nothing ever sheds.
 fn cold_trace(spec: &CloudSpec, n: u32, gap: f64, window: f64) -> ArrivalTrace {
     let arrivals: Vec<Arrival> = (0..n)
@@ -80,14 +79,6 @@ fn cold_trace(spec: &CloudSpec, n: u32, gap: f64, window: f64) -> ArrivalTrace {
     ArrivalTrace::new(arrivals)
 }
 
-fn config(shed_estimate: bool, shed_quantile: f64) -> ServeConfig {
-    ServeConfig {
-        shed_estimate,
-        shed_quantile,
-        ..ServeConfig::default()
-    }
-}
-
 fn main() {
     let deco = engine();
     let spec = deco.store.spec.clone();
@@ -97,7 +88,7 @@ fn main() {
     // the final cycle's start tick is the service total of every cycle
     // before it, so S divides out of the solves completed by then.
     let calib = cold_trace(&spec, 48, 0.0, f64::INFINITY);
-    let mut server = PlanServer::new(deco.clone(), config(false, 0.9));
+    let mut server = PlanServer::new(deco.clone(), ServeConfig::default());
     let (_, stats) = server.serve_trace(&calib, WORKERS);
     assert_eq!(stats.planned, 48, "calibration burst must all plan");
     let rows = &stats.cycle_rows;
@@ -114,62 +105,55 @@ fn main() {
     for &m in &MULTIPLIERS {
         let gap = service_per_solve / m;
         let trace = cold_trace(&spec, OFFERED, gap, service_per_solve);
-        // Three policies per load level: estimate off, and the estimate
-        // judged at the median vs the default pessimistic p90 of each
-        // shape's observed solve costs. The quantile changes how early
-        // the forecast declares a waiter doomed under backlog.
-        for (shed_estimate, shed_quantile) in [(false, 0.9), (true, 0.5), (true, 0.9)] {
-            let mut server = PlanServer::new(deco.clone(), config(shed_estimate, shed_quantile));
-            let t0 = Instant::now();
-            let (responses, stats) = server.serve_trace(&trace, WORKERS);
-            let secs = t0.elapsed().as_secs_f64();
-            assert_eq!(responses.len() as u32, OFFERED, "every arrival is answered");
-            let goodput = stats.planned as f64 / f64::from(OFFERED);
-            // Raw goodput ties by construction — every overflow costs
-            // exactly one request, whichever policy picks it. What the
-            // estimate changes is *which* request is sacrificed: the
-            // mean deadline slack (in window units of 1..13) of the
-            // shed/rejected set tells whether the policy spent doomed
-            // waiters or viable ones.
-            let sacrificed: Vec<u32> = responses
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r.outcome,
-                        ServeOutcome::Shed { .. } | ServeOutcome::Rejected { .. }
-                    )
-                })
-                .map(|r| 1 + 3 * (u32::try_from(r.seq).expect("seq fits u32") % 5))
-                .collect();
-            let mean_sacrificed_window = if sacrificed.is_empty() {
-                0.0
-            } else {
-                f64::from(sacrificed.iter().sum::<u32>()) / sacrificed.len() as f64
-            };
-            println!(
-                "overload x{m:.0} shed_estimate={shed_estimate} q={shed_quantile:.2}: \
-                 goodput {goodput:.3} (planned {}, shed {}, rejected {}, mean \
-                 sacrificed window {mean_sacrificed_window:.2}xS, {} cycles, {secs:.2}s)",
-                stats.planned, stats.shed, stats.rejected_overload, stats.cycles,
-            );
-            cells.push((
-                m,
-                shed_estimate,
-                shed_quantile,
-                goodput,
-                mean_sacrificed_window,
-                stats,
-            ));
-        }
+        let mut server = PlanServer::new(deco.clone(), ServeConfig::default());
+        let t0 = Instant::now();
+        let (responses, stats) = server.serve_trace(&trace, WORKERS);
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(responses.len() as u32, OFFERED, "every arrival is answered");
+        let goodput = stats.planned as f64 / f64::from(OFFERED);
+        // The mean deadline slack (in window units of 1..13) of the
+        // shed/rejected set: whether the policy spent doomed waiters or
+        // viable ones.
+        let sacrificed: Vec<u32> = responses
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.outcome,
+                    ServeOutcome::Shed { .. } | ServeOutcome::Rejected { .. }
+                )
+            })
+            .map(|r| 1 + 3 * (u32::try_from(r.seq).expect("seq fits u32") % 5))
+            .collect();
+        let mean_sacrificed_window = if sacrificed.is_empty() {
+            0.0
+        } else {
+            f64::from(sacrificed.iter().sum::<u32>()) / sacrificed.len() as f64
+        };
+        // Admitted requests that missed their deadline before their
+        // solve cycle even started.
+        let admitted_late = responses
+            .iter()
+            .filter(|r| match &r.outcome {
+                ServeOutcome::Planned(p) => p.wait_ticks > p.canonical_deadline,
+                _ => false,
+            })
+            .count();
+        println!(
+            "overload x{m:.0}: goodput {goodput:.3} (planned {}, shed {}, rejected {}, \
+             admitted late {admitted_late}, mean sacrificed window \
+             {mean_sacrificed_window:.2}xS, {} cycles, {secs:.2}s)",
+            stats.planned, stats.shed, stats.rejected_overload, stats.cycles,
+        );
+        cells.push((m, goodput, mean_sacrificed_window, admitted_late, stats));
     }
 
     let mut json = String::from("{\n  \"bench\": \"overload\",\n");
     let _ = writeln!(
         json,
-        "  \"note\": \"raw goodput ties by construction (each queue overflow \
-         costs exactly one request under either policy); the estimate shifts \
-         the loss composition from blind rejections of newcomers toward \
-         targeted sheds of already-doomed waiters\","
+        "  \"note\": \"one run per load multiplier; a full queue sheds only waiters \
+         whose canonical deadline has already expired, else rejects the newcomer; \
+         admitted_late counts planned requests whose wait exceeded their \
+         canonical deadline\","
     );
     let _ = writeln!(json, "  \"offered\": {OFFERED},");
     let _ = writeln!(json, "  \"workers\": {WORKERS},");
@@ -178,16 +162,13 @@ fn main() {
         "  \"service_ticks_per_cold_solve\": {service_per_solve:.1},"
     );
     json.push_str("  \"cells\": [\n");
-    for (i, (m, shed_estimate, shed_quantile, goodput, mean_window, stats)) in
-        cells.iter().enumerate()
-    {
+    for (i, (m, goodput, mean_window, admitted_late, stats)) in cells.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{ \"multiplier\": {m:.0}, \"shed_estimate\": {shed_estimate}, \
-             \"shed_quantile\": {shed_quantile:.2}, \
+            "    {{ \"multiplier\": {m:.0}, \
              \"goodput\": {goodput:.4}, \"planned\": {}, \"shed\": {}, \
              \"rejected_overload\": {}, \"mean_sacrificed_window\": {mean_window:.3}, \
-             \"cycles\": {} }}",
+             \"admitted_late\": {admitted_late}, \"cycles\": {} }}",
             stats.planned, stats.shed, stats.rejected_overload, stats.cycles,
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });

@@ -274,12 +274,12 @@ mod tests {
                 n
             })
             .collect();
-        let seq = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 77);
-        let par = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6), 77);
+        let seq = evaluate_batch(&p, &states, &EvalBackend::SeqCpu.device(), 77);
+        let par = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6).device(), 77);
         let gpu = evaluate_batch(
             &p,
             &states,
-            &EvalBackend::SimGpu(deco_gpu::DeviceSpec::k40()),
+            &EvalBackend::SimGpu(deco_gpu::DeviceSpec::k40()).device(),
             77,
         );
         assert_eq!(seq, par);

@@ -31,10 +31,10 @@
 //!   route through the unmodified admission/cache/solve cycle loop
 //!   (`plan_with_fallback` and all), and planned responses are then
 //!   *placed* onto the shared fleet instead of provisioning private
-//!   pools. The response stream is byte-identical to the private-pool
-//!   path by construction — the fleet moves only the cost accounting —
-//!   so replay determinism at any worker count is inherited, not
-//!   re-proven.
+//!   pools. The response stream is byte-identical to a plain
+//!   `PlanServer` run by construction — the fleet moves only the cost
+//!   accounting — so replay determinism at any worker count is
+//!   inherited, not re-proven.
 
 pub mod ledger;
 pub mod manager;

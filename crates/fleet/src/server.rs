@@ -5,11 +5,11 @@
 //! on the worker pool, canonical integration — and the response stream
 //! is byte-identical to the private-pool path *by construction*: the
 //! fleet consumes the stream downstream, it never feeds back into
-//! solving. What changes is the economics. With `ServeConfig::fleet`
-//! on, each planned response's slots become [`TaskGroup`]s (via
-//! [`mean_schedule`]'s busy spans) and are placed onto the shared
-//! ledger; with it off the fleet stays empty and the report is
-//! [`FleetReport::default`].
+//! solving. What changes is the economics: each planned response's
+//! slots become [`TaskGroup`]s (via [`mean_schedule`]'s busy spans) and
+//! are placed onto the shared ledger. A caller who wants every response
+//! costed against its own private pool runs the [`PlanServer`] alone
+//! (and [`private_pool_cost`] prices that stream).
 //!
 //! **Clocks.** Serve ticks measure solver service time; fleet economics
 //! run on the cloud clock. A workflow's groups start at its *arrival
@@ -63,8 +63,7 @@ impl FleetServer {
     /// Replay a trace under an explicit session, then place every
     /// planned response onto the fleet in trace-sequence order.
     /// Responses and stats are byte-identical to running the wrapped
-    /// [`PlanServer`] alone; the third element is the fleet's report
-    /// (default-empty when `ServeConfig::fleet` is off).
+    /// [`PlanServer`] alone; the third element is the fleet's report.
     pub fn serve_trace_session(
         &mut self,
         trace: &ArrivalTrace,
@@ -72,9 +71,6 @@ impl FleetServer {
         session: &ServeSession,
     ) -> (Vec<PlanResponse>, ServeStats, FleetReport) {
         let (responses, stats) = self.server.serve_trace_session(trace, workers, session);
-        if !self.server.config().fleet {
-            return (responses, stats, FleetReport::default());
-        }
         let arrivals = trace.arrivals();
         for response in &responses {
             let arrival = &arrivals[response.seq as usize];

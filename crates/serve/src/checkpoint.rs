@@ -3,7 +3,7 @@
 //!
 //! The cycle loop is deterministic, so its entire continuation is a
 //! small value: the trace cursor, the virtual clock, the pending queue,
-//! the retry set, the shed-estimator feed, and the running stats. A
+//! the retry set and the running stats. A
 //! backend that opts into commits (see [`crate::ServeBackend`]'s
 //! `wants_commits`/`commit_cycle`) receives a [`ServeCheckpoint`] after
 //! every cycle; a standby that decodes the last committed checkpoint
@@ -18,6 +18,11 @@
 //! order. `cycle_rows` are deliberately not checkpointed: they are
 //! observability, excluded from the stats digest, and a failover run
 //! only owes byte-identity on digested state.
+//!
+//! The head keeps one retired slot: a `u64` count, always zero, where a
+//! per-shape solve-cost map used to sit. Writing the zero keeps the
+//! journal format (and every journal on disk) unchanged; a non-zero
+//! count is corruption.
 
 use crate::queue::QueuedRequest;
 use crate::request::{PlanRequest, Priority};
@@ -27,7 +32,6 @@ use deco_core::wire::{decode_budget, decode_workflow, encode_budget, encode_work
 use deco_core::DecoError;
 use deco_solver::SearchBudget;
 use deco_workflow::Workflow;
-use std::collections::BTreeMap;
 
 /// A retrying solve in flight at the checkpoint: the public image of
 /// the server's internal `PendingSolve`, with every field needed to
@@ -59,8 +63,6 @@ pub struct ServeCheckpoint {
     pub queue: Vec<QueuedRequest>,
     /// Retrying solves with their backoff deadlines and waiters.
     pub retries: Vec<PendingCheckpoint>,
-    /// Per-shape observed service costs feeding `shed_estimate`.
-    pub shape_costs: BTreeMap<u64, Vec<f64>>,
     /// Running stats (without `cycle_rows`, which are not digested).
     pub stats: ServeStats,
     /// Responses emitted so far (the length of the response stream).
@@ -253,14 +255,8 @@ impl ServeCheckpoint {
                 put_queued(out, w);
             }
         }
-        put_u64(out, self.shape_costs.len() as u64);
-        for (&shape, costs) in &self.shape_costs {
-            put_u64(out, shape);
-            put_u64(out, costs.len() as u64);
-            for &c in costs {
-                put_f64(out, c);
-            }
-        }
+        // The retired shape-cost slot: an empty map.
+        put_u64(out, 0);
         put_stats(out, &self.stats);
         put_u64(out, self.emitted);
     }
@@ -325,16 +321,8 @@ impl ServeCheckpoint {
                 waiters,
             });
         }
-        let shape_len = r.len("shape_costs")?;
-        let mut shape_costs = BTreeMap::new();
-        for _ in 0..shape_len {
-            let shape = r.u64()?;
-            let cost_len = r.len("shape cost samples")?;
-            let mut costs = Vec::with_capacity(cost_len);
-            for _ in 0..cost_len {
-                costs.push(r.f64()?);
-            }
-            shape_costs.insert(shape, costs);
+        if r.u64()? != 0 {
+            return Err(corrupt("retired shape-cost slot is not empty"));
         }
         let stats = read_stats(r)?;
         let emitted = r.u64()?;
@@ -344,7 +332,6 @@ impl ServeCheckpoint {
             refresh_next,
             queue,
             retries,
-            shape_costs,
             stats,
             emitted,
         })
@@ -378,8 +365,6 @@ mod tests {
         stats.planned_by_tenant.insert(1, 7);
         stats.planned_by_tenant.insert(9, 4);
         stats.waits = vec![0.0, 2.25, 7.5];
-        let mut shape_costs = BTreeMap::new();
-        shape_costs.insert(42u64, vec![1.0, 2.0, 4.0]);
         ServeCheckpoint {
             next: 12,
             now: 321.5,
@@ -404,7 +389,6 @@ mod tests {
                     request: request(9, Some(50.0), Priority::Background),
                 }],
             }],
-            shape_costs,
             stats,
             emitted: 10,
         }
@@ -431,11 +415,29 @@ mod tests {
         assert_eq!(p.waiters.len(), 1);
         assert_eq!(p.waiters[0].request.budget_hint, Some(50.0));
         assert_eq!(p.waiters[0].request.priority, Priority::Background);
-        assert_eq!(back.shape_costs[&42], vec![1.0, 2.0, 4.0]);
         assert_eq!(back.stats.digest(), ck.stats.digest());
         assert_eq!(back.emitted, 10);
         // Re-encoding the decoded checkpoint is byte-identical.
         assert_eq!(back.encode(), bytes);
+    }
+
+    #[test]
+    fn a_non_empty_retired_slot_is_a_store_error() {
+        let ck = sample();
+        let mut bytes = ck.encode();
+        // The slot is the last `u64` before the stats, the emitted count
+        // and the waits block.
+        let mut tail = Vec::new();
+        put_stats(&mut tail, &ck.stats);
+        put_u64(&mut tail, ck.emitted);
+        put_waits(&mut tail, &ck.stats.waits);
+        let slot = bytes.len() - tail.len() - 8;
+        assert_eq!(bytes[slot..slot + 8], [0u8; 8], "the slot holds a zero");
+        bytes[slot..slot + 8].copy_from_slice(&1u64.to_le_bytes());
+        match ServeCheckpoint::decode(&bytes) {
+            Err(DecoError::Store(msg)) => assert!(msg.contains("retired"), "{msg}"),
+            other => panic!("expected a store error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Admission control and fair-share budget allocation.
+//! Admission control and per-request budgets.
 //!
 //! The queue is bounded: once `capacity` requests are waiting, further
 //! arrivals are refused with [`DecoError::Overloaded`] — backpressure is a
 //! response, not a blocked caller — *unless* the deadline-aware shed
-//! policy can identify an already-doomed waiter to sacrifice instead
-//! (see [`AdmissionQueue::shed_unmeetable`]). Draining is ordered by
+//! policy finds a waiter whose deadline has already expired to sacrifice
+//! instead (see [`AdmissionQueue::shed_unmeetable`]). Draining is ordered by
 //! [`Priority`] class first, then FIFO within a class, so a queue of
 //! all-default-priority requests drains exactly like the original FIFO
 //! queue. An optional per-tenant quota rejects only the over-quota tenant
 //! ([`DecoError::QuotaExceeded`]) while other tenants keep being
-//! admitted. Within a solve cycle, the optional tick pool is split *per
-//! tenant first*, then per job within each tenant, so one tenant flooding
-//! the batch cannot starve another's search depth.
+//! admitted. A solve's budget is the per-request cap, tightened by the
+//! request's own hint ([`effective_budget`]).
 
-use crate::request::{PlanRequest, Priority, TenantId};
+use crate::request::{PlanRequest, Priority};
 use crate::server::canonical_deadline;
 use deco_core::DecoError;
 use deco_solver::SearchBudget;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// One queued request: its trace sequence number, arrival tick, and body.
@@ -137,28 +135,18 @@ impl AdmissionQueue {
     }
 
     /// The deadline-aware shed policy: find the waiting request whose
-    /// bucket-floored canonical deadline is already unmeetable — its
-    /// remaining slack at `now`, minus the per-request service estimate
-    /// `est_service_ticks(request)` for one more cycle, has run out — and
-    /// remove it from the queue. The estimator is a function of the
-    /// request so callers can thread a per-shape solve-cost model (the
-    /// server's `shed_estimate` flag feeds the mean observed
-    /// `budget_spent` for the request's workflow shape); a constant
-    /// `|_| 0.0` reproduces the conservative policy that only sheds
-    /// already-expired waiters. Victims are chosen lowest [`Priority`]
-    /// class first, then most-negative slack, then smallest `seq`; `None`
-    /// when every waiter can still meet its deadline (the caller then
-    /// falls back to rejecting the newest arrival, the pre-shed behavior).
-    pub fn shed_unmeetable(
-        &mut self,
-        now: f64,
-        deadline_bucket: f64,
-        est_service_ticks: &dyn Fn(&PlanRequest) -> f64,
-    ) -> Option<QueuedRequest> {
+    /// bucket-floored canonical deadline has already expired — its
+    /// remaining slack at `now` is negative — and remove it from the
+    /// queue. A waiter that can still meet its deadline is never shed on
+    /// a forecast. Victims are chosen lowest [`Priority`] class first,
+    /// then most-negative slack, then smallest `seq`; `None` when every
+    /// waiter can still meet its deadline (the caller then falls back to
+    /// rejecting the newest arrival).
+    pub fn shed_unmeetable(&mut self, now: f64, deadline_bucket: f64) -> Option<QueuedRequest> {
         let mut victim: Option<(Priority, f64, u64, usize)> = None;
         for (i, q) in self.pending.iter().enumerate() {
             let cd = canonical_deadline(q.request.deadline, deadline_bucket);
-            let slack = cd - (now - q.arrived_at) - est_service_ticks(&q.request);
+            let slack = cd - (now - q.arrived_at);
             if slack >= 0.0 {
                 continue;
             }
@@ -181,29 +169,10 @@ impl AdmissionQueue {
     }
 }
 
-/// Split a cycle's tick pool fairly across the tenants owning this
-/// cycle's cold solves, then across each tenant's jobs. Returns one
-/// budget per entry of `tenants`, in order. With no pool, every job gets
-/// an unlimited cycle share (the per-request cap still applies).
-pub fn fair_share_budgets(pool: Option<f64>, tenants: &[TenantId]) -> Vec<SearchBudget> {
-    let Some(pool) = pool else {
-        return vec![SearchBudget::unlimited(); tenants.len()];
-    };
-    let mut per_tenant: BTreeMap<TenantId, usize> = BTreeMap::new();
-    for &t in tenants {
-        *per_tenant.entry(t).or_insert(0) += 1;
-    }
-    let tenant_share = SearchBudget::ticks(pool).fair_share(per_tenant.len().max(1));
-    tenants
-        .iter()
-        .map(|t| tenant_share.fair_share(per_tenant[t]))
-        .collect()
-}
-
-/// Clamp a cycle share by the request's own budget hint: the effective
-/// budget is the tighter of the two on every axis.
-pub fn effective_budget(share: &SearchBudget, hint: Option<f64>) -> SearchBudget {
-    let ticks = match (share.ticks, hint) {
+/// Clamp the per-request budget cap by the request's own budget hint:
+/// the effective budget is the tighter of the two on every axis.
+pub fn effective_budget(cap: &SearchBudget, hint: Option<f64>) -> SearchBudget {
+    let ticks = match (cap.ticks, hint) {
         (Some(s), Some(h)) => Some(s.min(h)),
         (Some(s), None) => Some(s),
         (None, Some(h)) => Some(h),
@@ -211,13 +180,14 @@ pub fn effective_budget(share: &SearchBudget, hint: Option<f64>) -> SearchBudget
     };
     SearchBudget {
         ticks,
-        wall_seconds: share.wall_seconds,
+        wall_seconds: cap.wall_seconds,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::TenantId;
     use deco_workflow::generators;
 
     fn req(t: TenantId) -> PlanRequest {
@@ -314,55 +284,18 @@ mod tests {
         q.try_admit(2, 490.0, req_pri(3, Priority::Batch))
             .expect("admit");
         let victim = q
-            .shed_unmeetable(500.0, 60.0, &|_| 0.0)
+            .shed_unmeetable(500.0, 60.0)
             .expect("two waiters are doomed");
         assert_eq!(victim.seq, 1, "background sheds before interactive");
         let victim = q
-            .shed_unmeetable(500.0, 60.0, &|_| 0.0)
+            .shed_unmeetable(500.0, 60.0)
             .expect("the doomed interactive is next");
         assert_eq!(victim.seq, 0);
         assert!(
-            q.shed_unmeetable(500.0, 60.0, &|_| 0.0).is_none(),
+            q.shed_unmeetable(500.0, 60.0).is_none(),
             "the fresh request still has slack"
         );
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn shed_accounts_for_the_per_request_service_estimate() {
-        let mut q = AdmissionQueue::new(8);
-        q.try_admit(0, 0.0, req(1)).expect("admit");
-        // At now=30 with canonical deadline 60, slack is 30: alive with a
-        // free cycle, doomed once a cycle is estimated to cost 40 ticks.
-        assert!(q.shed_unmeetable(30.0, 60.0, &|_| 0.0).is_none());
-        assert!(q.shed_unmeetable(30.0, 60.0, &|_| 40.0).is_some());
-    }
-
-    #[test]
-    fn shed_estimator_sees_the_request_it_prices() {
-        let mut q = AdmissionQueue::new(8);
-        q.try_admit(0, 0.0, req(1)).expect("admit");
-        q.try_admit(1, 0.0, req(2)).expect("admit");
-        // A shape-aware estimator dooms only tenant 2's request.
-        let est = |r: &PlanRequest| if r.tenant == 2 { 80.0 } else { 0.0 };
-        let victim = q
-            .shed_unmeetable(10.0, 60.0, &est)
-            .expect("tenant 2 estimated past its deadline");
-        assert_eq!(victim.request.tenant, 2);
-        assert!(q.shed_unmeetable(10.0, 60.0, &est).is_none());
-    }
-
-    #[test]
-    fn fair_share_splits_per_tenant_then_per_job() {
-        // Tenant 1 owns two jobs, tenant 2 one: pool 120 → 60 per tenant,
-        // then 30/30 for tenant 1's jobs and 60 for tenant 2's.
-        let budgets = fair_share_budgets(Some(120.0), &[1, 2, 1]);
-        let ticks: Vec<f64> = budgets.iter().map(|b| b.ticks.expect("limited")).collect();
-        assert_eq!(ticks, vec![30.0, 60.0, 30.0]);
-        // No pool → unlimited shares.
-        assert!(fair_share_budgets(None, &[1, 2])
-            .iter()
-            .all(|b| b.is_unlimited()));
     }
 
     #[test]

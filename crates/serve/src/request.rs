@@ -54,8 +54,8 @@ pub struct PlanRequest {
     /// Probabilistic deadline percentile in `(0, 1]`.
     pub percentile: f64,
     /// Optional per-request tick-budget hint. The effective budget is the
-    /// smaller of this and whatever the admission queue's fair-share
-    /// policy allots.
+    /// smaller of this and the server's per-request cap
+    /// ([`crate::server::ServeConfig::budget`]).
     pub budget_hint: Option<f64>,
     /// Admission priority class (drain ordering and shed preference).
     pub priority: Priority,
@@ -158,8 +158,8 @@ pub enum ServeOutcome {
     },
     /// Dropped *after* admission by the deadline-aware shed policy: the
     /// queue was full and this request's bucket-floored canonical
-    /// deadline was already unmeetable under the current fair-share
-    /// budget, so it was sacrificed instead of the newest arrival.
+    /// deadline had already expired while it waited, so it was
+    /// sacrificed instead of the newest arrival.
     Shed {
         reason: String,
     },

@@ -6,14 +6,14 @@
 //! 1. **Admit** every arrival whose tick has passed, up to the queue
 //!    capacity and the optional per-tenant quota; a full queue first tries
 //!    the deadline-aware shed policy (drop a waiter whose canonical
-//!    deadline is already unmeetable) and only then answers the newcomer
+//!    deadline has already expired) and only then answers the newcomer
 //!    `Rejected` with the [`DecoError::Overloaded`] rendering.
 //! 2. **Drain** one batch — priority classes first, FIFO within a class —
 //!    and classify each request against the content-addressed cache: warm
 //!    hits answer immediately; quarantined keys answer from the fallback
 //!    chain; equal keys within the batch (or matching a pending retry)
 //!    coalesce onto one solve; the remaining unique misses become solve
-//!    jobs with fair-share budgets.
+//!    jobs, each budgeted by the per-request cap clamped by its hint.
 //! 3. **Solve** the jobs on a pool of worker threads (vendored crossbeam
 //!    channels, one reusable [`FrontierScratch`] per worker), every job routed
 //!    through [`plan_with_fallback_scratch`]. A [`WorkerFaultPlan`] may
@@ -50,13 +50,12 @@
 //! order — which is why an N-shard backend replays byte-identically to
 //! this single-process one (the shard tests pin N ∈ {1, 2, 4}).
 
-use crate::cache::{plan_key, workflow_shape_hash, Books};
+use crate::cache::{plan_key, Books};
 use crate::checkpoint::{PendingCheckpoint, ServeCheckpoint};
 use crate::faults::{WorkerFate, WorkerFaultPlan};
-use crate::queue::{effective_budget, fair_share_budgets, AdmissionQueue, QueuedRequest};
+use crate::queue::{effective_budget, AdmissionQueue, QueuedRequest};
 use crate::request::{
     Arrival, ArrivalTrace, PlanRequest, PlanResponse, PlanSource, ServeOutcome, ServedPlan,
-    TenantId,
 };
 use crate::stats::{BackendObservability, CycleRow, ServeStats};
 use deco_cloud::{MetadataStore, RetryConfig};
@@ -85,15 +84,8 @@ pub struct ServeConfig {
     /// requests share cache lines while the served deadline stays
     /// conservative (no later than requested).
     pub deadline_bucket: f64,
-    /// Per-request search budget cap (before fair-share and hints).
+    /// Per-request search budget cap; a request's hint can only tighten it.
     pub budget: SearchBudget,
-    /// Optional per-cycle tick pool split fairly across the cycle's
-    /// tenants. Cache-key-transparent: a pooled solve may be shallower
-    /// than an unpooled one, but the key records only the request-level
-    /// budget.
-    pub cycle_tick_pool: Option<f64>,
-    /// Modeled ticks to answer a warm or coalesced request.
-    pub hit_ticks: f64,
     /// Optional per-tenant bound on queued requests; breaches reject only
     /// the over-quota tenant ([`DecoError::QuotaExceeded`]).
     pub tenant_quota: Option<usize>,
@@ -108,33 +100,6 @@ pub struct ServeConfig {
     /// above `retry.max_attempts` by default so a single job escalates
     /// before its key is quarantined.
     pub quarantine_threshold: u32,
-    /// Feed the deadline-aware shed policy a per-shape solve-cost
-    /// estimate: a quantile ([`ServeConfig::shed_quantile`]) of the
-    /// observed `budget_spent` of this run's worker solves, keyed by
-    /// [`workflow_shape_hash`]. Off by default — the conservative zero
-    /// estimate sheds only already-expired waiters, and quiescent
-    /// response digests are unchanged. On, a waiter whose remaining slack
-    /// cannot cover one more solve of its shape is shed at queue overflow
-    /// instead of sacrificing viable work.
-    pub shed_estimate: bool,
-    /// Nearest-rank quantile in `(0, 1]` of the per-shape observed solve
-    /// costs fed to the shed policy when [`ServeConfig::shed_estimate`]
-    /// is on. Defaults to 0.9: shedding is a sacrifice, so the estimate
-    /// should be pessimistic about service time — a p90 forecast only
-    /// spares a waiter whose slack covers even a slow solve of its shape.
-    /// A shape with a single observation behaves identically at every
-    /// quantile (the sample *is* every quantile), which is also what the
-    /// pre-quantile per-shape mean degenerated to.
-    pub shed_quantile: f64,
-    /// Serve-tier backend mode: route planned responses onto the shared
-    /// cross-tenant instance fleet (`deco-fleet`'s `FleetServer`) instead
-    /// of costing each against its own private instance pool. The cycle
-    /// loop itself never reads this flag — admission, solving, caching,
-    /// and the response stream are byte-identical either way — placement
-    /// happens downstream of the stream, so `fleet: off` is bit-identical
-    /// to the pre-fleet server by construction and `fleet: on` moves only
-    /// the *cost accounting* onto the fleet's lease ledger.
-    pub fleet: bool,
 }
 
 impl Default for ServeConfig {
@@ -145,14 +110,9 @@ impl Default for ServeConfig {
             cache_capacity: 256,
             deadline_bucket: 60.0,
             budget: SearchBudget::unlimited(),
-            cycle_tick_pool: None,
-            hit_ticks: 0.0,
             tenant_quota: None,
             retry: RetryConfig::default(),
             quarantine_threshold: 6,
-            shed_estimate: false,
-            shed_quantile: 0.9,
-            fleet: false,
         }
     }
 }
@@ -378,24 +338,7 @@ enum Answer {
     },
     Reject {
         reason: String,
-        /// Whether this answer still charges `hit_ticks` (a coalesced
-        /// waiter of a failed solve did queue behind the shared attempt).
-        charge_hit: bool,
     },
-}
-
-/// Tighter-of-both on every budget axis.
-fn min_budget(a: &SearchBudget, b: &SearchBudget) -> SearchBudget {
-    fn min_axis(x: Option<f64>, y: Option<f64>) -> Option<f64> {
-        match (x, y) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        }
-    }
-    SearchBudget {
-        ticks: min_axis(a.ticks, b.ticks),
-        wall_seconds: min_axis(a.wall_seconds, b.wall_seconds),
-    }
 }
 
 /// Answer a request from the degradation chain without touching the
@@ -426,33 +369,10 @@ fn fallback_answer(
         Err(e) => (
             Answer::Reject {
                 reason: e.to_string(),
-                charge_hit: false,
             },
             0.0,
             true,
         ),
-    }
-}
-
-/// Observed per-shape solve costs for this run: shape hash → every
-/// `budget_spent` sample, in canonical integration order. Feeds the shed
-/// policy's service estimate when [`ServeConfig::shed_estimate`] is on.
-type ShapeCosts = BTreeMap<u64, Vec<f64>>;
-
-/// Quantile (nearest-rank, `q` in `(0, 1]`) of the observed solve costs
-/// for a request's workflow shape; zero when the shape has not been
-/// solved yet (conservative: never sheds on a guess). A single-sample
-/// shape returns that sample at every quantile.
-fn shape_cost_estimate(costs: &ShapeCosts, request: &PlanRequest, q: f64) -> f64 {
-    let shape = workflow_shape_hash(&request.workflow);
-    match costs.get(&shape) {
-        Some(samples) if !samples.is_empty() => {
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[rank - 1]
-        }
-        _ => 0.0,
     }
 }
 
@@ -501,8 +421,8 @@ pub fn serve_trace_backend<B: ServeBackend>(
 /// [`serve_trace_backend`] with an optional resume point. `resume` is
 /// the last committed [`ServeCheckpoint`] of a previous — killed — run
 /// of the *same* `(trace, session)`: the loop restores the trace
-/// cursor, virtual clock, admission queue, retry set, shed-estimator
-/// feed, and running stats from it and serves only the remainder,
+/// cursor, virtual clock, admission queue, retry set and running
+/// stats from it and serves only the remainder,
 /// producing exactly the responses the dead process had not yet
 /// committed (the backend's own state — cache, books, epoch — must
 /// already have been rebuilt by its recovery path). With `resume: None`
@@ -517,10 +437,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     assert!(workers >= 1, "the pool needs at least one worker");
     let cfg = backend.config().clone();
     assert!(cfg.batch_size >= 1, "batch_size must be at least 1");
-    assert!(
-        cfg.shed_quantile > 0.0 && cfg.shed_quantile <= 1.0,
-        "shed_quantile must lie in (0, 1]"
-    );
     let wants_commits = backend.wants_commits();
 
     let mut refreshes: Vec<CalibrationRefresh> = session.refreshes.clone();
@@ -533,7 +449,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     let mut stats;
     let mut refresh_next;
     let mut retries: Vec<PendingSolve>;
-    let mut shape_costs: ShapeCosts;
     let mut next: usize;
     let mut now: f64;
     let mut emitted_base = 0u64;
@@ -552,7 +467,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                 .into_iter()
                 .map(PendingSolve::from_checkpoint)
                 .collect();
-            shape_costs = ck.shape_costs;
             stats = ck.stats;
             emitted_base = ck.emitted;
         }
@@ -562,7 +476,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             stats.stale_purged += backend.cache_purge_stale(epoch0) as u64;
             refresh_next = 0;
             retries = Vec::new();
-            shape_costs = ShapeCosts::new();
             next = 0;
             now = 0.0;
         }
@@ -614,9 +527,10 @@ pub fn serve_trace_resumable<B: ServeBackend>(
 
         // Admit everything that has arrived by now. Quota breaches
         // reject the offending tenant only; a full queue first tries
-        // to shed a waiter whose deadline is already unmeetable, and
-        // rejects the newcomer only when every waiter is still
-        // viable.
+        // to shed a waiter whose canonical deadline has already
+        // expired in queue, and rejects the newcomer only when every
+        // waiter is still viable: viable work is never sacrificed to
+        // a forecast.
         while next < arrivals.len() && arrivals[next].at_tick <= now {
             let Arrival { at_tick, request } = arrivals[next].clone();
             let seq = next as u64;
@@ -635,65 +549,46 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                         },
                     });
                 }
-                Err(e) => {
-                    // The shed estimate: zero by default (a waiter is
-                    // doomed only once its canonical deadline has
-                    // *already* expired in queue — viable work is never
-                    // sacrificed to a forecast); with `shed_estimate` on,
-                    // the configured quantile of the observed solve costs
-                    // of the waiter's workflow shape, so a waiter that
-                    // cannot fit one more solve of its own shape is
-                    // sacrificed first.
-                    let shed = if cfg.shed_estimate {
-                        let est = |r: &PlanRequest| {
-                            shape_cost_estimate(&shape_costs, r, cfg.shed_quantile)
-                        };
-                        queue.shed_unmeetable(now, cfg.deadline_bucket, &est)
-                    } else {
-                        queue.shed_unmeetable(now, cfg.deadline_bucket, &|_| 0.0)
-                    };
-                    match shed {
-                        Some(victim) => {
-                            stats.shed += 1;
-                            shed_pending += 1;
-                            let cd =
-                                canonical_deadline(victim.request.deadline, cfg.deadline_bucket);
-                            responses.push(PlanResponse {
-                                seq: victim.seq,
-                                tenant: victim.request.tenant,
-                                key: 0,
-                                outcome: ServeOutcome::Shed {
-                                    reason: format!(
-                                        "canonical deadline {cd} already unmeetable \
+                Err(e) => match queue.shed_unmeetable(now, cfg.deadline_bucket) {
+                    Some(victim) => {
+                        stats.shed += 1;
+                        shed_pending += 1;
+                        let cd = canonical_deadline(victim.request.deadline, cfg.deadline_bucket);
+                        responses.push(PlanResponse {
+                            seq: victim.seq,
+                            tenant: victim.request.tenant,
+                            key: 0,
+                            outcome: ServeOutcome::Shed {
+                                reason: format!(
+                                    "canonical deadline {cd} already unmeetable \
                                          at queue overflow"
-                                    ),
-                                },
-                            });
-                            if let Err(e2) = queue.try_admit(seq, at_tick, request) {
-                                stats.rejected_overload += 1;
-                                responses.push(PlanResponse {
-                                    seq,
-                                    tenant,
-                                    key: 0,
-                                    outcome: ServeOutcome::Rejected {
-                                        reason: e2.to_string(),
-                                    },
-                                });
-                            }
-                        }
-                        None => {
+                                ),
+                            },
+                        });
+                        if let Err(e2) = queue.try_admit(seq, at_tick, request) {
                             stats.rejected_overload += 1;
                             responses.push(PlanResponse {
                                 seq,
                                 tenant,
                                 key: 0,
                                 outcome: ServeOutcome::Rejected {
-                                    reason: e.to_string(),
+                                    reason: e2.to_string(),
                                 },
                             });
                         }
                     }
-                }
+                    None => {
+                        stats.rejected_overload += 1;
+                        responses.push(PlanResponse {
+                            seq,
+                            tenant,
+                            key: 0,
+                            outcome: ServeOutcome::Rejected {
+                                reason: e.to_string(),
+                            },
+                        });
+                    }
+                },
             }
         }
 
@@ -726,7 +621,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             &session.faults,
             &mut retries,
             shed_pending,
-            &mut shape_costs,
             &mut stats,
             &mut responses,
         );
@@ -736,7 +630,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                 backend,
                 &queue,
                 &retries,
-                &mut shape_costs,
                 &mut stats,
                 next,
                 now,
@@ -763,7 +656,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             backend,
             &queue,
             &retries,
-            &mut shape_costs,
             &mut stats,
             next,
             now,
@@ -779,16 +671,15 @@ pub fn serve_trace_resumable<B: ServeBackend>(
 }
 
 /// Build the cycle-commit checkpoint and hand it — plus the responses
-/// appended since the previous commit — to the backend. `stats` and
-/// `shape_costs` grow with the run, so they are lent to the checkpoint
-/// for the call and moved back, never copied; `cycle_rows` stay behind
+/// appended since the previous commit — to the backend. `stats` grows
+/// with the run, so it is lent to the checkpoint for the call and moved
+/// back, never copied; `cycle_rows` stay behind
 /// (observability, not digested, not checkpointed).
 #[allow(clippy::too_many_arguments)]
 fn commit_boundary<B: ServeBackend>(
     backend: &mut B,
     queue: &AdmissionQueue,
     retries: &[PendingSolve],
-    shape_costs: &mut ShapeCosts,
     stats: &mut ServeStats,
     next: usize,
     now: f64,
@@ -804,14 +695,12 @@ fn commit_boundary<B: ServeBackend>(
         refresh_next: refresh_next as u64,
         queue: queue.pending_snapshot(),
         retries: retries.iter().map(|p| p.to_checkpoint()).collect(),
-        shape_costs: std::mem::take(shape_costs),
         stats: std::mem::take(stats),
         emitted: emitted_base + responses.len() as u64,
     };
     let new = &responses[*committed..];
     *committed = responses.len();
     let go = backend.commit_cycle(&ck, new);
-    *shape_costs = ck.shape_costs;
     *stats = ck.stats;
     stats.cycle_rows = cycle_rows;
     go
@@ -832,7 +721,6 @@ fn run_cycle<B: ServeBackend>(
     faults: &WorkerFaultPlan,
     retries: &mut Vec<PendingSolve>,
     shed_this_round: u64,
-    shape_costs: &mut ShapeCosts,
     stats: &mut ServeStats,
     responses: &mut Vec<PlanResponse>,
 ) -> f64 {
@@ -858,7 +746,6 @@ fn run_cycle<B: ServeBackend>(
     // This cycle's solves, keyed canonically: retry jobs whose
     // backoff expired, then fresh misses from the batch.
     let mut jobs: BTreeMap<u64, PendingSolve> = ready.into_iter().map(|j| (j.key, j)).collect();
-    let mut fresh_order: Vec<u64> = Vec::new();
     // (request, key, canonical deadline, answer), assembled across
     // the cycle and emitted in seq order at the end.
     let mut answers: Vec<(QueuedRequest, u64, f64, Answer)> = Vec::new();
@@ -875,7 +762,6 @@ fn run_cycle<B: ServeBackend>(
                 0.0,
                 Answer::Reject {
                     reason: e.to_string(),
-                    charge_hit: false,
                 },
             ));
             continue;
@@ -924,7 +810,8 @@ fn run_cycle<B: ServeBackend>(
             job.waiters.push(qr);
             continue;
         }
-        fresh_order.push(key);
+        // A fresh miss gets the per-request cap, tightened by its hint;
+        // retry jobs keep their original (backoff-decremented) budgets.
         jobs.insert(
             key,
             PendingSolve {
@@ -932,27 +819,13 @@ fn run_cycle<B: ServeBackend>(
                 workflow: qr.request.workflow.clone(),
                 deadline: cd,
                 percentile: qr.request.percentile,
-                budget: SearchBudget::unlimited(), // budgeted below
+                budget: effective_budget(&cfg.budget, qr.request.budget_hint),
                 key_budget,
                 attempt: 0,
                 not_before: cycle_start,
                 waiters: vec![qr],
             },
         );
-    }
-
-    // Fair-share the cycle pool across the fresh misses' tenants,
-    // then clamp by the per-request cap and each request's hint.
-    // Retry jobs keep their original (backoff-decremented) budgets.
-    let tenants: Vec<TenantId> = fresh_order
-        .iter()
-        .map(|k| jobs[k].waiters[0].request.tenant)
-        .collect();
-    let shares = fair_share_budgets(cfg.cycle_tick_pool, &tenants);
-    for (key, share) in fresh_order.iter().zip(shares) {
-        let job = jobs.get_mut(key).expect("fresh keys were just inserted");
-        let capped = min_budget(&cfg.budget, &share);
-        job.budget = effective_budget(&capped, job.waiters[0].request.budget_hint);
     }
 
     // Draw worker fates by canonical job rank: rank -> virtual worker
@@ -1068,14 +941,6 @@ fn run_cycle<B: ServeBackend>(
             .expect("every dispatched key has a solve result");
         match result {
             Ok(plan) => {
-                if cfg.shed_estimate {
-                    // Feed the shed policy's per-shape solve-cost model.
-                    let shape = workflow_shape_hash(&job.workflow);
-                    shape_costs
-                        .entry(shape)
-                        .or_default()
-                        .push(plan.provenance.budget_spent);
-                }
                 if job.attempt == 0 {
                     for (i, qr) in job.waiters.into_iter().enumerate() {
                         let source = if i == 0 {
@@ -1109,14 +974,13 @@ fn run_cycle<B: ServeBackend>(
                 }
             }
             Err(e) => {
-                for (i, qr) in job.waiters.into_iter().enumerate() {
+                for qr in job.waiters {
                     answers.push((
                         qr,
                         key,
                         job.deadline,
                         Answer::Reject {
                             reason: e.to_string(),
-                            charge_hit: i > 0 && job.attempt == 0,
                         },
                     ));
                 }
@@ -1124,22 +988,19 @@ fn run_cycle<B: ServeBackend>(
         }
     }
 
-    // Answer in sequence order (hit ticks are charged here so the
-    // service sum's float-addition order matches the pre-fault
-    // server exactly on quiescent runs).
+    // Answer in sequence order. Warm and coalesced answers cost no
+    // service ticks.
     answers.sort_by_key(|(qr, ..)| qr.seq);
     for (qr, key, cd, answer) in answers {
         match answer {
             Answer::Plan { plan, source } => {
                 match source {
                     PlanSource::Warm => {
-                        service += cfg.hit_ticks;
                         stats.hits += 1;
                         row.hits += 1;
                     }
                     PlanSource::Cold => stats.misses += 1,
                     PlanSource::Coalesced => {
-                        service += cfg.hit_ticks;
                         stats.coalesced += 1;
                         row.coalesced += 1;
                     }
@@ -1173,10 +1034,7 @@ fn run_cycle<B: ServeBackend>(
                     })),
                 });
             }
-            Answer::Reject { reason, charge_hit } => {
-                if charge_hit {
-                    service += cfg.hit_ticks;
-                }
+            Answer::Reject { reason } => {
                 responses.push(PlanResponse {
                     seq: qr.seq,
                     tenant: qr.request.tenant,
@@ -1540,11 +1398,10 @@ mod tests {
 
     #[test]
     fn waits_reflect_batched_service_in_model_ticks() {
-        // batch_size 1 with a tick pool: the second request must wait for
-        // the first's service before its cycle starts.
+        // batch_size 1 under a tick cap: the second request must wait
+        // for the first's service before its cycle starts.
         let config = ServeConfig {
             batch_size: 1,
-            cycle_tick_pool: Some(1e7),
             budget: SearchBudget::ticks(1e7),
             ..ServeConfig::default()
         };
@@ -1720,118 +1577,5 @@ mod tests {
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.evictions, 0, "no phantom evictions");
         assert_eq!(server.cache_len(), 0);
-    }
-
-    #[test]
-    fn shed_estimate_flag_defaults_off_and_keeps_digests() {
-        // The same overload trace, flag off vs a second server that never
-        // observed a shape cost: identical digests (flag off is the
-        // pre-existing behavior; flag on with no data degrades to it).
-        let base = ServeConfig {
-            queue_capacity: 2,
-            batch_size: 2,
-            ..ServeConfig::default()
-        };
-        let arrivals: Vec<Arrival> = (0..4)
-            .map(|i| Arrival {
-                at_tick: 0.0,
-                request: request(i, 7),
-            })
-            .collect();
-        let trace = ArrivalTrace::new(arrivals);
-        let mut off = PlanServer::new(small_deco(), base.clone());
-        let (resp_off, stats_off) = off.serve_trace(&trace, 1);
-        let mut on = PlanServer::new(
-            small_deco(),
-            ServeConfig {
-                shed_estimate: true,
-                ..base
-            },
-        );
-        let (resp_on, stats_on) = on.serve_trace(&trace, 1);
-        let lines = |rs: &[PlanResponse]| {
-            rs.iter()
-                .map(|r| r.canonical_line())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            lines(&resp_off),
-            lines(&resp_on),
-            "first-contact overload: no shape data yet, estimate is 0"
-        );
-        assert_eq!(stats_off.digest(), stats_on.digest());
-    }
-
-    #[test]
-    fn shed_estimate_quantile_is_nearest_rank_over_shape_samples() {
-        let r = request(1, 7);
-        let shape = workflow_shape_hash(&r.workflow);
-        let mut costs = ShapeCosts::new();
-        assert_eq!(
-            shape_cost_estimate(&costs, &r, 0.9),
-            0.0,
-            "unseen shapes never shed on a guess"
-        );
-        costs.insert(shape, vec![40.0]);
-        assert_eq!(shape_cost_estimate(&costs, &r, 0.5), 40.0);
-        assert_eq!(
-            shape_cost_estimate(&costs, &r, 0.9),
-            40.0,
-            "a single sample is every quantile"
-        );
-        costs.insert(shape, vec![1000.0, 10.0, 30.0, 20.0, 40.0]);
-        assert_eq!(shape_cost_estimate(&costs, &r, 0.5), 30.0);
-        assert_eq!(
-            shape_cost_estimate(&costs, &r, 0.9),
-            1000.0,
-            "p90 of five samples is the slowest observed solve"
-        );
-        assert_eq!(shape_cost_estimate(&costs, &r, 1.0), 1000.0);
-    }
-
-    #[test]
-    fn shed_estimate_sheds_waiters_that_cannot_fit_one_more_solve() {
-        // Warm up the shape-cost model with one solved shape, then
-        // overload the queue with same-shape requests whose slack is
-        // smaller than the observed solve cost: with the flag on, the
-        // doomed waiter is shed; with it off, the newcomer is rejected
-        // and the waiter is left to miss its deadline.
-        let config = ServeConfig {
-            queue_capacity: 1,
-            batch_size: 1,
-            shed_estimate: true,
-            deadline_bucket: 60.0,
-            ..ServeConfig::default()
-        };
-        let mut server = PlanServer::new(small_deco(), config);
-        let mut tight = request(2, 7);
-        tight.deadline = 70.0; // canonical 60: tighter than one solve
-        let mut tight2 = request(3, 7);
-        tight2.deadline = 70.0;
-        let trace = ArrivalTrace::new(vec![
-            Arrival {
-                at_tick: 0.0,
-                request: request(1, 7), // solves cold, records shape cost
-            },
-            // Arrive while the queue is busy: the second occupies the
-            // 1-slot queue, the third overflows it.
-            Arrival {
-                at_tick: 1.0,
-                request: tight,
-            },
-            Arrival {
-                at_tick: 1.0,
-                request: tight2,
-            },
-        ]);
-        let (responses, stats) = server.serve_trace(&trace, 1);
-        // The first request solved and recorded its shape's cost (well
-        // above 60 canonical ticks for this engine config); the queued
-        // tight-deadline waiter is estimated unmeetable and shed.
-        assert_eq!(stats.shed, 1, "{responses:?}");
-        assert!(responses
-            .iter()
-            .any(|r| matches!(&r.outcome, ServeOutcome::Shed { .. })));
     }
 }

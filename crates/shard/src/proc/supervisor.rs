@@ -1,7 +1,7 @@
 //! The shard supervisor: the parent-process half of the supervised tier.
 //!
 //! [`ShardSupervisor`] implements [`ServeBackend`], so the entire cycle
-//! loop — admission, classification, fault fates, fair-share, response
+//! loop — admission, classification, fault fates, solve budgets, response
 //! ordering — is the exact code `PlanServer` and `ShardedServer` run.
 //! What this type changes is that each shard is a **child process**
 //! (self-exec with `--deco-shard-worker`), supervised over pipes:

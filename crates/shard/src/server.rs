@@ -1,7 +1,7 @@
 //! The sharded serving tier: N shards behind one deterministic engine.
 //!
 //! [`ShardedServer`] implements [`ServeBackend`], so the *entire* cycle
-//! loop — admission, classification, fault fates, budget fair-share,
+//! loop — admission, classification, fault fates, solve budgets,
 //! response ordering — is the exact code `PlanServer` runs
 //! ([`deco_serve::serve_trace_backend`]). What this type changes is only
 //! where state lives and where solves run:

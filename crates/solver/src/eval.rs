@@ -72,22 +72,23 @@ pub fn state_seed<S: Hash>(root_seed: u64, state: &S) -> u64 {
     splitmix64(root_seed ^ h.finish())
 }
 
-/// Evaluate a batch of states on the backend's device model: one launch,
+/// Evaluate a batch of states on a device model: one launch,
 /// one block per state, each worker threading its own
 /// [`SearchProblem::Scratch`] through the states it runs. Returns the
 /// evaluations in input order.
 ///
 /// Every state is seeded by [`state_seed`] and blocks are stitched back in
 /// input order, so the worker count changes wall-clock only: the
-/// evaluations are bit-identical on every backend.
+/// evaluations are bit-identical on every device. Callers pass
+/// [`EvalBackend::device`], built once per search rather than per batch.
 pub fn evaluate_batch<P: SearchProblem>(
     problem: &P,
     states: &[P::State],
-    backend: &EvalBackend,
+    device: &DeviceSpec,
     root_seed: u64,
 ) -> Vec<Evaluation> {
     launch_with(
-        &backend.device(),
+        device,
         states,
         problem.threads_per_state(),
         P::Scratch::default,
@@ -124,7 +125,7 @@ mod tests {
     fn batch_matches_pointwise() {
         let p = Toy;
         let states = vec![vec![0, 0], vec![1, 1], vec![2, 2]];
-        let evals = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 1);
+        let evals = evaluate_batch(&p, &states, &EvalBackend::SeqCpu.device(), 1);
         assert_eq!(evals.len(), 3);
         assert!(!evals[0].feasible);
         assert!(evals[1].feasible);
@@ -135,9 +136,14 @@ mod tests {
     fn backends_agree_on_results() {
         let p = Toy;
         let states = vec![vec![0, 1], vec![2, 0]];
-        let a = evaluate_batch(&p, &states, &EvalBackend::SeqCpu, 9);
-        let b = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6), 9);
-        let c = evaluate_batch(&p, &states, &EvalBackend::SimGpu(DeviceSpec::k40()), 9);
+        let a = evaluate_batch(&p, &states, &EvalBackend::SeqCpu.device(), 9);
+        let b = evaluate_batch(&p, &states, &EvalBackend::ParCpu(6).device(), 9);
+        let c = evaluate_batch(
+            &p,
+            &states,
+            &EvalBackend::SimGpu(DeviceSpec::k40()).device(),
+            9,
+        );
         assert_eq!(a, b);
         assert_eq!(a, c);
     }

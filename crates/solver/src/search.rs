@@ -50,19 +50,6 @@ impl SearchBudget {
         }
     }
 
-    /// Split this budget fairly across `n` concurrent consumers: each
-    /// share gets `ticks / n` (and `wall_seconds / n`); an unlimited
-    /// budget stays unlimited. This is the allocation rule multi-tenant
-    /// serving uses to divide a per-cycle tick pool among the tenants of
-    /// one solver batch.
-    pub fn fair_share(&self, n: usize) -> Self {
-        assert!(n >= 1, "fair_share needs at least one consumer");
-        SearchBudget {
-            ticks: self.ticks.map(|t| t / n as f64),
-            wall_seconds: self.wall_seconds.map(|w| w / n as f64),
-        }
-    }
-
     fn exhausted(&self, spent_ticks: f64, t0: &Instant) -> bool {
         self.ticks.is_some_and(|b| spent_ticks >= b)
             || self
@@ -159,9 +146,8 @@ fn better(minimize: bool, a: f64, b: f64) -> bool {
 struct Driver<'a, P: SearchProblem> {
     problem: &'a P,
     opts: &'a SearchOptions,
-    backend: &'a EvalBackend,
-    // One DeviceSpec clone per search, not per batch: `model_ticks` only
-    // needs the launch shape.
+    // One DeviceSpec clone per search, not per batch: every batch's
+    // launch and its `model_ticks` charge read this one.
     device: DeviceSpec,
     t0: Instant,
     visited: HashSet<P::State>,
@@ -175,7 +161,6 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
         Driver {
             problem,
             opts,
-            backend,
             device: backend.device(),
             t0: Instant::now(),
             visited: HashSet::new(),
@@ -219,7 +204,7 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
     fn step(&mut self, batch: &[P::State], patience: Option<usize>) -> Option<Vec<Evaluation>> {
         let problem = self.problem;
         let t = Instant::now();
-        let evals = evaluate_batch(problem, batch, self.backend, self.opts.seed);
+        let evals = evaluate_batch(problem, batch, &self.device, self.opts.seed);
         self.stats.host_eval_seconds += t.elapsed().as_secs_f64();
         self.stats.states_evaluated += batch.len();
         self.stats.batches += 1;
@@ -443,22 +428,6 @@ pub fn astar_search<P: SearchProblem>(
 mod tests {
     use super::*;
     use crate::transform::promotions;
-
-    #[test]
-    fn fair_share_divides_ticks_and_preserves_unlimited() {
-        let b = SearchBudget::ticks(120.0);
-        let share = b.fair_share(4);
-        assert_eq!(share.ticks, Some(30.0));
-        assert_eq!(share.wall_seconds, None);
-        assert!(SearchBudget::unlimited().fair_share(8).is_unlimited());
-        let walled = SearchBudget {
-            ticks: Some(10.0),
-            wall_seconds: Some(2.0),
-        };
-        let w = walled.fair_share(2);
-        assert_eq!(w.ticks, Some(5.0));
-        assert_eq!(w.wall_seconds, Some(1.0));
-    }
 
     /// Minimize sum(s) subject to sum(s) >= target — the shape of the
     /// scheduling problem: promotion raises cost and only enough of it

@@ -442,7 +442,7 @@ fn evaluate_batch_matches_per_state_evaluate() {
         .map(|s| problem.evaluate(s, state_seed(root, s), &mut FrontierScratch::new()))
         .collect();
     for backend in &all_backends() {
-        let batched = evaluate_batch(&problem, &states, backend, root);
+        let batched = evaluate_batch(&problem, &states, &backend.device(), root);
         assert_eq!(
             batched, per_state,
             "{backend:?}: batch diverged from per-state"

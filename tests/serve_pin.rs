@@ -217,7 +217,6 @@ fn serve_outcomes_are_pinned() {
     );
     let config = ServeConfig {
         batch_size: 4,
-        fleet: true,
         ..ServeConfig::default()
     };
     let mut fleet = FleetServer::new(small_deco(), config, FleetConfig::default())
