@@ -98,8 +98,7 @@ pub fn autoscaling_types(wf: &Workflow, spec: &CloudSpec, deadline: f64) -> Vec<
                 .min_by(|&a, &b| {
                     spec.types[a]
                         .price_per_hour
-                        .partial_cmp(&spec.types[b].price_per_hour)
-                        .unwrap()
+                        .total_cmp(&spec.types[b].price_per_hour)
                 })
                 .unwrap_or(reference)
         })

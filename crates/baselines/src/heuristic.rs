@@ -142,15 +142,6 @@ impl RuntimePolicy for FollowCostHeuristic {
     }
 }
 
-/// Convenience: tasks not yet dispatched, in topological order (mirrors
-/// the Unfinished(sw) set of Equation (7)).
-pub fn pending_in_topo_order(sim: &Simulation<'_>, wf: &Workflow) -> Vec<TaskId> {
-    wf.topo_order()
-        .into_iter()
-        .filter(|&t| !sim.is_started(t))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

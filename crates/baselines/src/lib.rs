@@ -1,3 +1,7 @@
+// User-facing paths return typed errors; panicking shortcuts are banned
+// from library code (tests may still unwrap).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 //! State-of-the-art comparators the paper evaluates Deco against
 //! (Section 6.1 "Implementation details"):
 //!

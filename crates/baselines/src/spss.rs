@@ -47,8 +47,7 @@ pub fn spss_plan_workflow(
     by_price.sort_by(|&a, &b| {
         spec.types[a]
             .price_per_hour
-            .partial_cmp(&spec.types[b].price_per_hour)
-            .unwrap()
+            .total_cmp(&spec.types[b].price_per_hour)
     });
     // SPSS keeps the standard 15% scheduling margin when packing (as every
     // planner here does); its distinguishing weakness is the *deterministic*

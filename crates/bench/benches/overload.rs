@@ -37,38 +37,33 @@ fn engine() -> Deco {
     d
 }
 
-/// One arrival per tick step over four recurring Montage variants.
-/// Deadlines differ per arrival by more than the canonical bucket, so
+/// One arrival per tick step, each a Montage with its own seed, so
 /// every request is a distinct cache key (a cold solve — the offered
 /// load is `1/gap` solves per tick).
 ///
-/// Each request's deadline is `at_tick + slack`, where `slack` is
-/// `window` (the calibrated per-solve service time) times one of
-/// {1, 4, 7, 10, 13}, cycling. The server measures a deadline from the
-/// request's own arrival, so the arrival tick inflates it: a request's
-/// effective slack grows with its index in the trace, late arrivals are
-/// almost never doomed, and at 2× load nothing is ever shed. The
-/// calibration run passes an infinite window so nothing ever sheds.
+/// Each request's deadline is its `slack`: `window` (the calibrated
+/// per-solve service time) times one of {1, 4, 7, 10, 13}, cycling. The
+/// server measures a deadline from the request's own arrival, so every
+/// request gets the same slack wherever it sits in the trace. The
+/// calibration run passes an infinite window and gets the canonical
+/// mid deadline, so nothing ever sheds.
 fn cold_trace(spec: &CloudSpec, n: u32, gap: f64, window: f64) -> ArrivalTrace {
     let arrivals: Vec<Arrival> = (0..n)
         .map(|i| {
-            let wf = generators::montage(1, 3000 + u64::from(i % 4));
+            let wf = generators::montage(1, 3000 + u64::from(i));
             let (dmin, dmax) = deadline_anchors(&wf, spec);
             let at_tick = f64::from(i) * gap;
             let slack = if window.is_finite() {
                 window * f64::from(1 + 3 * (i % 5))
             } else {
-                // Calibration: effectively unbounded, but staggered by
-                // more than the deadline bucket so the tick-0 burst
-                // still produces 48 distinct cache keys (no coalescing).
-                0.5 * (dmin + dmax) + 60.0 * f64::from(i)
+                0.5 * (dmin + dmax)
             };
             Arrival {
                 at_tick,
                 request: PlanRequest {
                     tenant: i % 4,
                     workflow: wf,
-                    deadline: at_tick + slack,
+                    deadline: slack,
                     percentile: 0.9,
                     budget_hint: None,
                     priority: deco_serve::Priority::default(),

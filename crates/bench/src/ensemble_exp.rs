@@ -1,7 +1,7 @@
 //! Figure 9: workflow ensembles — Deco vs SPSS.
 
 use crate::common::{row, Env, ROOT_SEED};
-use deco_baselines::spss::{min_possible_makespan, spss_admit};
+use deco_baselines::spss::spss_admit;
 use deco_cloud::sim::run_plan;
 use deco_cloud::Plan;
 use deco_core::ensemble::EnsembleProblem;
@@ -207,45 +207,6 @@ impl Fig9Result {
             .collect();
         deco_prob::stats::mean(&rs)
     }
-}
-
-/// Sensitivity on the probabilistic deadline requirement (the Section
-/// 6.3.2 paragraph: Deco always scores at least SPSS as p grows).
-pub fn fig9_percentile_sweep(env: &Env) -> Vec<(f64, f64)> {
-    let ensemble = Ensemble::generate(App::Ligo, EnsembleType::UniformUnsorted, 6, &[20], 77);
-    let deadlines: Vec<f64> = ensemble
-        .members
-        .iter()
-        .map(|m| min_possible_makespan(&m.workflow, &env.spec) * 4.0)
-        .collect();
-    let mut out = Vec::new();
-    for &p in &[0.90, 0.96, 0.999] {
-        let member_plans = EnsembleProblem::plan_members(
-            &ensemble,
-            &env.spec,
-            &env.store,
-            &deadlines,
-            p,
-            40,
-            &SearchOptions {
-                max_states: 200,
-                seed: ROOT_SEED,
-                ..Default::default()
-            },
-            &env.backend(),
-        );
-        let costs: Vec<f64> = member_plans.iter().map(|mp| mp.cost).collect();
-        let budget = budget_levels(&costs)[2];
-        let problem = EnsembleProblem::with_member_plans(&ensemble, member_plans, budget);
-        let deco = problem
-            .solve(&SearchOptions::default(), &env.backend())
-            .best
-            .map(|(_, e)| e.objective)
-            .unwrap_or(0.0);
-        let spss = spss_admit(&ensemble, &env.spec, &deadlines, budget, 0).score;
-        out.push((p, if spss > 0.0 { deco / spss } else { 1.0 }));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -112,11 +112,6 @@ impl DisruptionSchedule {
     pub fn partition_release(&self, at: f64) -> f64 {
         crate::dynamics::partition_release(&self.partitions, at)
     }
-
-    /// Number of slots with recorded fates (healthy tail excluded).
-    pub fn recorded_slots(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Capped-exponential-backoff retry policy for tasks killed by instance

@@ -167,14 +167,6 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Scheduled finish time of a dispatched task.
-    pub fn finish_of(&self, t: TaskId) -> Option<f64> {
-        match self.state[t.index()] {
-            TaskState::Started { finish, .. } => Some(finish),
-            TaskState::Pending | TaskState::Failed { .. } => None,
-        }
-    }
-
     /// Whether every task has been dispatched (O(1): the dispatch counter
     /// against the workflow size). The recovery driver's quiescent fast
     /// path terminates on this instead of scanning task states.

@@ -69,7 +69,10 @@ pub fn launch_with<S: Sync, R: Send, W>(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("kernel worker panicked"))
+            .collect()
     })
     .expect("kernel worker panicked");
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();

@@ -1,3 +1,7 @@
+// User-facing paths return typed errors; panicking shortcuts are banned
+// from library code (tests may still unwrap).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 //! An execution-driven GPU device model.
 //!
 //! The paper offloads two hot loops to an NVIDIA K40: the Monte-Carlo

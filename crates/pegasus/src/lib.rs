@@ -1,3 +1,7 @@
+// User-facing paths return typed errors; panicking shortcuts are banned
+// from library code (tests may still unwrap).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 //! A Pegasus-style workflow management system with Deco integrated as a
 //! scheduler callout (the paper's Figure 3).
 //!

@@ -3,7 +3,7 @@
 
 use crate::mapper::ExecutableWorkflow;
 use crate::scheduler::{Requirements, Scheduler};
-use deco_cloud::sim::{run_plan, run_with_policy, RuntimePolicy};
+use deco_cloud::sim::run_plan;
 use deco_cloud::{CloudSpec, MetadataStore, RetryConfig};
 use deco_core::supervisor::{plan_with_fallback, PlanProvenance, SupervisedPlan};
 use deco_core::{Deco, DecoError};
@@ -132,34 +132,6 @@ impl Pegasus {
             RunOutcome::Met
         };
         Ok((report, outcome))
-    }
-
-    /// Execute with a runtime re-optimization policy consulted every
-    /// `epoch_seconds` (the follow-the-cost loop).
-    pub fn execute_with_policy(
-        &self,
-        exe: &ExecutableWorkflow,
-        req: Requirements,
-        scheduler_name: &str,
-        policy: &mut dyn RuntimePolicy,
-        epoch_seconds: f64,
-        seed: u64,
-    ) -> ExecutionReport {
-        let r = run_with_policy(
-            &self.spec,
-            &exe.workflow,
-            &exe.plan,
-            policy,
-            epoch_seconds,
-            seed,
-        );
-        ExecutionReport {
-            scheduler: scheduler_name.to_string(),
-            makespan: r.makespan,
-            cost: r.cost.total(),
-            transfer_cost: r.cost.transfer,
-            met_deadline: r.makespan <= req.deadline,
-        }
     }
 
     /// Execute a mapped workflow once under injected faults: the engine

@@ -1,3 +1,7 @@
+// User-facing paths return typed errors; panicking shortcuts are banned
+// from library code (tests may still unwrap).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 //! Probability substrate for the Deco reproduction.
 //!
 //! The paper models cloud performance dynamics (I/O bandwidth, network

@@ -16,13 +16,6 @@ pub struct Estimate {
     pub iterations: usize,
 }
 
-impl Estimate {
-    /// Two-sided confidence half-width at ~95% (1.96 sigma).
-    pub fn ci95(&self) -> f64 {
-        1.96 * self.std_error
-    }
-}
-
 /// Estimate the mean of `f` over `iters` draws.
 pub fn estimate_mean(
     iters: usize,

@@ -99,7 +99,7 @@ impl Summary {
             q1: quantile_sorted(&sorted, 0.25),
             median: quantile_sorted(&sorted, 0.5),
             q3: quantile_sorted(&sorted, 0.75),
-            max: *sorted.last().unwrap(),
+            max: *sorted.last().expect("summary of a non-empty sample"),
             mean: mean(xs),
         }
     }

@@ -28,7 +28,11 @@
 //!   channels (no async runtime): each healthy shard's `JobResults`
 //!   integrates the moment it arrives while a slow shard keeps solving;
 //!   the cycle barrier is enforced only at integration time, which is
-//!   all run-cycle needs for byte-identity.
+//!   all run-cycle needs for byte-identity;
+//! * every wait runs on one event pump (`Inner::next_event`), which
+//!   applies acks and owns all failure detection; a waiter keeps only
+//!   the frame it waits for and, after a revive, re-sends what the
+//!   replay buffer does not carry (its `AssignJobs` or `CycleBarrier`).
 
 use super::journal::{CommitRef, JournalFrame, ShardHealth, SupervisorJournal};
 use super::monitor::{Liveness, LivenessMonitor};
@@ -320,6 +324,21 @@ enum ChildEvent {
     Eof,
     /// The pipe produced a torn or corrupt frame.
     Corrupt,
+}
+
+/// What one [`Inner::next_event`] call hands a waiter.
+// Unboxed `Frame` for the reason `ChildEvent` gives.
+#[allow(clippy::large_enum_variant)]
+enum Waited {
+    /// A worker frame, its acks already applied.
+    Frame(Frame),
+    /// The worker was declared dead (EOF, corruption, missed heartbeats
+    /// or a hang) and the crash path ran: the waiter re-issues whatever
+    /// it has outstanding that the replay buffer does not carry.
+    Revived,
+    /// Nothing arrived in time (and, when policed, the worker is not
+    /// overdue).
+    Idle,
 }
 
 /// The supervisor's mirror: every shard's partition, metadata plus the
@@ -812,13 +831,24 @@ impl Inner {
         self.send(si, &bytes);
         // Deliberately no ack drain here: for a `Get` the answer is a
         // `GotPlan` that `await_got_plan` must see, and a generic drain
-        // would ack it and drop the plan. Acks are consumed by the wait
-        // loops and, exhaustively, at every cycle barrier.
+        // would ack it and drop the plan. Acks are consumed by
+        // `next_event` and, exhaustively, at every cycle barrier.
         Some(seq)
     }
 
     fn send(&mut self, si: usize, bytes: &[u8]) {
         if self.write_raw(si, bytes).is_err() {
+            self.crash_and_revive(si, true);
+        }
+    }
+
+    /// Send a control frame (`AssignJobs`, `CycleBarrier`) until it is
+    /// written or the shard is dark. Control frames are not in the
+    /// replay buffer, so a worker revived after a failed write must get
+    /// them again. Every failed write spends a strike, so the loop ends
+    /// in quarantine at worst.
+    fn send_control(&mut self, si: usize, bytes: &[u8]) {
+        while self.children[si].live() && self.write_raw(si, bytes).is_err() {
             self.crash_and_revive(si, true);
         }
     }
@@ -860,53 +890,60 @@ impl Inner {
         }
     }
 
-    /// Pull one event without blocking longer than `wait`.
-    fn poll_event(&mut self, si: usize, wait: Duration) -> Option<ChildEvent> {
-        let rx = self.children[si].rx.as_ref()?;
-        rx.recv_timeout(wait).ok()
+    /// The one event pump every wait runs on: pull one event from shard
+    /// `si` without blocking longer than `wait`, and do all liveness
+    /// handling here. Acks (`Applied`, `GotPlan`, `BarrierAck`) prune
+    /// the replay buffer before the frame is handed on; EOF and
+    /// corruption take the crash path. `since` is when the caller's
+    /// outstanding request went out: with it, a quiet pipe is policed
+    /// (missed heartbeats are a crash, silence past `hang_timeout_ms` a
+    /// hang). `None` is a non-blocking drain that polices nothing.
+    fn next_event(&mut self, si: usize, wait: Duration, since: Option<u64>) -> Waited {
+        let event = self.children[si]
+            .rx
+            .as_ref()
+            .and_then(|rx| rx.recv_timeout(wait).ok());
+        match event {
+            Some(ChildEvent::Frame(frame)) => {
+                match frame {
+                    Frame::Applied { seq } | Frame::GotPlan { seq, .. } => {
+                        self.ack_through(si, seq)
+                    }
+                    Frame::BarrierAck { stats, .. } => {
+                        self.ack_through(si, self.children[si].seq);
+                        self.children[si].stats_last = stats;
+                    }
+                    _ => {}
+                }
+                return Waited::Frame(frame);
+            }
+            Some(ChildEvent::Eof) => self.crash_and_revive(si, false),
+            Some(ChildEvent::Corrupt) => self.crash_and_revive(si, true),
+            None => {
+                let Some(since) = since.filter(|_| self.children[si].live()) else {
+                    return Waited::Idle;
+                };
+                let now = self.now();
+                let c = &mut self.children[si];
+                c.monitor.beat(c.last_beat.load(Ordering::Relaxed));
+                if !c.monitor.tick(now) {
+                    if now.saturating_sub(since) <= self.config.hang_timeout_ms {
+                        return Waited::Idle;
+                    }
+                    // Beating but silent past the hang window: a hang
+                    // is killed like a crash.
+                    self.stats.hangs_detected += 1;
+                }
+                self.crash_and_revive(si, false);
+            }
+        }
+        Waited::Revived
     }
 
     /// Opportunistically consume pending acks without blocking. EOF or
     /// corruption found here takes the crash path immediately.
     fn drain_acks(&mut self, si: usize) {
-        loop {
-            match self.poll_event(si, Duration::ZERO) {
-                Some(ChildEvent::Frame(Frame::Applied { seq }))
-                | Some(ChildEvent::Frame(Frame::GotPlan { seq, .. })) => self.ack_through(si, seq),
-                Some(ChildEvent::Frame(Frame::BarrierAck { stats, .. })) => {
-                    let seq = self.children[si].seq;
-                    self.ack_through(si, seq);
-                    self.children[si].stats_last = stats;
-                }
-                Some(ChildEvent::Frame(_)) => {} // stale data frame: drop
-                Some(ChildEvent::Eof) => {
-                    self.crash_and_revive(si, false);
-                    return;
-                }
-                Some(ChildEvent::Corrupt) => {
-                    self.crash_and_revive(si, true);
-                    return;
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Check heartbeat liveness of a shard we are actively waiting on.
-    /// Returns true if the worker was declared dead and the crash path
-    /// ran — the caller must re-issue whatever it was waiting for.
-    fn police_heartbeat(&mut self, si: usize) -> bool {
-        if !self.children[si].live() {
-            return false;
-        }
-        let beat = self.children[si].last_beat.load(Ordering::Relaxed);
-        let now = self.now();
-        self.children[si].monitor.beat(beat);
-        if self.children[si].monitor.tick(now) {
-            self.crash_and_revive(si, false);
-            return true;
-        }
-        false
+        while let Waited::Frame(_) = self.next_event(si, Duration::ZERO, None) {}
     }
 
     // ---- cache and books (mirror-authoritative) ---------------------------
@@ -952,50 +989,25 @@ impl Inner {
     /// a revived durable worker replays the `Get` and answers it; a lost
     /// partition or quarantine degrades to a miss.
     fn await_got_plan(&mut self, si: usize, seq: u64, key: u64) -> Option<SupervisedPlan> {
-        let mut deadline = self.now() + self.config.hang_timeout_ms;
+        let mut since = self.now();
         loop {
             if !self.books.partition(si).entries.contains_key(&key) || !self.children[si].live() {
                 return None; // partition lost or shard dark: a miss
             }
-            match self.poll_event(si, Duration::from_millis(1)) {
-                Some(ChildEvent::Frame(Frame::GotPlan { seq: s, plan })) => {
-                    self.ack_through(si, s);
-                    if s == seq {
-                        if plan.is_none() {
-                            // Protocol breach: the mirror says hit, the
-                            // worker says miss. Degrade, don't die.
-                            self.stats.transport_errors += 1;
-                            let del = Mutation::Del { key };
-                            journal_append(&mut self.journal, &JournalFrame::of(si, &del));
-                            self.books.partition_mut(si).apply(del);
-                        }
-                        return plan;
+            match self.next_event(si, Duration::from_millis(1), Some(since)) {
+                Waited::Frame(Frame::GotPlan { seq: s, plan }) if s == seq => {
+                    if plan.is_none() {
+                        // Protocol breach: the mirror says hit, the
+                        // worker says miss. Degrade, don't die.
+                        self.stats.transport_errors += 1;
+                        let del = Mutation::Del { key };
+                        journal_append(&mut self.journal, &JournalFrame::of(si, &del));
+                        self.books.partition_mut(si).apply(del);
                     }
+                    return plan;
                 }
-                Some(ChildEvent::Frame(Frame::Applied { seq: s })) => self.ack_through(si, s),
-                Some(ChildEvent::Frame(Frame::BarrierAck { stats, .. })) => {
-                    let s = self.children[si].seq;
-                    self.ack_through(si, s);
-                    self.children[si].stats_last = stats;
-                }
-                Some(ChildEvent::Frame(_)) => {}
-                Some(ChildEvent::Eof) => {
-                    self.crash_and_revive(si, false);
-                    deadline = self.now() + self.config.hang_timeout_ms;
-                }
-                Some(ChildEvent::Corrupt) => {
-                    self.crash_and_revive(si, true);
-                    deadline = self.now() + self.config.hang_timeout_ms;
-                }
-                None => {
-                    if self.police_heartbeat(si) {
-                        deadline = self.now() + self.config.hang_timeout_ms;
-                    } else if self.now() > deadline {
-                        self.stats.hangs_detected += 1;
-                        self.crash_and_revive(si, false);
-                        deadline = self.now() + self.config.hang_timeout_ms;
-                    }
-                }
+                Waited::Revived => since = self.now(),
+                _ => {}
             }
         }
     }
@@ -1043,19 +1055,13 @@ impl Inner {
         }
     }
 
+    /// (Re-)send shard `si`'s pending assignment; a shard that ends up
+    /// dark keeps the group pending, and the poll converts it to
+    /// fallbacks.
     fn dispatch(&mut self, si: usize, pending: &mut [Option<PendingGroup>]) {
-        if !self.children[si].live() {
-            return; // the wait loop converts the group to fallbacks
-        }
-        let Some(group) = pending[si].as_mut() else {
-            return;
-        };
-        group.assigned_at = self.now();
-        let bytes = group.frame.clone();
-        if self.write_raw(si, &bytes).is_err() {
-            self.crash_and_revive(si, true);
-            // Leave the group pending; the wait loop re-dispatches (or
-            // falls back) once the shard settles.
+        if let Some(group) = pending[si].as_mut() {
+            self.send_control(si, &group.frame);
+            group.assigned_at = self.now();
         }
     }
 
@@ -1106,9 +1112,9 @@ impl Inner {
         // per-shard channels polled with a short timeout.
         while pending.iter().any(Option::is_some) {
             for si in 0..shards {
-                if pending[si].is_none() {
+                let Some(since) = pending[si].as_ref().map(|g| g.assigned_at) else {
                     continue;
-                }
+                };
                 // A shard that went dark (now or earlier) falls back.
                 if !self.children[si].live() {
                     if let Some(group) = pending[si].take() {
@@ -1116,47 +1122,16 @@ impl Inner {
                     }
                     continue;
                 }
-                match self.poll_event(si, Duration::from_millis(1)) {
-                    Some(ChildEvent::Frame(Frame::JobResults { cycle: c, results }))
-                        if c == cycle =>
-                    {
+                match self.next_event(si, Duration::from_millis(1), Some(since)) {
+                    Waited::Frame(Frame::JobResults { cycle: c, results }) if c == cycle => {
                         for (key, budget, result) in results {
                             merged.insert(key, (budget, result));
                         }
                         pending[si] = None;
                         self.children[si].monitor.succeeded();
                     }
-                    Some(ChildEvent::Frame(Frame::Applied { seq }))
-                    | Some(ChildEvent::Frame(Frame::GotPlan { seq, .. })) => {
-                        self.ack_through(si, seq)
-                    }
-                    Some(ChildEvent::Frame(Frame::BarrierAck { stats, .. })) => {
-                        let seq = self.children[si].seq;
-                        self.ack_through(si, seq);
-                        self.children[si].stats_last = stats;
-                    }
-                    Some(ChildEvent::Frame(_)) => {} // stale: drop
-                    Some(ChildEvent::Eof) => {
-                        self.crash_and_revive(si, false);
-                        self.dispatch(si, &mut pending);
-                    }
-                    Some(ChildEvent::Corrupt) => {
-                        self.crash_and_revive(si, true);
-                        self.dispatch(si, &mut pending);
-                    }
-                    None => {
-                        if self.police_heartbeat(si) {
-                            self.dispatch(si, &mut pending);
-                        } else if pending[si].as_ref().is_some_and(|g| {
-                            self.now() - g.assigned_at > self.config.hang_timeout_ms
-                        }) {
-                            // Beating but silent past the hang window:
-                            // a hang is killed like a crash.
-                            self.stats.hangs_detected += 1;
-                            self.crash_and_revive(si, false);
-                            self.dispatch(si, &mut pending);
-                        }
-                    }
+                    Waited::Revived => self.dispatch(si, &mut pending),
+                    _ => {}
                 }
             }
         }
@@ -1169,56 +1144,17 @@ impl Inner {
     /// acked (the replay buffer empties) and the worker's store counters
     /// are snapshotted. Survives worker deaths mid-barrier.
     fn barrier_one(&mut self, si: usize, cycle: u64) {
-        if !self.children[si].live() {
-            return;
-        }
         let bytes = Frame::CycleBarrier { cycle }.encode();
-        if self.write_raw(si, &bytes).is_err() {
-            self.crash_and_revive(si, true);
-        }
-        let mut deadline = self.now() + self.config.hang_timeout_ms;
-        let mut sent = true;
-        loop {
-            if !self.children[si].live() {
-                return;
-            }
-            if !sent {
-                if self.write_raw(si, &bytes).is_err() {
-                    self.crash_and_revive(si, true);
-                    continue;
+        self.send_control(si, &bytes);
+        let mut since = self.now();
+        while self.children[si].live() {
+            match self.next_event(si, Duration::from_millis(1), Some(since)) {
+                Waited::Frame(Frame::BarrierAck { cycle: c, .. }) if c == cycle => return,
+                Waited::Revived => {
+                    self.send_control(si, &bytes);
+                    since = self.now();
                 }
-                sent = true;
-                deadline = self.now() + self.config.hang_timeout_ms;
-            }
-            match self.poll_event(si, Duration::from_millis(1)) {
-                Some(ChildEvent::Frame(Frame::BarrierAck { cycle: c, stats })) => {
-                    let seq = self.children[si].seq;
-                    self.ack_through(si, seq);
-                    self.children[si].stats_last = stats;
-                    if c == cycle {
-                        return;
-                    }
-                }
-                Some(ChildEvent::Frame(Frame::Applied { seq }))
-                | Some(ChildEvent::Frame(Frame::GotPlan { seq, .. })) => self.ack_through(si, seq),
-                Some(ChildEvent::Frame(_)) => {}
-                Some(ChildEvent::Eof) => {
-                    self.crash_and_revive(si, false);
-                    sent = false;
-                }
-                Some(ChildEvent::Corrupt) => {
-                    self.crash_and_revive(si, true);
-                    sent = false;
-                }
-                None => {
-                    if self.police_heartbeat(si) {
-                        sent = false;
-                    } else if self.now() > deadline {
-                        self.stats.hangs_detected += 1;
-                        self.crash_and_revive(si, false);
-                        sent = false;
-                    }
-                }
+                _ => {}
             }
         }
     }

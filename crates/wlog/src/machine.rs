@@ -756,16 +756,6 @@ impl Machine {
         Ok(out)
     }
 
-    /// First solution, if any, as the resolved query term.
-    pub fn solve_first(&mut self, query: &Term) -> Result<Option<Term>, MachineError> {
-        let mut out = None;
-        self.run(query, &mut |a| {
-            out = Some(a.term());
-            false
-        })?;
-        Ok(out)
-    }
-
     /// Whether the query has at least one solution.
     pub fn provable(&mut self, query: &Term) -> Result<bool, MachineError> {
         let mut found = false;

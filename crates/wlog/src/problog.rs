@@ -20,7 +20,7 @@
 
 use crate::ast::{Clause, Term};
 use crate::machine::{Database, Machine, MachineError};
-use crate::program::{Constraint, ConstraintKind, Goal, GoalKind};
+use crate::program::{Constraint, ConstraintKind, Goal};
 use deco_prob::mc::Estimate;
 use deco_prob::{CdfSampler, DecoRng};
 use rand::Rng;
@@ -345,17 +345,13 @@ impl Evaluator {
             iterations: iters,
         })
     }
-
-    /// Whether the goal should prefer smaller values.
-    pub fn goal_prefers_smaller(goal: &Goal) -> bool {
-        goal.kind == GoalKind::Minimize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::{parse_clauses, parse_query};
+    use crate::program::GoalKind;
     use deco_prob::rng::seeded;
 
     fn clause(src: &str) -> Clause {

@@ -19,12 +19,10 @@
 //! no response dropped or duplicated across the takeover.
 
 use deco::cloud::{CloudSpec, MetadataStore};
-use deco::engine::estimate::deadline_anchors;
-use deco::engine::Deco;
 use deco::serve::store::{encode_frame, raw_frame_at};
 use deco::serve::{
-    Arrival, ArrivalTrace, CalibrationRefresh, PlanRequest, PlanResponse, PlanServer, Priority,
-    ServeConfig, ServeSession, ServeStats, WorkerFaultPlan,
+    Arrival, ArrivalTrace, CalibrationRefresh, PlanResponse, PlanServer, ServeSession, ServeStats,
+    WorkerFaultPlan,
 };
 use deco::shard::proc::{
     JournalFrame, RecoveredRun, ShardSupervisor, SuperviseConfig, SuperviseSession,
@@ -33,26 +31,10 @@ use deco::shard::proc::{
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-fn small_deco() -> Deco {
-    let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 20);
-    let mut deco = Deco::new(store);
-    deco.options.mc_iters = 15;
-    deco.options.search.max_states = 50;
-    deco.options.beam_width = 3;
-    deco
-}
+mod common;
+use common::{lines, request_for, serve_config, small_deco, temp_dir};
 
-fn request_for(wf: deco::workflow::Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
-    let (dmin, dmax) = deadline_anchors(&wf, spec);
-    PlanRequest {
-        tenant,
-        workflow: wf,
-        deadline: 0.5 * (dmin + dmax),
-        percentile: 0.9,
-        budget_hint: None,
-        priority: Priority::default(),
-    }
-}
+const TMP: &str = "deco_failover";
 
 /// Ten distinct shapes cycling, so misses land in every early cycle and
 /// warm hits arrive once shapes repeat — both sides of a takeover see
@@ -73,13 +55,6 @@ fn spread_trace(spec: &CloudSpec, n: u32) -> ArrivalTrace {
         })
         .collect();
     ArrivalTrace::new(arrivals)
-}
-
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        batch_size: 4,
-        ..ServeConfig::default()
-    }
 }
 
 /// The serving session both sides of every takeover run under.
@@ -128,10 +103,6 @@ fn supervise_config(
     }
 }
 
-fn lines(responses: &[PlanResponse]) -> Vec<String> {
-    responses.iter().map(|r| r.canonical_line()).collect()
-}
-
 /// The unkilled 1-process reference the spliced stream must equal.
 fn reference(n: u32, session: &ServeSession) -> (Vec<String>, ServeStats) {
     let deco = small_deco();
@@ -139,12 +110,6 @@ fn reference(n: u32, session: &ServeSession) -> (Vec<String>, ServeStats) {
     let mut server = PlanServer::new(deco, serve_config());
     let (responses, stats) = server.serve_trace_session(&trace, 2, session);
     (lines(&responses), stats)
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("deco_failover_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// One commit group of a journal file, as its bytes lay it out.
@@ -376,9 +341,9 @@ fn abort_takeover_is_byte_identical_at_1_2_and_4_shards() {
     let n = 16;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
     for shards in [1usize, 2, 4] {
-        let journal = temp_dir(&format!("abort_j_{shards}"));
-        let persist = temp_dir(&format!("abort_p_{shards}"));
-        let out = temp_dir(&format!("abort_o_{shards}")).with_extension("log");
+        let journal = temp_dir(TMP, &format!("abort_j_{shards}"));
+        let persist = temp_dir(TMP, &format!("abort_p_{shards}"));
+        let out = temp_dir(TMP, &format!("abort_o_{shards}")).with_extension("log");
         let status = spawn_driver(
             &out,
             shards,
@@ -425,9 +390,9 @@ fn abort_takeover_is_byte_identical_at_1_2_and_4_shards() {
 fn sigkill_takeover_is_byte_identical() {
     let n = 24;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
-    let journal = temp_dir("kill_j");
-    let persist = temp_dir("kill_p");
-    let out = temp_dir("kill_o").with_extension("log");
+    let journal = temp_dir(TMP, "kill_j");
+    let persist = temp_dir(TMP, "kill_p");
+    let out = temp_dir(TMP, "kill_o").with_extension("log");
     // The driver pauses after emitting its sixth line, so the kill lands
     // at a known point after a durable commit instead of racing the poll.
     let mut child = spawn_driver(
@@ -487,9 +452,9 @@ fn chained_takeovers_under_worker_faults_are_byte_identical() {
         ref_stats.refreshes == 1 && ref_stats.worker_crashes > 0,
         "the session must exercise faults and the refresh ({ref_stats:?})"
     );
-    let journal = temp_dir("chain_j");
-    let persist = temp_dir("chain_p");
-    let out = temp_dir("chain_o").with_extension("log");
+    let journal = temp_dir(TMP, "chain_j");
+    let persist = temp_dir(TMP, "chain_p");
+    let out = temp_dir(TMP, "chain_o").with_extension("log");
     // Primary dies at cycle 4 — before the refresh at arrival 8.5.
     let status = spawn_driver(&out, 2, &journal, &persist, n, DriverEnd::AbortAt(4), true)
         .wait()
@@ -545,8 +510,8 @@ fn halted_primary(n: u32, halt_at: u64, journal: &Path, persist: &Path) -> Vec<S
 fn halt_abandon_recover_in_process_is_byte_identical() {
     let n = 16;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
-    let journal = temp_dir("halt_j");
-    let persist = temp_dir("halt_p");
+    let journal = temp_dir(TMP, "halt_j");
+    let persist = temp_dir(TMP, "halt_p");
     let mut printed = halted_primary(n, 7, &journal, &persist);
     assert!(!printed.is_empty() && printed.len() < ref_lines.len());
     let (tier, stats, halted) =
@@ -568,8 +533,8 @@ fn halt_abandon_recover_in_process_is_byte_identical() {
 fn takeover_folds_snapshot_waits_and_wal_suffixes() {
     let n = 22;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
-    let journal = temp_dir("split_j");
-    let persist = temp_dir("split_p");
+    let journal = temp_dir(TMP, "split_j");
+    let persist = temp_dir(TMP, "split_p");
     let mut printed = halted_primary(n, 9, &journal, &persist);
     let snapshot = journal_groups(&std::fs::read(journal.join(SNAPSHOT_FILE)).expect("snapshot"));
     let [sealed] = &snapshot[..] else {
@@ -610,8 +575,8 @@ fn a_saturated_touch_backlog_still_replays_byte_identically() {
     let n = 16;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
     assert!(ref_stats.hits > 1, "the trace must produce warm hits");
-    let journal = temp_dir("touch_j");
-    let persist = temp_dir("touch_p");
+    let journal = temp_dir(TMP, "touch_j");
+    let persist = temp_dir(TMP, "touch_p");
     let deco = small_deco();
     let trace = spread_trace(&deco.store.spec, n);
     let config = supervise_config(2, persist.clone(), journal.clone(), Some(1));
@@ -654,8 +619,8 @@ fn a_saturated_touch_backlog_still_replays_byte_identically() {
 /// never panic and must report exactly the last group left whole.
 fn journal_truncation_fuzz_never_panics() {
     let n = 10;
-    let journal = temp_dir("fuzz_j");
-    let persist = temp_dir("fuzz_p");
+    let journal = temp_dir(TMP, "fuzz_j");
+    let persist = temp_dir(TMP, "fuzz_p");
     let final_cycle = {
         let deco = small_deco();
         let trace = spread_trace(&deco.store.spec, n);
@@ -727,8 +692,8 @@ fn hot_trace(spec: &CloudSpec, n: u32) -> ArrivalTrace {
 /// requests and commits with the constants spelled out.
 fn journal_bytes_per_commit_do_not_grow_with_the_run() {
     let n = 4096u32;
-    let journal = temp_dir("bytes_j");
-    let persist = temp_dir("bytes_p");
+    let journal = temp_dir(TMP, "bytes_j");
+    let persist = temp_dir(TMP, "bytes_p");
     let deco = small_deco();
     let trace = hot_trace(&deco.store.spec, n);
     let mut config = supervise_config(2, persist.clone(), journal.clone(), None);
@@ -796,8 +761,8 @@ fn journal_bytes_per_commit_do_not_grow_with_the_run() {
 fn a_failing_journal_commit_degrades_to_unjournaled_with_identical_bytes() {
     let n = 16;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
-    let journal = temp_dir("full_j");
-    let persist = temp_dir("full_p");
+    let journal = temp_dir(TMP, "full_j");
+    let persist = temp_dir(TMP, "full_p");
     let deco = small_deco();
     let trace = spread_trace(&deco.store.spec, n);
     let config = supervise_config(2, persist.clone(), journal.clone(), None);
@@ -833,8 +798,8 @@ fn a_failing_journal_commit_degrades_to_unjournaled_with_identical_bytes() {
 fn a_version_1_journal_starts_the_supervisor_fresh() {
     let n = 8;
     let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
-    let journal = temp_dir("v1_j");
-    let persist = temp_dir("v1_p");
+    let journal = temp_dir(TMP, "v1_j");
+    let persist = temp_dir(TMP, "v1_p");
     drop(halted_primary(n, 5, &journal, &persist));
     // Re-stamp what the primary sealed as version 1, valid checksums and
     // all, in both files.

@@ -15,39 +15,18 @@
 //!    workers (the CI smoke) ends with every request answered and a warm
 //!    majority.
 
-use deco::cloud::{CloudSpec, MetadataStore};
-use deco::engine::estimate::deadline_anchors;
+use deco::cloud::CloudSpec;
 use deco::engine::supervisor::plan_with_fallback;
-use deco::engine::Deco;
 use deco::serve::{
-    canonical_deadline, Arrival, ArrivalTrace, PlanRequest, PlanServer, PlanSource, Priority,
-    ServeConfig, ServeOutcome, ServedPlan,
+    canonical_deadline, Arrival, ArrivalTrace, PlanRequest, PlanServer, PlanSource, ServeConfig,
+    ServeOutcome, ServedPlan,
 };
 use deco::solver::SearchBudget;
 use deco::workflow::generators;
-use deco::workflow::Workflow;
 use proptest::prelude::*;
 
-fn small_deco() -> Deco {
-    let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 20);
-    let mut deco = Deco::new(store);
-    deco.options.mc_iters = 15;
-    deco.options.search.max_states = 50;
-    deco.options.beam_width = 3;
-    deco
-}
-
-fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
-    let (dmin, dmax) = deadline_anchors(&wf, spec);
-    PlanRequest {
-        tenant,
-        workflow: wf,
-        deadline: 0.5 * (dmin + dmax),
-        percentile: 0.9,
-        budget_hint: None,
-        priority: Priority::default(),
-    }
-}
+mod common;
+use common::{request_for, small_deco};
 
 fn served(outcome: &ServeOutcome) -> &ServedPlan {
     match outcome {

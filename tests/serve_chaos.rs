@@ -20,36 +20,15 @@
 //!    `capped_backoff` tick sequence end-to-end.
 
 use deco::cloud::{CloudSpec, MetadataStore, RetryConfig};
-use deco::engine::estimate::deadline_anchors;
-use deco::engine::Deco;
 use deco::serve::{
-    Arrival, ArrivalTrace, CalibrationRefresh, PlanRequest, PlanServer, Priority, ServeConfig,
-    ServeOutcome, ServeSession, WorkerFaultPlan,
+    Arrival, ArrivalTrace, CalibrationRefresh, PlanServer, ServeConfig, ServeOutcome, ServeSession,
+    WorkerFaultPlan,
 };
 use deco::workflow::generators;
-use deco::workflow::Workflow;
 use proptest::prelude::*;
 
-fn small_deco() -> Deco {
-    let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 20);
-    let mut deco = Deco::new(store);
-    deco.options.mc_iters = 15;
-    deco.options.search.max_states = 50;
-    deco.options.beam_width = 3;
-    deco
-}
-
-fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
-    let (dmin, dmax) = deadline_anchors(&wf, spec);
-    PlanRequest {
-        tenant,
-        workflow: wf,
-        deadline: 0.5 * (dmin + dmax),
-        percentile: 0.9,
-        budget_hint: None,
-        priority: Priority::default(),
-    }
-}
+mod common;
+use common::{request_for, small_deco};
 
 /// The CI smoke trace: 200 requests over eight distinct Ligo/Montage
 /// shapes from four tenants, spread so the solver pipeline never idles

@@ -20,62 +20,14 @@
 //! undisturbed reference by exactly the lost warm hits.
 
 use deco::cloud::{CloudSpec, MetadataStore};
-use deco::engine::estimate::deadline_anchors;
-use deco::engine::Deco;
-use deco::serve::{
-    Arrival, ArrivalTrace, CalibrationRefresh, PlanRequest, PlanResponse, PlanServer, Priority,
-    ServeConfig, ServeSession, ServeStats, WorkerFaultPlan,
-};
+use deco::serve::{CalibrationRefresh, ServeSession, WorkerFaultPlan};
 use deco::shard::{ShardConfig, ShardFaultPlan, ShardSession, ShardedServer};
-use deco::workflow::generators;
-use deco::workflow::Workflow;
 use std::path::PathBuf;
 
-fn small_deco() -> Deco {
-    let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 20);
-    let mut deco = Deco::new(store);
-    deco.options.mc_iters = 15;
-    deco.options.search.max_states = 50;
-    deco.options.beam_width = 3;
-    deco
-}
+mod common;
+use common::{lines, mixed_trace, reference, serve_config, small_deco, temp_dir};
 
-fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
-    let (dmin, dmax) = deadline_anchors(&wf, spec);
-    PlanRequest {
-        tenant,
-        workflow: wf,
-        deadline: 0.5 * (dmin + dmax),
-        percentile: 0.9,
-        budget_hint: None,
-        priority: Priority::default(),
-    }
-}
-
-/// A mixed Ligo/Montage trace with enough repeats for warm hits and
-/// enough spread (1e9-tick gaps) to run many cycles.
-fn mixed_trace(spec: &CloudSpec, n: u32) -> ArrivalTrace {
-    let shapes = [
-        generators::montage(1, 60),
-        generators::ligo(12, 60),
-        generators::montage(1, 61),
-        generators::ligo(12, 61),
-    ];
-    let arrivals: Vec<Arrival> = (0..n)
-        .map(|i| Arrival {
-            at_tick: f64::from(i) * 1e9,
-            request: request_for(shapes[(i as usize) % shapes.len()].clone(), i % 3, spec),
-        })
-        .collect();
-    ArrivalTrace::new(arrivals)
-}
-
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        batch_size: 4,
-        ..ServeConfig::default()
-    }
-}
+const TMP: &str = "deco_shard_it";
 
 fn shard_config(shards: usize, persist_dir: Option<PathBuf>) -> ShardConfig {
     ShardConfig {
@@ -85,25 +37,6 @@ fn shard_config(shards: usize, persist_dir: Option<PathBuf>) -> ShardConfig {
         persist_dir,
         snapshot_every: 0,
     }
-}
-
-fn lines(responses: &[PlanResponse]) -> Vec<String> {
-    responses.iter().map(|r| r.canonical_line()).collect()
-}
-
-/// The 1-process reference replay everything is compared against.
-fn reference(n: u32, session: &ServeSession) -> (Vec<String>, ServeStats) {
-    let deco = small_deco();
-    let trace = mixed_trace(&deco.store.spec, n);
-    let mut server = PlanServer::new(deco, serve_config());
-    let (responses, stats) = server.serve_trace_session(&trace, 2, session);
-    (lines(&responses), stats)
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("deco_shard_it_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
@@ -167,7 +100,7 @@ fn killing_shards_mid_trace_with_persistence_is_byte_identical() {
     let session = ServeSession::default();
     let (ref_lines, ref_stats) = reference(20, &session);
     for shards in [2usize, 4] {
-        let dir = temp_dir(&format!("kill_{shards}"));
+        let dir = temp_dir(TMP, &format!("kill_{shards}"));
         let deco = small_deco();
         let trace = mixed_trace(&deco.store.spec, 20);
         let mut tier = ShardedServer::new(deco, shard_config(shards, Some(dir.clone()))).unwrap();
@@ -202,7 +135,7 @@ fn killing_shards_mid_trace_with_persistence_is_byte_identical() {
 fn wal_compaction_mid_trace_does_not_change_the_bytes() {
     let session = ServeSession::default();
     let (ref_lines, ref_stats) = reference(20, &session);
-    let dir = temp_dir("compact_mid");
+    let dir = temp_dir(TMP, "compact_mid");
     let deco = small_deco();
     let trace = mixed_trace(&deco.store.spec, 20);
     let mut config = shard_config(2, Some(dir.clone()));
@@ -222,7 +155,7 @@ fn wal_compaction_mid_trace_does_not_change_the_bytes() {
 
 #[test]
 fn cold_restart_serves_the_repeat_trace_warm_from_the_recovered_store() {
-    let dir = temp_dir("cold_restart");
+    let dir = temp_dir(TMP, "cold_restart");
     let first = {
         let deco = small_deco();
         let trace = mixed_trace(&deco.store.spec, 16);

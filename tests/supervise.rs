@@ -17,54 +17,18 @@
 //! panic or a stall.
 
 use deco::cloud::{CloudSpec, MetadataStore};
-use deco::engine::estimate::deadline_anchors;
-use deco::engine::Deco;
 use deco::serve::{
-    Arrival, ArrivalTrace, CalibrationRefresh, PlanRequest, PlanResponse, PlanServer, Priority,
-    ServeConfig, ServeSession, ServeStats, WorkerFaultPlan,
+    Arrival, ArrivalTrace, CalibrationRefresh, PlanServer, ServeSession, WorkerFaultPlan,
 };
 use deco::shard::proc::{Liveness, Sabotage, ShardSupervisor, SuperviseConfig, SuperviseSession};
 use deco::shard::ShardFaultPlan;
 use deco::workflow::generators;
-use deco::workflow::Workflow;
 use std::path::PathBuf;
 
-fn small_deco() -> Deco {
-    let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 20);
-    let mut deco = Deco::new(store);
-    deco.options.mc_iters = 15;
-    deco.options.search.max_states = 50;
-    deco.options.beam_width = 3;
-    deco
-}
+mod common;
+use common::{lines, mixed_trace, reference, request_for, serve_config, small_deco, temp_dir};
 
-fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
-    let (dmin, dmax) = deadline_anchors(&wf, spec);
-    PlanRequest {
-        tenant,
-        workflow: wf,
-        deadline: 0.5 * (dmin + dmax),
-        percentile: 0.9,
-        budget_hint: None,
-        priority: Priority::default(),
-    }
-}
-
-fn mixed_trace(spec: &CloudSpec, n: u32) -> ArrivalTrace {
-    let shapes = [
-        generators::montage(1, 60),
-        generators::ligo(12, 60),
-        generators::montage(1, 61),
-        generators::ligo(12, 61),
-    ];
-    let arrivals: Vec<Arrival> = (0..n)
-        .map(|i| Arrival {
-            at_tick: f64::from(i) * 1e9,
-            request: request_for(shapes[(i as usize) % shapes.len()].clone(), i % 3, spec),
-        })
-        .collect();
-    ArrivalTrace::new(arrivals)
-}
+const TMP: &str = "deco_sup_it";
 
 /// Ten distinct shapes cycling: misses (and therefore solve
 /// assignments — the chaos kill window) land in *every* early cycle,
@@ -87,13 +51,6 @@ fn spread_trace(spec: &CloudSpec, n: u32) -> ArrivalTrace {
     ArrivalTrace::new(arrivals)
 }
 
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        batch_size: 4,
-        ..ServeConfig::default()
-    }
-}
-
 fn supervise_config(shards: usize, persist_dir: Option<PathBuf>) -> SuperviseConfig {
     SuperviseConfig {
         shards,
@@ -109,25 +66,6 @@ fn supervise_config(shards: usize, persist_dir: Option<PathBuf>) -> SuperviseCon
         backoff_cap_ms: 4,
         ..SuperviseConfig::default()
     }
-}
-
-fn lines(responses: &[PlanResponse]) -> Vec<String> {
-    responses.iter().map(|r| r.canonical_line()).collect()
-}
-
-/// The 1-process reference replay everything is compared against.
-fn reference(n: u32, session: &ServeSession) -> (Vec<String>, ServeStats) {
-    let deco = small_deco();
-    let trace = mixed_trace(&deco.store.spec, n);
-    let mut server = PlanServer::new(deco, serve_config());
-    let (responses, stats) = server.serve_trace_session(&trace, 2, session);
-    (lines(&responses), stats)
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("deco_sup_it_{}_{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +140,7 @@ fn supervisor_initiated_kill_restart_with_persistence_is_byte_identical() {
     let session = ServeSession::default();
     let (ref_lines, ref_stats) = reference(20, &session);
     for shards in [2usize, 4] {
-        let dir = temp_dir(&format!("rotate_{shards}"));
+        let dir = temp_dir(TMP, &format!("rotate_{shards}"));
         let deco = small_deco();
         let trace = mixed_trace(&deco.store.spec, 20);
         let mut config = supervise_config(shards, Some(dir.clone()));
@@ -243,7 +181,7 @@ fn real_sigkills_mid_trace_replay_byte_identically() {
         let (responses, stats) = server.serve_trace_session(&trace, 2, &session);
         (lines(&responses), stats)
     };
-    let dir = temp_dir("chaos");
+    let dir = temp_dir(TMP, "chaos");
     let deco = small_deco();
     let trace = spread_trace(&deco.store.spec, 20);
     let mut tier = ShardSupervisor::new(deco, supervise_config(2, Some(dir.clone()))).unwrap();
@@ -279,7 +217,7 @@ fn a_hung_worker_is_killed_and_its_cycle_still_completes() {
         let (responses, stats) = server.serve_trace_session(&trace, 2, &session);
         (lines(&responses), stats)
     };
-    let dir = temp_dir("hang");
+    let dir = temp_dir(TMP, "hang");
     let deco = small_deco();
     let trace = spread_trace(&deco.store.spec, 16);
     let mut config = supervise_config(2, Some(dir.clone()));
@@ -363,7 +301,7 @@ fn a_crash_looping_worker_is_quarantined_and_served_by_fallback() {
 }
 
 fn cold_restart_serves_the_repeat_trace_warm_from_recovered_stores() {
-    let dir = temp_dir("cold");
+    let dir = temp_dir(TMP, "cold");
     let (first_stats, first_len) = {
         let deco = small_deco();
         let trace = mixed_trace(&deco.store.spec, 16);
