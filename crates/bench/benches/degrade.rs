@@ -3,13 +3,11 @@
 //! stage of the degradation chain answers, how many ticks it spent, and
 //! how the incumbent's cost compares to the full-budget optimum.
 //!
-//! Beyond the criterion output, the bench writes `BENCH_degrade.json` at
-//! the repository root: one row per (workflow, budget fraction) with the
+//! The bench writes `BENCH_degrade.json` at the repository root: one row per (workflow, budget fraction) with the
 //! producing stage, truncation flag, deterministic ticks spent, and the
 //! incumbent-quality ratio (cost / full-budget cost; 1.0 at the top of
 //! the sweep, typically worse below — the anytime quality curve).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deco_cloud::{CloudSpec, MetadataStore};
 use deco_core::estimate::deadline_anchors;
 use deco_core::supervisor::plan_with_fallback;
@@ -17,7 +15,6 @@ use deco_core::Deco;
 use deco_solver::SearchBudget;
 use deco_workflow::generators;
 use deco_workflow::Workflow;
-use std::time::Duration;
 
 const FRACTIONS: [f64; 7] = [0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0];
 
@@ -37,7 +34,7 @@ fn cases() -> Vec<(&'static str, Workflow)> {
     ]
 }
 
-fn degrade(c: &mut Criterion) {
+fn main() {
     let d = engine();
     let mut rows = Vec::new();
 
@@ -51,37 +48,6 @@ fn degrade(c: &mut Criterion) {
             .expect("unbudgeted supervision");
         let total_ticks = full.provenance.budget_spent.max(f64::MIN_POSITIVE);
         let full_cost = full.plan.evaluation.objective;
-
-        let mut group = c.benchmark_group(&format!("degrade/{name}"));
-        group
-            .sample_size(10)
-            .warm_up_time(Duration::from_millis(200))
-            .measurement_time(Duration::from_millis(1500));
-        group.bench_function("unlimited", |b| {
-            b.iter(|| {
-                plan_with_fallback(
-                    &d,
-                    &wf,
-                    black_box(deadline),
-                    0.9,
-                    &SearchBudget::unlimited(),
-                )
-                .unwrap()
-            })
-        });
-        group.bench_function("starved", |b| {
-            b.iter(|| {
-                plan_with_fallback(
-                    &d,
-                    &wf,
-                    black_box(deadline),
-                    0.9,
-                    &SearchBudget::ticks(1e-12),
-                )
-                .unwrap()
-            })
-        });
-        group.finish();
 
         for frac in FRACTIONS {
             let budget = if frac >= 1.0 {
@@ -129,6 +95,3 @@ fn degrade(c: &mut Criterion) {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_degrade.json");
     std::fs::write(out, json).expect("write BENCH_degrade.json");
 }
-
-criterion_group!(benches, degrade);
-criterion_main!(benches);

@@ -5,15 +5,15 @@
 //! guards the contract that a quiescent schedule costs nothing — the
 //! acceptance bar is <2% overhead.
 //!
-//! Beyond the criterion output, the bench writes `BENCH_faults.json` at
-//! the repository root with the measured medians and overhead ratios, plus
-//! one row with a live 5%/instance-hour injector for scale.
+//! The bench writes `BENCH_faults.json` at the repository root with the
+//! measured medians and overhead ratios, plus one row with a live
+//! 5%/instance-hour injector for scale.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deco_cloud::{run_plan, CloudSpec, Plan, RetryConfig};
 use deco_faults::{run_with_faults, FaultInjector, FaultModel};
 use deco_workflow::generators;
 use deco_workflow::Workflow;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 7;
@@ -77,7 +77,7 @@ fn interleaved_min_secs(
         .collect()
 }
 
-fn faults_overhead(c: &mut Criterion) {
+fn main() {
     let spec = CloudSpec::amazon_ec2();
     let quiescent = FaultInjector::new(FaultModel::none(), 1);
     let mut rows = Vec::new();
@@ -96,28 +96,6 @@ fn faults_overhead(c: &mut Criterion) {
             "{}: quiescent run diverged",
             case.name
         );
-
-        let mut group = c.benchmark_group(&format!("faults/{}", case.name));
-        group
-            .sample_size(10)
-            .warm_up_time(Duration::from_millis(200))
-            .measurement_time(Duration::from_millis(1200));
-        group.bench_function("plain", |bch| {
-            bch.iter(|| run_plan(&spec, wf, &plan, black_box(SEED)))
-        });
-        group.bench_function("faults_disabled", |bch| {
-            bch.iter(|| {
-                run_with_faults(
-                    &spec,
-                    wf,
-                    &plan,
-                    &quiescent,
-                    RetryConfig::default(),
-                    black_box(SEED),
-                )
-            })
-        });
-        group.finish();
 
         let budget = Duration::from_millis(1200);
         let chaos = FaultInjector::new(FaultModel::uniform_crash(&spec, 0.05), 3);
@@ -184,6 +162,3 @@ fn faults_overhead(c: &mut Criterion) {
     std::fs::write(out, json).expect("write BENCH_faults.json");
     println!("wrote {out}");
 }
-
-criterion_group!(faults_benches, faults_overhead);
-criterion_main!(faults_benches);

@@ -4,14 +4,13 @@
 //! linear-scan sampling per realization) for a single plan, and against
 //! itself at K = 1 for a whole frontier.
 //!
-//! Beyond the criterion output, the bench writes `BENCH_mc_eval.json` at
-//! the repository root with the measured medians and speedups so future
-//! PRs can track the trajectory without parsing bench logs. Each case also
-//! records the device model's 1-core time for the same work (`tasks ×
-//! mc_iters × HOST_SECONDS_PER_CELL`) and its ratio to the measured
-//! `mc_evaluate_plan` time.
+//! The bench writes `BENCH_mc_eval.json` at the repository root with the
+//! measured medians and speedups so the trajectory can be tracked without
+//! parsing bench logs. Each case also records the device model's 1-core
+//! time for the same work (`tasks × mc_iters × HOST_SECONDS_PER_CELL`) and
+//! its ratio to the measured `mc_evaluate_plan` time.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use deco_bench::median_secs;
 use deco_cloud::{CloudSpec, MetadataStore, Plan};
 use deco_core::estimate::{
     mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier, ExecTimeTable, FrontierScratch,
@@ -20,6 +19,7 @@ use deco_core::estimate::{
 use deco_gpu::HOST_SECONDS_PER_CELL;
 use deco_workflow::generators;
 use deco_workflow::Workflow;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Monte-Carlo iterations per evaluation — the scale the scheduling
@@ -73,29 +73,10 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// Median seconds per call over `samples` timed samples, each sized to a
-/// wall-clock budget estimated from one untimed warm-up call.
-fn median_secs(mut f: impl FnMut(), samples: usize, budget: Duration) -> f64 {
-    let t = Instant::now();
-    f();
-    let once = t.elapsed().as_secs_f64().max(1e-9);
-    let per_sample = ((budget.as_secs_f64() / samples as f64 / once).floor() as u64).max(1);
-    let mut medians: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..per_sample {
-                f();
-            }
-            t.elapsed().as_secs_f64() / per_sample as f64
-        })
-        .collect();
-    medians.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    medians[medians.len() / 2]
-}
-
 /// Median seconds per call of `f(false)` and of `f(true)`, and the median
 /// of their per-sample ratio, over `samples` back-to-back pairs of samples
-/// (which side goes first alternates), each sized like [`median_secs`].
+/// (which side goes first alternates), each sized like
+/// [`deco_bench::median_secs`].
 /// Pairing keeps drift on a shared core from landing on one side of the
 /// comparison.
 fn paired_median_secs(
@@ -144,11 +125,11 @@ fn frontier_pass(
         .evaluate(deadline, 0.9, iters, seeds, scratch)
 }
 
-fn mc_eval(c: &mut Criterion) {
-    // Quick mode (CI): skip the criterion groups and the reference
-    // medians, measure only the K=1 vs K=32 frontier comparison with small
-    // budgets, and fail if a wide frontier costs materially more per
-    // candidate than evaluating the same candidates one column at a time.
+fn main() {
+    // Quick mode (CI): skip the reference medians, measure only the K=1
+    // vs K=32 frontier comparison with small budgets, and fail if a wide
+    // frontier costs materially more per candidate than evaluating the
+    // same candidates one column at a time.
     // The kernel does the same work per column at any K, so the ratio sits
     // near 1; the floor allows 10% for run-to-run noise and catches a
     // wide frontier blowing up (allocation or cache footprint growing
@@ -268,40 +249,6 @@ fn mc_eval(c: &mut Criterion) {
             continue;
         }
 
-        let mut group = c.benchmark_group(&format!("mc_eval/{}", case.name));
-        group
-            .sample_size(10)
-            .warm_up_time(Duration::from_millis(200))
-            .measurement_time(Duration::from_millis(1200));
-        group.bench_function("reference", |bch| {
-            bch.iter(|| {
-                mc_evaluate_plan_reference(
-                    wf,
-                    &plan,
-                    &table,
-                    &spec,
-                    black_box(deadline),
-                    0.9,
-                    MC_ITERS,
-                    SEED,
-                )
-            })
-        });
-        group.bench_function("frontier_k1", |bch| {
-            bch.iter(|| {
-                frontier_pass(
-                    &skel,
-                    &spec,
-                    one,
-                    black_box(deadline),
-                    MC_ITERS,
-                    &[SEED],
-                    &mut scratch,
-                )
-            })
-        });
-        group.finish();
-
         // Independent medians for the JSON record: the reference loop, the
         // one-column frontier over the problem-wide skeleton (what a search
         // pays per state), and `mc_evaluate_plan` (what a one-off caller
@@ -400,6 +347,3 @@ fn mc_eval(c: &mut Criterion) {
     std::fs::write(out, json).expect("write BENCH_mc_eval.json");
     println!("wrote {out}");
 }
-
-criterion_group!(mc_eval_benches, mc_eval);
-criterion_main!(mc_eval_benches);

@@ -1,74 +1,68 @@
-//! Criterion benches: one benchmark per table/figure of the paper, timing
-//! the computational core of each experiment at quick scale. The
-//! `experiments` binary prints the corresponding rows/series.
+//! One benchmark per table/figure of the paper, timing the computational
+//! core of each experiment at quick scale and printing its median time per
+//! run. The `experiments` binary prints the corresponding rows/series.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use deco_bench::common::Env;
 use deco_bench::{
-    ablation, ensemble_exp, figures, followcost_exp, scheduling_exp, speedup_exp, Scale,
+    ablation, ensemble_exp, figures, followcost_exp, median_secs, scheduling_exp, speedup_exp,
+    Scale,
 };
+use std::hint::black_box;
 use std::time::Duration;
 
-fn quick(c: &mut Criterion, name: &str, mut f: impl FnMut()) {
-    let mut g = c.benchmark_group(name);
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
-    g.bench_function("run", |b| b.iter(&mut f));
-    g.finish();
+fn quick(name: &str, f: impl FnMut()) {
+    let secs = median_secs(f, 10, Duration::from_secs(3));
+    println!("{name}: {:.1} ms/run", secs * 1e3);
 }
 
-fn benches(c: &mut Criterion) {
+fn main() {
     let env = Env::new(Scale::Quick);
-    quick(c, "table2_calibration", || {
-        let _ = figures::table2(&env);
+    quick("table2_calibration", || {
+        black_box(figures::table2(&env));
     });
-    quick(c, "fig01_configs", || {
-        let _ = figures::fig1(&env);
+    quick("fig01_configs", || {
+        black_box(figures::fig1(&env));
     });
-    quick(c, "fig02_variance", || {
-        let _ = figures::fig2(&env);
+    quick("fig02_variance", || {
+        black_box(figures::fig2(&env));
     });
-    quick(c, "fig06_network", || {
-        let _ = figures::fig6(&env);
+    quick("fig06_network", || {
+        black_box(figures::fig6(&env));
     });
-    quick(c, "fig07_network_types", || {
-        let _ = figures::fig7(&env);
+    quick("fig07_network_types", || {
+        black_box(figures::fig7(&env));
     });
-    quick(c, "fig08_prob_deadline", || {
-        let _ = scheduling_exp::fig8(&env);
+    quick("fig08_prob_deadline", || {
+        black_box(scheduling_exp::fig8(&env));
     });
-    quick(c, "fig09_ensemble", || {
-        let _ = ensemble_exp::fig9(&env);
+    quick("fig09_ensemble", || {
+        black_box(ensemble_exp::fig9(&env));
     });
-    quick(c, "fig10_followcost", || {
-        let _ = followcost_exp::fig10(&env);
+    quick("fig10_followcost", || {
+        black_box(followcost_exp::fig10(&env));
     });
-    quick(c, "fig11_deadline_sensitivity", || {
-        let _ = scheduling_exp::fig11(&env);
+    quick("fig11_deadline_sensitivity", || {
+        black_box(scheduling_exp::fig11(&env));
     });
-    quick(c, "speedup_scheduling", || {
-        let _ = speedup_exp::speedup_scheduling(&env);
+    quick("speedup_scheduling", || {
+        black_box(speedup_exp::speedup_scheduling(&env));
     });
-    quick(c, "speedup_ensemble_overhead", || {
-        let _ = speedup_exp::speedup_ensemble(&env);
+    quick("speedup_ensemble_overhead", || {
+        black_box(speedup_exp::speedup_ensemble(&env));
     });
-    quick(c, "ablation_prob_vs_det", || {
-        let _ = ablation::prob_vs_det(&env);
+    quick("ablation_prob_vs_det", || {
+        black_box(ablation::prob_vs_det(&env));
     });
-    quick(c, "ablation_astar", || {
-        let _ = ablation::astar_vs_generic(&env);
+    quick("ablation_astar", || {
+        black_box(ablation::astar_vs_generic(&env));
     });
-    quick(c, "ablation_explore", || {
-        let _ = ablation::explore_vs_exploit(&env);
+    quick("ablation_explore", || {
+        black_box(ablation::explore_vs_exploit(&env));
     });
-    quick(c, "ablation_mc_iters", || {
-        let _ = ablation::mc_iterations(&env);
+    quick("ablation_mc_iters", || {
+        black_box(ablation::mc_iterations(&env));
     });
-    quick(c, "ablation_ops", || {
-        let _ = ablation::operation_set(&env);
+    quick("ablation_ops", || {
+        black_box(ablation::operation_set(&env));
     });
 }
-
-criterion_group!(paper, benches);
-criterion_main!(paper);

@@ -1,17 +1,16 @@
 //! Serving under faults: quiescent overhead and goodput under crashes.
 //!
-//! Two criterion groups bracket the robustness machinery added to the
-//! serving layer: `quiescent` replays the same warm trace through the
-//! plain `serve_trace` entry point and through `serve_trace_session`
-//! with an empty fault plan (the two must cost the same — the fault
-//! path is dormant), and `faulted` replays the mixed smoke trace under
-//! a seeded 10 % worker-crash plan. Beyond the criterion output, the
-//! bench writes `BENCH_serve_faults.json` at the repository root:
+//! Two runs bracket the robustness machinery of the serving layer: the
+//! quiescent run replays the same warm trace through the plain
+//! `serve_trace` entry point and through `serve_trace_session` with an
+//! empty fault plan (the two must cost the same — the fault path is
+//! dormant), and the faulted run replays the mixed smoke trace under a
+//! seeded 10 % worker-crash plan. The bench writes
+//! `BENCH_serve_faults.json` at the repository root:
 //! measured quiescent overhead (acceptance: session/plain ≤ 1.10) and
 //! the goodput, crash, and retry counters of the faulted smoke run
 //! (acceptance: goodput ≥ 0.95 at 10 % crashes).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deco_cloud::{CloudSpec, MetadataStore};
 use deco_core::estimate::deadline_anchors;
 use deco_core::Deco;
@@ -21,7 +20,7 @@ use deco_serve::{
 };
 use deco_workflow::generators;
 use deco_workflow::Workflow;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const WORKERS: usize = 4;
 const CRASH_PROB: f64 = 0.10;
@@ -81,7 +80,7 @@ fn smoke_trace(spec: &CloudSpec) -> ArrivalTrace {
     ArrivalTrace::new(arrivals)
 }
 
-fn serve_faults(c: &mut Criterion) {
+fn main() {
     let deco = engine();
     let spec = deco.store.spec.clone();
     let trace = distinct_trace(&spec);
@@ -89,19 +88,6 @@ fn serve_faults(c: &mut Criterion) {
 
     let mut warmed = PlanServer::new(deco.clone(), ServeConfig::default());
     warmed.serve_trace(&trace, WORKERS);
-
-    let mut group = c.benchmark_group("serve_faults");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(1500));
-    group.bench_function("warm_plain", |b| {
-        b.iter(|| black_box(warmed.serve_trace(black_box(&trace), WORKERS)))
-    });
-    group.bench_function("warm_quiescent_session", |b| {
-        b.iter(|| black_box(warmed.serve_trace_session(black_box(&trace), WORKERS, &quiescent)))
-    });
-    group.finish();
 
     // Hand-timed quiescent overhead on the warm path (where the fault
     // machinery's bookkeeping would show up if it cost anything).
@@ -158,6 +144,3 @@ fn serve_faults(c: &mut Criterion) {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve_faults.json");
     std::fs::write(out, json).expect("write BENCH_serve_faults.json");
 }
-
-criterion_group!(benches, serve_faults);
-criterion_main!(benches);

@@ -4,8 +4,8 @@
 //! Each `figNN` / `tableNN` module exposes a `run(scale) -> …Result` that
 //! produces the same rows/series the paper reports, plus a `render()` that
 //! prints them. The `experiments` binary drives them from the command
-//! line; the Criterion benches in `benches/` time the computational core
-//! of each experiment at [`Scale::Quick`].
+//! line; the benches in `benches/` time the computational core of each
+//! experiment at [`Scale::Quick`] with [`median_secs`].
 //!
 //! Absolute numbers come from the simulated substrate, so the comparisons
 //! to check against the paper are the *shapes*: who wins, by what factor,
@@ -21,10 +21,32 @@ pub mod scheduling_exp;
 pub mod serve_exp;
 pub mod speedup_exp;
 
+use std::time::{Duration, Instant};
+
+/// Median seconds per call of `f` over `samples` timed samples, each sized
+/// to a wall-clock budget estimated from one untimed warm-up call.
+pub fn median_secs(mut f: impl FnMut(), samples: usize, budget: Duration) -> f64 {
+    let t = Instant::now();
+    f();
+    let once = t.elapsed().as_secs_f64().max(1e-9);
+    let per_sample = ((budget.as_secs_f64() / samples as f64 / once).floor() as u64).max(1);
+    let mut medians: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..per_sample {
+                f();
+            }
+            t.elapsed().as_secs_f64() / per_sample as f64
+        })
+        .collect();
+    medians.sort_by(f64::total_cmp);
+    medians[medians.len() / 2]
+}
+
 /// Experiment scale.
 ///
 /// `Quick` shrinks workflows, repetitions and Monte-Carlo budgets so a full
-/// sweep finishes in seconds (used by Criterion and CI); `Full` runs the
+/// sweep finishes in seconds (used by the benches and CI); `Full` runs the
 /// paper's configuration sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

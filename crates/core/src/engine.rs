@@ -448,9 +448,9 @@ impl SearchProblem for WlogSchedulingProblem<'_> {
         let mut margin = 1.0f64;
         for cons in &self.program.constraints {
             match ev.constraint(cons, self.mc_iters, &mut rng) {
-                Ok((ok, est)) => {
+                Ok((ok, value)) => {
                     feasible &= ok;
-                    margin = margin.min(est.value);
+                    margin = margin.min(value);
                 }
                 Err(e) if self.exhausted(ev, &e) => return Evaluation::infeasible(worst),
                 Err(_) => {
@@ -460,7 +460,7 @@ impl SearchProblem for WlogSchedulingProblem<'_> {
             }
         }
         let objective = match ev.goal_value(&self.goal, self.mc_iters, &mut rng) {
-            Ok(est) => est.value,
+            Ok(value) => value,
             Err(e) => {
                 self.exhausted(ev, &e);
                 return Evaluation::infeasible(worst);

@@ -5,7 +5,7 @@
 //! distributions. The cloud substrate instantiates these laws; the solver
 //! only ever sees their discretized histograms.
 
-use crate::math::{std_normal_cdf, std_normal_inv_cdf};
+use crate::math::std_normal_cdf;
 use crate::rng::open01;
 use rand::Rng;
 
@@ -77,11 +77,6 @@ impl Normal {
         let u1 = open01(&mut *rng);
         let u2: f64 = rng.gen();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Quantile function.
-    pub fn inv_cdf(&self, p: f64) -> f64 {
-        self.mu + self.sigma * std_normal_inv_cdf(p)
     }
 }
 
@@ -392,7 +387,6 @@ mod tests {
     fn normal_cdf_median() {
         let d = Normal::new(10.0, 2.0);
         assert!((d.cdf(10.0) - 0.5).abs() < 1e-7);
-        assert!((d.inv_cdf(0.5) - 10.0).abs() < 1e-7);
     }
 
     #[test]

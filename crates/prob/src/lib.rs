@@ -23,7 +23,6 @@
 //!   Table 2 and the normality claim of Figure 6b.
 //! * [`stats`] — summary statistics and quantiles over raw samples
 //!   (Figure 2's quantile plots).
-//! * [`mc`] — Monte-Carlo estimation helpers (Algorithm 1's inference loop).
 //! * [`rng`] — deterministic, splittable RNG plumbing so that every
 //!   experiment in the repository is reproducible from a single seed.
 
@@ -32,7 +31,6 @@ pub mod fit;
 pub mod hash;
 pub mod hist;
 pub mod math;
-pub mod mc;
 pub mod rng;
 pub mod stats;
 

@@ -24,56 +24,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// Inverse of the standard normal CDF (Acklam's rational approximation,
-/// relative error < 1.15e-9 over (0, 1)).
-pub fn std_normal_inv_cdf(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "probability must be in (0,1), got {p}");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
 /// Natural log of the Gamma function (Lanczos approximation, g = 7, n = 9;
 /// accurate to ~1e-13 for x > 0).
 pub fn ln_gamma(x: f64) -> f64 {
@@ -182,26 +132,6 @@ mod tests {
         for &x in &[0.1, 0.5, 1.0, 2.3] {
             close(std_normal_cdf(x) + std_normal_cdf(-x), 1.0, 1e-7);
         }
-    }
-
-    #[test]
-    fn inv_cdf_round_trips() {
-        for &p in &[0.001, 0.025, 0.1, 0.5, 0.9, 0.975, 0.999] {
-            close(std_normal_cdf(std_normal_inv_cdf(p)), p, 1e-6);
-        }
-    }
-
-    #[test]
-    fn inv_cdf_reference_values() {
-        close(std_normal_inv_cdf(0.975), 1.959964, 1e-5);
-        close(std_normal_inv_cdf(0.5), 0.0, 1e-9);
-        close(std_normal_inv_cdf(0.95), 1.644854, 1e-5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn inv_cdf_rejects_zero() {
-        std_normal_inv_cdf(0.0);
     }
 
     #[test]

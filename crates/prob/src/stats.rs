@@ -52,17 +52,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Coefficient of variation (sigma / mu); the "performance variance" metric
-/// of Figure 6a. Returns 0.0 when the mean is 0.
-pub fn coeff_of_variation(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    if m == 0.0 {
-        0.0
-    } else {
-        std_dev(xs) / m
-    }
-}
-
 /// Relative spread (max - min) / mean — the "maximum variance can reach up
 /// to 50%" reading of Figure 6a.
 pub fn relative_spread(xs: &[f64]) -> f64 {
@@ -102,11 +91,6 @@ impl Summary {
             max: *sorted.last().expect("summary of a non-empty sample"),
             mean: mean(xs),
         }
-    }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
     }
 }
 
@@ -163,14 +147,12 @@ mod tests {
         assert!(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 9.0);
-        assert!(s.iqr() >= 0.0);
     }
 
     #[test]
     fn spread_metrics() {
         let xs = [8.0, 10.0, 12.0];
         assert!((relative_spread(&xs) - 0.4).abs() < 1e-12);
-        assert!(coeff_of_variation(&xs) > 0.0);
         assert_eq!(relative_spread(&[]), 0.0);
     }
 

@@ -33,20 +33,28 @@ use deco_core::DecoError;
 use deco_solver::SearchBudget;
 use deco_workflow::Workflow;
 
-/// A retrying solve in flight at the checkpoint: the public image of
-/// the server's internal `PendingSolve`, with every field needed to
-/// resume the retry exactly (backoff deadline, remaining budget, the
-/// waiters coalesced onto it).
+/// One solve a cycle is responsible for: a fresh miss (attempt 0) or a
+/// re-enqueued crash victim, plus every request waiting on its key. The
+/// serve loop holds its retrying solves in this form, so a checkpoint
+/// carries every field needed to resume a retry exactly (backoff
+/// deadline, remaining budget, the waiters coalesced onto it).
 #[derive(Debug, Clone)]
 pub struct PendingCheckpoint {
     pub key: u64,
     pub workflow: Workflow,
+    /// Canonical (bucket-floored) deadline.
     pub deadline: f64,
     pub percentile: f64,
     pub budget: SearchBudget,
+    /// The budget component of the cache key (hint or config cap), kept
+    /// so the job can be re-keyed after a calibration refresh.
     pub key_budget: Option<f64>,
+    /// Dispatches lost to worker crashes so far.
     pub attempt: u32,
+    /// Earliest tick at which this job may be dispatched again.
     pub not_before: f64,
+    /// Requests answered by this solve, in join order (the first is the
+    /// original requester).
     pub waiters: Vec<QueuedRequest>,
 }
 

@@ -277,59 +277,6 @@ pub trait ServeBackend {
     }
 }
 
-/// One solve a cycle is responsible for: a fresh miss (attempt 0) or a
-/// re-enqueued crash victim, plus every request waiting on its key.
-#[derive(Debug)]
-struct PendingSolve {
-    key: u64,
-    workflow: Workflow,
-    /// Canonical (bucket-floored) deadline.
-    deadline: f64,
-    percentile: f64,
-    budget: SearchBudget,
-    /// The budget component of the cache key (hint or config cap), kept
-    /// so the job can be re-keyed after a calibration refresh.
-    key_budget: Option<f64>,
-    /// Dispatches lost to worker crashes so far.
-    attempt: u32,
-    /// Earliest tick at which this job may be dispatched again.
-    not_before: f64,
-    /// Requests answered by this solve, in join order (the first is the
-    /// original requester).
-    waiters: Vec<QueuedRequest>,
-}
-
-impl PendingSolve {
-    /// The public checkpoint image of this solve.
-    fn to_checkpoint(&self) -> PendingCheckpoint {
-        PendingCheckpoint {
-            key: self.key,
-            workflow: self.workflow.clone(),
-            deadline: self.deadline,
-            percentile: self.percentile,
-            budget: self.budget.clone(),
-            key_budget: self.key_budget,
-            attempt: self.attempt,
-            not_before: self.not_before,
-            waiters: self.waiters.clone(),
-        }
-    }
-
-    fn from_checkpoint(ck: PendingCheckpoint) -> PendingSolve {
-        PendingSolve {
-            key: ck.key,
-            workflow: ck.workflow,
-            deadline: ck.deadline,
-            percentile: ck.percentile,
-            budget: ck.budget,
-            key_budget: ck.key_budget,
-            attempt: ck.attempt,
-            not_before: ck.not_before,
-            waiters: ck.waiters,
-        }
-    }
-}
-
 /// How one request will be answered at the end of a cycle.
 enum Answer {
     Plan {
@@ -448,7 +395,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     }
     let mut stats;
     let mut refresh_next;
-    let mut retries: Vec<PendingSolve>;
+    let mut retries: Vec<PendingCheckpoint>;
     let mut next: usize;
     let mut now: f64;
     let mut emitted_base = 0u64;
@@ -462,11 +409,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             now = ck.now;
             refresh_next = (ck.refresh_next as usize).min(refreshes.len());
             queue.restore_pending(ck.queue);
-            retries = ck
-                .retries
-                .into_iter()
-                .map(PendingSolve::from_checkpoint)
-                .collect();
+            retries = ck.retries;
             stats = ck.stats;
             emitted_base = ck.emitted;
         }
@@ -593,7 +536,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
         }
 
         let batch = queue.drain_batch(cfg.batch_size);
-        let (ready, waiting): (Vec<PendingSolve>, Vec<PendingSolve>) =
+        let (ready, waiting): (Vec<PendingCheckpoint>, Vec<PendingCheckpoint>) =
             retries.drain(..).partition(|j| j.not_before <= now);
         retries = waiting;
         if batch.is_empty() && ready.is_empty() {
@@ -679,7 +622,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
 fn commit_boundary<B: ServeBackend>(
     backend: &mut B,
     queue: &AdmissionQueue,
-    retries: &[PendingSolve],
+    retries: &[PendingCheckpoint],
     stats: &mut ServeStats,
     next: usize,
     now: f64,
@@ -694,7 +637,7 @@ fn commit_boundary<B: ServeBackend>(
         now,
         refresh_next: refresh_next as u64,
         queue: queue.pending_snapshot(),
-        retries: retries.iter().map(|p| p.to_checkpoint()).collect(),
+        retries: retries.to_vec(),
         stats: std::mem::take(stats),
         emitted: emitted_base + responses.len() as u64,
     };
@@ -713,13 +656,13 @@ fn run_cycle<B: ServeBackend>(
     backend: &mut B,
     cfg: &ServeConfig,
     batch: Vec<QueuedRequest>,
-    ready: Vec<PendingSolve>,
+    ready: Vec<PendingCheckpoint>,
     cycle: u64,
     cycle_start: f64,
     epoch: u64,
     workers: usize,
     faults: &WorkerFaultPlan,
-    retries: &mut Vec<PendingSolve>,
+    retries: &mut Vec<PendingCheckpoint>,
     shed_this_round: u64,
     stats: &mut ServeStats,
     responses: &mut Vec<PlanResponse>,
@@ -745,7 +688,8 @@ fn run_cycle<B: ServeBackend>(
 
     // This cycle's solves, keyed canonically: retry jobs whose
     // backoff expired, then fresh misses from the batch.
-    let mut jobs: BTreeMap<u64, PendingSolve> = ready.into_iter().map(|j| (j.key, j)).collect();
+    let mut jobs: BTreeMap<u64, PendingCheckpoint> =
+        ready.into_iter().map(|j| (j.key, j)).collect();
     // (request, key, canonical deadline, answer), assembled across
     // the cycle and emitted in seq order at the end.
     let mut answers: Vec<(QueuedRequest, u64, f64, Answer)> = Vec::new();
@@ -814,7 +758,7 @@ fn run_cycle<B: ServeBackend>(
         // retry jobs keep their original (backoff-decremented) budgets.
         jobs.insert(
             key,
-            PendingSolve {
+            PendingCheckpoint {
                 key,
                 workflow: qr.request.workflow.clone(),
                 deadline: cd,

@@ -23,7 +23,7 @@
 //!   indexing, and iterative SLD resolution with backtracking, cut, and the
 //!   ProLog built-ins (`is`, comparisons, `findall`, `setof`, `sum`, `max`,
 //!   …).
-//! * [`problog`] — the probabilistic IR: weighted rules, annotated
+//! * [`problog`] — the probabilistic IR: certain clauses, annotated
 //!   disjunctions (one alternative per histogram bin), and Monte-Carlo
 //!   query evaluation.
 //! * [`program`] — the top-level WLog program: sections, imports, and the
@@ -39,5 +39,5 @@ mod unify;
 
 pub use ast::{Clause, Term};
 pub use machine::Machine;
-pub use problog::{ProbProgram, ProbRule};
+pub use problog::ProbProgram;
 pub use program::{Constraint, ConstraintKind, Goal, GoalKind, WlogError, WlogProgram};

@@ -18,10 +18,9 @@
 //!
 //! Candidates for a call come in a fixed order: the certain clauses in
 //! assert order, then the facts the current realization chose from the
-//! annotated-disjunction groups in group order, then the independent rules
-//! that fired, in rule order. Each of the three lists is indexed on an
-//! atom or number first argument, which skips clauses whose first argument
-//! cannot unify without reordering the rest.
+//! annotated-disjunction groups in group order. Both lists are indexed on
+//! an atom or number first argument, which skips clauses whose first
+//! argument cannot unify without reordering the rest.
 
 use crate::ast::{Clause, Term};
 use crate::unify::{Mark, Node, Store, Sym, TRef, View};
@@ -366,20 +365,18 @@ struct Pred {
     index: Index,
 }
 
-/// The probabilistic facts and rules, sampled per realization: the
-/// alternatives of every annotated-disjunction group and the independent
-/// rules. `by_pred[p]` indexes, for predicate `p`, the groups with an
-/// alternative of `p` and the rules with a head of `p`.
+/// The probabilistic facts, sampled per realization: the alternatives of
+/// every annotated-disjunction group. `by_pred[p]` indexes, for predicate
+/// `p`, the groups with an alternative of `p`.
 #[derive(Debug, Default, Clone)]
 struct Prob {
     arena: Arena,
     groups: Vec<Vec<(u32, Template)>>,
-    rules: Vec<Template>,
-    by_pred: Vec<(Index, Index)>,
+    by_pred: Vec<Index>,
 }
 
 impl Prob {
-    fn by_pred(&mut self, p: u32) -> &mut (Index, Index) {
+    fn by_pred(&mut self, p: u32) -> &mut Index {
         if self.by_pred.len() <= p as usize {
             self.by_pred.resize_with(p as usize + 1, Default::default);
         }
@@ -387,7 +384,7 @@ impl Prob {
     }
 }
 
-/// Arena 1 holds the probabilistic facts and rules; arena `p + 2` the
+/// Arena 1 holds the probabilistic facts; arena `p + 2` the
 /// certain clauses of predicate `p`.
 const PROB: u32 = 1;
 
@@ -424,10 +421,6 @@ impl Database {
         pred.index.push(pred.clauses.len() as u32, key);
         pred.clauses.push(t);
         Ok(())
-    }
-
-    pub fn assert_fact(&mut self, head: Term) {
-        self.assert(Clause::fact(head));
     }
 
     /// Remove every clause of a functor/arity (used to swap per-state
@@ -487,21 +480,9 @@ impl Database {
             } else {
                 None
             };
-            prob.by_pred(p).0.push(g, key);
+            prob.by_pred(p).push(g, key);
         }
         prob.groups.push(compiled);
-        Ok(())
-    }
-
-    /// Add a rule that holds in a realization when its draw fires.
-    pub(crate) fn add_rule(&mut self, c: &Clause) -> Result<(), MachineError> {
-        let p = self.pred_of(&c.head)?;
-        let prob = Arc::make_mut(&mut self.prob);
-        let t = prob.arena.compile(c, &mut self.syms);
-        let key = key_of(first_arg(&prob.arena.nodes, t.head));
-        let r = prob.rules.len() as u32;
-        prob.by_pred(p).1.push(r, key);
-        prob.rules.push(t);
         Ok(())
     }
 
@@ -595,7 +576,7 @@ struct Frame {
 }
 
 /// Where a call's candidate clauses stand: phase 0 walks the certain
-/// clauses, 1 the realization's group facts, 2 the fired rules.
+/// clauses, 1 the realization's group facts.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     pred: u32,
@@ -689,10 +670,9 @@ pub struct Machine {
     arith: Vec<Arith>,
     values: Vec<f64>,
     queries: Vec<Query>,
-    /// The current realization: the chosen alternative of every group and
-    /// whether each independent rule fired (empty: none sampled).
+    /// The current realization: the chosen alternative of every group
+    /// (empty: none sampled).
     pub(crate) chosen: Vec<u32>,
-    pub(crate) fired: Vec<bool>,
 }
 
 /// One solution of a query, as [`Machine::run`] reports it.
@@ -1087,55 +1067,30 @@ impl Machine {
 
     /// The next candidate clause of a call: its arena and template.
     fn advance(&self, c: &mut Cursor) -> Option<(u32, Template)> {
-        let p = c.pred as usize;
-        loop {
-            match c.phase {
-                0 => {
-                    let pred = &self.db.preds[p];
-                    if let Some(&i) = pred.index.list(c.list).get(c.pos as usize) {
-                        c.pos += 1;
-                        return Some((c.pred + 2, pred.clauses[i as usize]));
-                    }
-                    c.phase = 1;
-                    c.pos = 0;
-                    match self.db.prob.by_pred.get(p) {
-                        Some(ix) if !self.chosen.is_empty() => c.list = ix.0.select(c.key),
-                        _ => c.phase = 2,
-                    }
-                }
-                1 => {
-                    let list = self.db.prob.by_pred[p].0.list(c.list);
-                    while let Some(&g) = list.get(c.pos as usize) {
-                        c.pos += 1;
-                        let alt = self.chosen[g as usize] as usize;
-                        let (q, t) = self.db.prob.groups[g as usize][alt];
-                        if q == c.pred {
-                            return Some((PROB, t));
-                        }
-                    }
-                    c.phase = 2;
-                    c.pos = 0;
-                }
-                2 => {
-                    c.phase = 3;
-                    let ix = self.db.prob.by_pred.get(p)?;
-                    if self.fired.is_empty() {
-                        return None;
-                    }
-                    c.list = ix.1.select(c.key);
-                }
-                _ => {
-                    let list = self.db.prob.by_pred[p].1.list(c.list);
-                    while let Some(&r) = list.get(c.pos as usize) {
-                        c.pos += 1;
-                        if self.fired[r as usize] {
-                            return Some((PROB, self.db.prob.rules[r as usize]));
-                        }
-                    }
-                    return None;
-                }
+        if c.phase == 0 {
+            let pred = &self.db.preds[c.pred as usize];
+            if let Some(&i) = pred.index.list(c.list).get(c.pos as usize) {
+                c.pos += 1;
+                return Some((c.pred + 2, pred.clauses[i as usize]));
+            }
+            let ix = self.db.prob.by_pred.get(c.pred as usize)?;
+            if self.chosen.is_empty() {
+                return None;
+            }
+            c.phase = 1;
+            c.pos = 0;
+            c.list = ix.select(c.key);
+        }
+        let list = self.db.prob.by_pred[c.pred as usize].list(c.list);
+        while let Some(&g) = list.get(c.pos as usize) {
+            c.pos += 1;
+            let alt = self.chosen[g as usize] as usize;
+            let (q, t) = self.db.prob.groups[g as usize][alt];
+            if q == c.pred {
+                return Some((PROB, t));
             }
         }
+        None
     }
 
     /// Try the candidates from `cursor` on: the first whose head unifies
@@ -1698,7 +1653,9 @@ mod tests {
         assert_eq!(q(&mut m, "cfg(T,V,C)").len(), 1);
         m.db.retract_all("cfg", 3);
         assert!(q(&mut m, "cfg(T,V,C)").is_empty());
-        m.db.assert_fact(crate::parser::parse_query("cfg(t0, v1, 1)").unwrap());
+        m.db.assert(Clause::fact(
+            crate::parser::parse_query("cfg(t0, v1, 1)").unwrap(),
+        ));
         assert_eq!(q(&mut m, "cfg(T,V,C)"), vec!["cfg(t0,v1,1)"]);
     }
 

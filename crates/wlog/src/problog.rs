@@ -1,14 +1,12 @@
 //! The probabilistic intermediate representation and its Monte-Carlo
 //! evaluator (Sections 5.1–5.2, Algorithm 1).
 //!
-//! A WLog program is translated into weighted rules `p : h :- body`
-//! following ProbLog syntax. Two kinds of uncertainty appear:
-//!
-//! * **independent** rules, true with probability `p` in a realization;
-//! * **annotated disjunctions** ("groups"): mutually exclusive
-//!   alternatives, exactly one of which holds per realization — the paper's
-//!   expansion of a task's execution time into one `p_j :
-//!   exetime(Tid,Vid,T_j)` fact per histogram bin.
+//! A WLog program is translated into ProbLog-style weighted rules. The
+//! translation gives every WLog rule probability 1 (a *certain* clause),
+//! so the only uncertainty is in **annotated disjunctions** ("groups"):
+//! mutually exclusive alternatives, exactly one of which holds per
+//! realization — the paper's expansion of a task's execution time into one
+//! `p_j : exetime(Tid,Vid,T_j)` fact per histogram bin.
 //!
 //! Exact ProbLog inference is intractable for large programs (the number of
 //! proofs grows exponentially), so the paper adopts Monte-Carlo
@@ -21,17 +19,8 @@
 use crate::ast::{Clause, Term};
 use crate::machine::{Database, Machine, MachineError};
 use crate::program::{Constraint, ConstraintKind, Goal};
-use deco_prob::mc::Estimate;
 use deco_prob::{CdfSampler, DecoRng};
-use rand::Rng;
 use std::sync::Arc;
-
-/// A weighted rule of the probabilistic IR.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbRule {
-    pub prob: f64,
-    pub clause: Clause,
-}
 
 /// A probabilistic logic program.
 #[derive(Debug, Clone, Default)]
@@ -39,8 +28,6 @@ pub struct ProbProgram {
     /// Rules with probability 1.0 (the deterministic translation gives
     /// every rule probability 1.0, Section 5.1).
     pub certain: Vec<Clause>,
-    /// Independent probabilistic rules.
-    pub independent: Vec<ProbRule>,
     /// Annotated disjunctions: per group, `(probability, fact)`
     /// alternatives normalized to sum 1.
     pub groups: Vec<Vec<(f64, Term)>>,
@@ -54,15 +41,6 @@ impl ProbProgram {
     pub fn push_certain(&mut self, c: Clause) -> Result<(), MachineError> {
         check_callable(&c.head)?;
         self.certain.push(c);
-        Ok(())
-    }
-
-    pub fn push_independent(&mut self, prob: f64, clause: Clause) -> Result<(), MachineError> {
-        if !(0.0..=1.0).contains(&prob) {
-            return Err(MachineError(format!("probability out of range: {prob}")));
-        }
-        check_callable(&clause.head)?;
-        self.independent.push(ProbRule { prob, clause });
         Ok(())
     }
 
@@ -87,14 +65,6 @@ impl ProbProgram {
             .push(alts.into_iter().map(|(p, t)| (p / total, t)).collect());
         Ok(())
     }
-
-    /// Total number of weighted rules (the `Rule[1..n]` array of
-    /// Algorithm 1).
-    pub fn rule_count(&self) -> usize {
-        self.certain.len()
-            + self.independent.len()
-            + self.groups.iter().map(|g| g.len()).sum::<usize>()
-    }
 }
 
 fn check_callable(head: &Term) -> Result<(), MachineError> {
@@ -106,7 +76,7 @@ fn check_callable(head: &Term) -> Result<(), MachineError> {
 
 /// Evaluates queries against a probabilistic program with one
 /// interpreter, which reads the current realization from its chosen-
-/// alternative and fired-rule buffers.
+/// alternative buffer.
 ///
 /// Cloning is cheap: the compiled program and the samplers are shared, so
 /// every search worker can own an evaluator and mutate only its state
@@ -124,8 +94,6 @@ struct Sampling {
     /// selecting an alternative is a binary search instead of an O(group)
     /// scan, and picks the same alternative for the same draw.
     groups: Vec<CdfSampler>,
-    /// The probability of each independent rule.
-    rules: Vec<f64>,
 }
 
 impl Evaluator {
@@ -137,11 +105,8 @@ impl Evaluator {
         for c in &program.certain {
             db.try_assert(c.clone())?;
         }
-        // Validate the probabilistic rules before compiling any, so the
-        // first bad rule is reported in program order.
-        for r in &program.independent {
-            check_callable(&r.clause.head)?;
-        }
+        // Validate every group before compiling any, so the first bad
+        // alternative is reported in program order.
         for g in &program.groups {
             if g.is_empty() {
                 return Err(MachineError("empty annotated disjunction".into()));
@@ -154,16 +119,12 @@ impl Evaluator {
             let alts: Vec<Term> = g.iter().map(|(_, t)| t.clone()).collect();
             db.add_group(&alts)?;
         }
-        for r in &program.independent {
-            db.add_rule(&r.clause)?;
-        }
         let sampling = Sampling {
             groups: program
                 .groups
                 .iter()
                 .map(|g| CdfSampler::from_probs(g.iter().map(|(p, _)| *p)))
                 .collect(),
-            rules: program.independent.iter().map(|r| r.prob).collect(),
         };
         Ok(Evaluator {
             machine: Machine::new(db),
@@ -194,17 +155,12 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Sample one realization: one alternative per group, in group order,
-    /// then one uniform per independent rule, in rule order.
+    /// Sample one realization: one alternative per group, in group order.
     fn sample_realization(&mut self, rng: &mut DecoRng) {
         let m = &mut self.machine;
         m.chosen.clear();
-        m.fired.clear();
         for sampler in &self.sampling.groups {
             m.chosen.push(sampler.sample_index(rng) as u32);
-        }
-        for &p in &self.sampling.rules {
-            m.fired.push(rng.gen::<f64>() < p);
         }
     }
 
@@ -260,26 +216,20 @@ impl Evaluator {
         goal: &Goal,
         iters: usize,
         rng: &mut DecoRng,
-    ) -> Result<Estimate, MachineError> {
+    ) -> Result<f64, MachineError> {
         let samples = self.value_samples(&goal.query, &goal.var, iters, rng)?;
-        let mean = deco_prob::stats::mean(&samples);
-        let se = (deco_prob::stats::variance(&samples) / samples.len() as f64).sqrt();
-        Ok(Estimate {
-            value: mean,
-            std_error: se,
-            iterations: iters,
-        })
+        Ok(deco_prob::stats::mean(&samples))
     }
 
-    /// Algorithm 1, constraint branch. Returns `(satisfied, estimate)`
-    /// where the estimate is the constraint probability (probabilistic
-    /// kinds) or the expected value (deterministic kinds).
+    /// Algorithm 1, constraint branch. Returns `(satisfied, value)` where
+    /// the value is the constraint probability (probabilistic kinds) or the
+    /// expected value (deterministic kinds).
     pub fn constraint(
         &mut self,
         cons: &Constraint,
         iters: usize,
         rng: &mut DecoRng,
-    ) -> Result<(bool, Estimate), MachineError> {
+    ) -> Result<(bool, f64), MachineError> {
         match cons.kind {
             ConstraintKind::Deadline { percentile, bound }
             | ConstraintKind::Budget { percentile, bound } => {
@@ -291,59 +241,19 @@ impl Evaluator {
                     }
                 }
                 let p = hits as f64 / iters as f64;
-                let est = Estimate {
-                    value: p,
-                    std_error: (p * (1.0 - p) / iters as f64).sqrt(),
-                    iterations: iters,
-                };
-                Ok((p >= percentile, est))
+                Ok((p >= percentile, p))
             }
             ConstraintKind::AtMost { bound } => {
                 let samples = self.value_samples(&cons.query, &cons.var, iters, rng)?;
                 let mean = deco_prob::stats::mean(&samples);
-                let est = Estimate {
-                    value: mean,
-                    std_error: (deco_prob::stats::variance(&samples) / iters as f64).sqrt(),
-                    iterations: iters,
-                };
-                Ok((mean <= bound, est))
+                Ok((mean <= bound, mean))
             }
             ConstraintKind::AtLeast { bound } => {
                 let samples = self.value_samples(&cons.query, &cons.var, iters, rng)?;
                 let mean = deco_prob::stats::mean(&samples);
-                let est = Estimate {
-                    value: mean,
-                    std_error: (deco_prob::stats::variance(&samples) / iters as f64).sqrt(),
-                    iterations: iters,
-                };
-                Ok((mean >= bound, est))
+                Ok((mean >= bound, mean))
             }
         }
-    }
-
-    /// Probability that a (0-ary value-less) query succeeds — the generic
-    /// ProbLog success-probability semantics, exposed for completeness and
-    /// used in tests to validate the sampler against exact inference on
-    /// small programs.
-    pub fn success_probability(
-        &mut self,
-        query: &Term,
-        iters: usize,
-        rng: &mut DecoRng,
-    ) -> Result<Estimate, MachineError> {
-        let mut hits = 0usize;
-        for _ in 0..iters {
-            self.sample_realization(rng);
-            if self.machine.provable(query)? {
-                hits += 1;
-            }
-        }
-        let p = hits as f64 / iters as f64;
-        Ok(Estimate {
-            value: p,
-            std_error: (p * (1.0 - p) / iters as f64).sqrt(),
-            iterations: iters,
-        })
     }
 }
 
@@ -356,54 +266,6 @@ mod tests {
 
     fn clause(src: &str) -> Clause {
         parse_clauses(src).unwrap().pop().unwrap()
-    }
-
-    #[test]
-    fn success_probability_of_independent_fact() {
-        let mut p = ProbProgram::new();
-        p.push_independent(0.3, clause("rain.")).unwrap();
-        let mut e = Evaluator::new(p).unwrap();
-        let mut rng = seeded(1);
-        let est = e
-            .success_probability(&parse_query("rain").unwrap(), 20_000, &mut rng)
-            .unwrap();
-        assert!((est.value - 0.3).abs() < 0.02, "got {}", est.value);
-    }
-
-    #[test]
-    fn success_probability_of_an_independent_rule_is_pinned() {
-        // One uniform per realization decides the rule, in program order
-        // after the group draws; the hit count under a fixed seed is exact.
-        let mut p = ProbProgram::new();
-        p.push_certain(clause("cloudy.")).unwrap();
-        p.push_independent(0.4, clause("wet :- cloudy.")).unwrap();
-        p.push_group(vec![
-            (0.5, parse_query("s(1)").unwrap()),
-            (0.5, parse_query("s(2)").unwrap()),
-        ])
-        .unwrap();
-        let mut e = Evaluator::new(p).unwrap();
-        let mut rng = seeded(11);
-        let est = e
-            .success_probability(&parse_query("wet, s(2)").unwrap(), 1000, &mut rng)
-            .unwrap();
-        assert_eq!(est.value, 0.217);
-    }
-
-    #[test]
-    fn independent_facts_combine_like_problog() {
-        // P(wet) = 1 - (1-0.3)(1-0.5) = 0.65 when two independent causes.
-        let mut p = ProbProgram::new();
-        p.push_independent(0.3, clause("rain.")).unwrap();
-        p.push_independent(0.5, clause("sprinkler.")).unwrap();
-        p.push_certain(clause("wet :- rain.")).unwrap();
-        p.push_certain(clause("wet :- sprinkler.")).unwrap();
-        let mut e = Evaluator::new(p).unwrap();
-        let mut rng = seeded(2);
-        let est = e
-            .success_probability(&parse_query("wet").unwrap(), 30_000, &mut rng)
-            .unwrap();
-        assert!((est.value - 0.65).abs() < 0.02, "got {}", est.value);
     }
 
     #[test]
@@ -445,8 +307,8 @@ mod tests {
         };
         let mut e = Evaluator::new(p).unwrap();
         let mut rng = seeded(4);
-        let est = e.goal_value(&goal, 20_000, &mut rng).unwrap();
-        assert!((est.value - 35.0).abs() < 0.5, "got {}", est.value);
+        let mean = e.goal_value(&goal, 20_000, &mut rng).unwrap();
+        assert!((mean - 35.0).abs() < 0.5, "got {mean}");
     }
 
     #[test]
@@ -468,9 +330,9 @@ mod tests {
                 bound: 10.0,
             },
         };
-        let (ok_85, est) = e.constraint(&cons(0.85), 20_000, &mut rng).unwrap();
+        let (ok_85, p) = e.constraint(&cons(0.85), 20_000, &mut rng).unwrap();
         assert!(ok_85, "P(X<=10) ~ 0.9 satisfies an 85% requirement");
-        assert!((est.value - 0.9).abs() < 0.02);
+        assert!((p - 0.9).abs() < 0.02);
         let (ok_95, _) = e.constraint(&cons(0.95), 20_000, &mut rng).unwrap();
         assert!(!ok_95, "a 95% requirement must fail");
     }
@@ -511,10 +373,10 @@ mod tests {
         let mut rng = seeded(7);
         e.set_state_facts("cfg", 1, vec![parse_query("cfg(v0)").unwrap()])
             .unwrap();
-        assert_eq!(e.goal_value(&goal, 5, &mut rng).unwrap().value, 10.0);
+        assert_eq!(e.goal_value(&goal, 5, &mut rng).unwrap(), 10.0);
         e.set_state_facts("cfg", 1, vec![parse_query("cfg(v1)").unwrap()])
             .unwrap();
-        assert_eq!(e.goal_value(&goal, 5, &mut rng).unwrap().value, 99.0);
+        assert_eq!(e.goal_value(&goal, 5, &mut rng).unwrap(), 99.0);
     }
 
     #[test]
@@ -540,22 +402,10 @@ mod tests {
         .unwrap();
         let mut e = Evaluator::new(p).unwrap();
         let mut rng = seeded(9);
-        let est = e
-            .success_probability(&parse_query("x(2)").unwrap(), 10_000, &mut rng)
+        let xs = e
+            .value_samples(&parse_query("x(X)").unwrap(), "X", 10_000, &mut rng)
             .unwrap();
-        assert!((est.value - 0.75).abs() < 0.02);
-    }
-
-    #[test]
-    fn rule_count_counts_everything() {
-        let mut p = ProbProgram::new();
-        p.push_certain(clause("a.")).unwrap();
-        p.push_independent(0.5, clause("b.")).unwrap();
-        p.push_group(vec![
-            (0.5, parse_query("c(1)").unwrap()),
-            (0.5, parse_query("c(2)").unwrap()),
-        ])
-        .unwrap();
-        assert_eq!(p.rule_count(), 4);
+        let share = xs.iter().filter(|&&x| x == 2.0).count() as f64 / xs.len() as f64;
+        assert!((share - 0.75).abs() < 0.02, "got {share}");
     }
 }

@@ -46,7 +46,7 @@ pub(crate) enum Node {
     Fresh(u32),
 }
 
-/// The heap arena; arena 1 holds the probabilistic facts and rules, and
+/// The heap arena; arena 1 holds the probabilistic facts, and
 /// arena `p + 2` the certain clauses of predicate `p`.
 pub(crate) const HEAP: u32 = 0;
 

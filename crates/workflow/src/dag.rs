@@ -10,6 +10,10 @@
 use crate::task::{Task, TaskId, TaskProfile};
 use serde::{Deserialize, Serialize};
 
+/// Why path lengths compare: every task weight is checked non-negative, so
+/// no distance is NaN.
+const FINITE: &str = "critical-path distances are never NaN";
+
 /// Errors from building or validating a workflow graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkflowError {
@@ -252,8 +256,8 @@ impl Workflow {
                 let (best_p, best_d) = self
                     .parents(t)
                     .map(|p| (p, dist[p.index()]))
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                    .unwrap();
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect(FINITE))
+                    .expect("a task with parents has a best parent");
                 dist[t.index()] = best_d + w;
                 pred[t.index()] = Some(best_p);
             }
@@ -261,10 +265,10 @@ impl Workflow {
         let (end, &len) = dist
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect(FINITE))
+            .expect("a non-empty workflow has a longest path");
         let mut path = vec![TaskId(end as u32)];
-        while let Some(p) = pred[path.last().unwrap().index()] {
+        while let Some(p) = pred[path.last().expect("the path holds its end task").index()] {
             path.push(p);
         }
         path.reverse();

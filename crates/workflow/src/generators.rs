@@ -14,6 +14,10 @@ use crate::task::{TaskId, TaskProfile, MB};
 use deco_prob::rng::{split_indexed, DecoRng};
 use rand::Rng;
 
+/// Why every generator edge is accepted: both ends were just added, each
+/// edge runs from an earlier task to a later one, and no pair repeats.
+const EDGE: &str = "generator edges join existing tasks forward, once each";
+
 /// Scale factor applied to the scientific applications' per-task profiles
 /// (CPU seconds and bytes alike). The published profile statistics (Juve et
 /// al.) describe the per-task *shape*; the paper's inputs are far larger
@@ -49,7 +53,7 @@ pub fn pipeline(n: usize, cpu_seconds: f64, stage_bytes: u64) -> Workflow {
             TaskProfile::new(cpu_seconds, b, b),
         );
         if let Some(p) = prev {
-            w.add_edge(p, t, b).unwrap();
+            w.add_edge(p, t, b).expect(EDGE);
         }
         prev = Some(t);
     }
@@ -73,12 +77,12 @@ pub fn fork_join(width: usize, cpu_seconds: f64, bytes: f64) -> Workflow {
             "work",
             TaskProfile::new(cpu_seconds, bytes, bytes),
         );
-        w.add_edge(src, t, bytes).unwrap();
+        w.add_edge(src, t, bytes).expect(EDGE);
         workers.push(t);
     }
     let sink = w.add_task("sink", "join", sink_profile);
     for t in workers {
-        w.add_edge(t, sink, bytes).unwrap();
+        w.add_edge(t, sink, bytes).expect(EDGE);
     }
     w
 }
@@ -164,7 +168,7 @@ fn montage_grid(g: usize, seed: u64, name: String) -> Workflow {
         TaskProfile::new(8.0 * jitter(&mut rng, 0.2), fit * diffs.len() as f64, fit),
     );
     for &d in &diffs {
-        w.add_edge(d, concat, fit).unwrap();
+        w.add_edge(d, concat, fit).expect(EDGE);
     }
 
     // mBgModel computes background corrections.
@@ -173,7 +177,7 @@ fn montage_grid(g: usize, seed: u64, name: String) -> Workflow {
         "mBgModel",
         TaskProfile::new(25.0 * jitter(&mut rng, 0.2), fit, fit),
     );
-    w.add_edge(concat, bgmodel, fit).unwrap();
+    w.add_edge(concat, bgmodel, fit).expect(EDGE);
 
     // mBackground per image: corrected image from projection + model.
     let mut background = Vec::with_capacity(p);
@@ -183,8 +187,8 @@ fn montage_grid(g: usize, seed: u64, name: String) -> Workflow {
             "mBackground",
             TaskProfile::new(4.0 * jitter(&mut rng, 0.2), proj + fit, proj),
         );
-        w.add_edge(pr, t, proj).unwrap();
-        w.add_edge(bgmodel, t, fit).unwrap();
+        w.add_edge(pr, t, proj).expect(EDGE);
+        w.add_edge(bgmodel, t, fit).expect(EDGE);
         background.push(t);
     }
 
@@ -196,7 +200,7 @@ fn montage_grid(g: usize, seed: u64, name: String) -> Workflow {
         TaskProfile::new(4.0 * jitter(&mut rng, 0.2), tbl * p as f64, tbl),
     );
     for &b in &background {
-        w.add_edge(b, imgtbl, tbl).unwrap();
+        w.add_edge(b, imgtbl, tbl).expect(EDGE);
     }
 
     // mAdd co-adds the corrected images into the mosaic.
@@ -210,7 +214,7 @@ fn montage_grid(g: usize, seed: u64, name: String) -> Workflow {
             mosaic,
         ),
     );
-    w.add_edge(imgtbl, add, tbl).unwrap();
+    w.add_edge(imgtbl, add, tbl).expect(EDGE);
 
     // mShrink and mJPEG finalize.
     let shrink = w.add_task(
@@ -218,13 +222,13 @@ fn montage_grid(g: usize, seed: u64, name: String) -> Workflow {
         "mShrink",
         TaskProfile::new(12.0 * jitter(&mut rng, 0.2), mosaic, mosaic / 16.0),
     );
-    w.add_edge(add, shrink, mosaic).unwrap();
+    w.add_edge(add, shrink, mosaic).expect(EDGE);
     let jpeg = w.add_task(
         "mJPEG",
         "mJPEG",
         TaskProfile::new(4.0 * jitter(&mut rng, 0.2), mosaic / 16.0, mosaic / 64.0),
     );
-    w.add_edge(shrink, jpeg, mosaic / 16.0).unwrap();
+    w.add_edge(shrink, jpeg, mosaic / 16.0).expect(EDGE);
     w.scale_cpu_and_bytes(MONTAGE_CPU_SCALE, MONTAGE_BYTES_SCALE);
     w
 }
@@ -235,8 +239,8 @@ fn add_difffit(w: &mut Workflow, rng: &mut DecoRng, a: TaskId, b: TaskId, proj: 
         "mDiffFit",
         TaskProfile::new(6.0 * jitter(rng, 0.2), 2.0 * proj, 0.1 * MB),
     );
-    w.add_edge(a, t, proj).unwrap();
-    w.add_edge(b, t, proj).unwrap();
+    w.add_edge(a, t, proj).expect(EDGE);
+    w.add_edge(b, t, proj).expect(EDGE);
     t
 }
 
@@ -278,7 +282,7 @@ pub fn ligo(target_tasks: usize, seed: u64) -> Workflow {
                 "Inspiral",
                 TaskProfile::new(220.0 * jitter(&mut rng, 0.3), seg + 1.0 * MB, trig),
             );
-            w.add_edge(bank, insp, 1.0 * MB).unwrap();
+            w.add_edge(bank, insp, 1.0 * MB).expect(EDGE);
             inspirals.push(insp);
         }
         let thinca1 = w.add_task(
@@ -287,7 +291,7 @@ pub fn ligo(target_tasks: usize, seed: u64) -> Workflow {
             TaskProfile::new(5.0 * jitter(&mut rng, 0.2), trig * g as f64, trig),
         );
         for &i in &inspirals {
-            w.add_edge(i, thinca1, trig).unwrap();
+            w.add_edge(i, thinca1, trig).expect(EDGE);
         }
         // Stage 2: TrigBank -> Inspiral2 (1:1), all -> Thinca2.
         let mut insp2 = Vec::with_capacity(g);
@@ -297,13 +301,13 @@ pub fn ligo(target_tasks: usize, seed: u64) -> Workflow {
                 "TrigBank",
                 TaskProfile::new(5.0 * jitter(&mut rng, 0.2), trig, 1.0 * MB),
             );
-            w.add_edge(thinca1, tb, trig).unwrap();
+            w.add_edge(thinca1, tb, trig).expect(EDGE);
             let i2 = w.add_task(
                 format!("Inspiral2_{b}_{i}"),
                 "Inspiral",
                 TaskProfile::new(180.0 * jitter(&mut rng, 0.3), seg + 1.0 * MB, trig),
             );
-            w.add_edge(tb, i2, 1.0 * MB).unwrap();
+            w.add_edge(tb, i2, 1.0 * MB).expect(EDGE);
             insp2.push(i2);
         }
         let thinca2 = w.add_task(
@@ -312,7 +316,7 @@ pub fn ligo(target_tasks: usize, seed: u64) -> Workflow {
             TaskProfile::new(5.0 * jitter(&mut rng, 0.2), trig * g as f64, trig),
         );
         for &i in &insp2 {
-            w.add_edge(i, thinca2, trig).unwrap();
+            w.add_edge(i, thinca2, trig).expect(EDGE);
         }
     }
     w.scale_profiles(PROFILE_SCALE);
@@ -351,19 +355,19 @@ pub fn epigenomics(target_tasks: usize, seed: u64) -> Workflow {
             "filterContams",
             TaskProfile::new(2.0 * jitter(&mut rng, 0.2), chunk, chunk * 0.9),
         );
-        w.add_edge(split, filter, chunk).unwrap();
+        w.add_edge(split, filter, chunk).expect(EDGE);
         let sol = w.add_task(
             format!("sol2sanger_{i}"),
             "sol2sanger",
             TaskProfile::new(1.5 * jitter(&mut rng, 0.2), chunk * 0.9, chunk * 0.9),
         );
-        w.add_edge(filter, sol, chunk * 0.9).unwrap();
+        w.add_edge(filter, sol, chunk * 0.9).expect(EDGE);
         let bfq = w.add_task(
             format!("fastq2bfq_{i}"),
             "fastq2bfq",
             TaskProfile::new(1.5 * jitter(&mut rng, 0.2), chunk * 0.9, chunk * 0.45),
         );
-        w.add_edge(sol, bfq, chunk * 0.9).unwrap();
+        w.add_edge(sol, bfq, chunk * 0.9).expect(EDGE);
         let map = w.add_task(
             format!("map_{i}"),
             "map",
@@ -373,7 +377,7 @@ pub fn epigenomics(target_tasks: usize, seed: u64) -> Workflow {
                 chunk * 0.2,
             ),
         );
-        w.add_edge(bfq, map, chunk * 0.45).unwrap();
+        w.add_edge(bfq, map, chunk * 0.45).expect(EDGE);
         maps.push(map);
     }
     let merge = w.add_task(
@@ -386,7 +390,7 @@ pub fn epigenomics(target_tasks: usize, seed: u64) -> Workflow {
         ),
     );
     for &m in &maps {
-        w.add_edge(m, merge, chunk * 0.2).unwrap();
+        w.add_edge(m, merge, chunk * 0.2).expect(EDGE);
     }
     let index = w.add_task(
         "maqIndex",
@@ -398,13 +402,13 @@ pub fn epigenomics(target_tasks: usize, seed: u64) -> Workflow {
         ),
     );
     w.add_edge(merge, index, chunk * 0.2 * lanes as f64)
-        .unwrap();
+        .expect(EDGE);
     let pileup = w.add_task(
         "pileup",
         "pileup",
         TaskProfile::new(50.0 * jitter(&mut rng, 0.2), 100.0 * MB, 80.0 * MB),
     );
-    w.add_edge(index, pileup, 100.0 * MB).unwrap();
+    w.add_edge(index, pileup, 100.0 * MB).expect(EDGE);
     w.scale_profiles(PROFILE_SCALE);
     w
 }
@@ -441,7 +445,7 @@ pub fn random_dag(n: usize, edge_prob: f64, seed: u64) -> Workflow {
         })
         .collect();
     for (i, j, bytes) in edges {
-        w.add_edge(ids[i], ids[j], bytes).unwrap();
+        w.add_edge(ids[i], ids[j], bytes).expect(EDGE);
     }
     w
 }

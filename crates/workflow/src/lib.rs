@@ -1,3 +1,7 @@
+// User-facing paths return typed errors; panicking shortcuts are banned
+// from library code (tests may still unwrap).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 //! Scientific-workflow substrate for the Deco reproduction.
 //!
 //! Pegasus-style workflows are directed acyclic graphs of tasks; each task

@@ -38,13 +38,17 @@ pub fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
 }
 
 /// A mixed Ligo/Montage trace with enough repeats for warm hits and
-/// enough spread (1e9-tick gaps) to run many cycles.
+/// enough spread (1e9-tick gaps) to run many cycles. The shapes' keys
+/// fall in every quarter of the key space, so at 2 and 4 shards every
+/// shard owns at least one of them.
 pub fn mixed_trace(spec: &CloudSpec, n: u32) -> ArrivalTrace {
     let shapes = [
         generators::montage(1, 60),
         generators::ligo(12, 60),
         generators::montage(1, 61),
         generators::ligo(12, 61),
+        generators::ligo(12, 62),
+        generators::montage(1, 67),
     ];
     let arrivals: Vec<Arrival> = (0..n)
         .map(|i| Arrival {

@@ -57,6 +57,9 @@ fn sharded_replay_is_byte_identical_to_one_process_at_1_2_and_4_shards() {
         assert_eq!(stats, ref_stats, "equal merged stats at {shards} shards");
         assert_eq!(stats.digest(), ref_stats.digest());
         assert_eq!(tier.cache_len(), ref_stats.misses as usize);
+        for si in 0..shards {
+            assert!(tier.shard_len(si) > 0, "shard {si} of {shards} got no work");
+        }
     }
 }
 

@@ -87,6 +87,9 @@ fn supervised_replay_is_byte_identical_at_1_2_and_4_shards() {
         assert_eq!(stats, ref_stats, "equal merged stats at {shards} shards");
         assert_eq!(stats.digest(), ref_stats.digest());
         assert_eq!(tier.cache_len(), ref_stats.misses as usize);
+        for si in 0..shards {
+            assert!(tier.shard_len(si) > 0, "shard {si} of {shards} got no work");
+        }
         // `Suspect` only means one poll found a worker more than one
         // heartbeat period overdue — a scheduling hiccup on a loaded
         // machine, not a death — so the wall clock must not decide this
