@@ -7,10 +7,10 @@
 //! adjustments when the monitored execution time differs from the
 //! estimation by a threshold."
 
-use deco_cloud::plan::{mean_exec_seconds, VmSlot};
+use deco_cloud::plan::mean_exec_seconds;
 use deco_cloud::sim::{RuntimePolicy, Simulation};
 use deco_cloud::CloudSpec;
-use deco_workflow::{TaskId, Workflow};
+use deco_workflow::Workflow;
 
 /// The offline stage: pick the cheaper region for the whole workflow,
 /// charging the migration's transfer bytes against the price difference.
@@ -119,25 +119,7 @@ impl RuntimePolicy for FollowCostHeuristic {
         let current_region = sim.plan().task_region(pending[0]);
         let target = offline_region_choice(wf, &self.spec, &self.types, current_region);
         if target != current_region {
-            // Group by previous instance so migration keeps consolidation.
-            let mut by_slot: std::collections::BTreeMap<usize, Vec<TaskId>> =
-                std::collections::BTreeMap::new();
-            for t in pending {
-                by_slot
-                    .entry(sim.plan().assign[t.index()])
-                    .or_default()
-                    .push(t);
-            }
-            for (_, tasks) in by_slot {
-                let itype = self.types[tasks[0].index()];
-                sim.reassign_group(
-                    &tasks,
-                    VmSlot {
-                        itype,
-                        region: target,
-                    },
-                );
-            }
+            sim.migrate(&pending, target);
         }
     }
 }

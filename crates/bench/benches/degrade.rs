@@ -8,24 +8,14 @@
 //! incumbent-quality ratio (cost / full-budget cost; 1.0 at the top of
 //! the sweep, typically worse below — the anytime quality curve).
 
-use deco_cloud::{CloudSpec, MetadataStore};
+use deco_bench::common::ground_truth_engine;
 use deco_core::estimate::deadline_anchors;
 use deco_core::supervisor::plan_with_fallback;
-use deco_core::Deco;
 use deco_solver::SearchBudget;
 use deco_workflow::generators;
 use deco_workflow::Workflow;
 
 const FRACTIONS: [f64; 7] = [0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0];
-
-fn engine() -> Deco {
-    let spec = CloudSpec::amazon_ec2();
-    let store = MetadataStore::from_ground_truth(spec, 25);
-    let mut d = Deco::new(store);
-    d.options.mc_iters = 40;
-    d.options.search.max_states = 300;
-    d
-}
 
 fn cases() -> Vec<(&'static str, Workflow)> {
     vec![
@@ -35,7 +25,7 @@ fn cases() -> Vec<(&'static str, Workflow)> {
 }
 
 fn main() {
-    let d = engine();
+    let d = ground_truth_engine(40, 300);
     let mut rows = Vec::new();
 
     for (name, wf) in cases() {

@@ -17,8 +17,7 @@
 //! consolidation does not strictly beat private pools or any isolation
 //! violation is audited.
 
-use deco_cloud::{CloudSpec, MetadataStore};
-use deco_core::Deco;
+use deco_bench::common::ground_truth_engine;
 use deco_fleet::{private_pool_cost, FleetConfig, FleetPolicy, FleetServer};
 use deco_pegasus::waas::{mixed_trace, total_outcomes, TenantFamily, TenantLoad};
 use deco_pegasus::Pegasus;
@@ -28,16 +27,6 @@ use std::time::Instant;
 
 const WORKERS: usize = 4;
 const EXEC_SEED: u64 = 0xF1EE7;
-
-fn engine() -> Deco {
-    let spec = CloudSpec::amazon_ec2();
-    let store = MetadataStore::from_ground_truth(spec, 25);
-    let mut d = Deco::new(store);
-    d.options.mc_iters = 20;
-    d.options.search.max_states = 100;
-    d.options.beam_width = 3;
-    d
-}
 
 /// The tenant mix. Montage's tight anchor is a few hundred seconds —
 /// groups far shorter than the 3600 s billing quantum, the classic
@@ -88,7 +77,8 @@ fn loads() -> Vec<TenantLoad> {
 }
 
 fn main() {
-    let deco = engine();
+    let mut deco = ground_truth_engine(20, 100);
+    deco.options.beam_width = 3;
     let spec = deco.store.spec.clone();
     let trace = mixed_trace(&spec, &loads());
     let offered = trace.arrivals().len();

@@ -16,9 +16,9 @@
 //! Every value is a function of the seeded trace and the tick model, so
 //! the file is byte-identical from run to run.
 
-use deco_cloud::{CloudSpec, MetadataStore};
+use deco_bench::common::ground_truth_engine;
+use deco_cloud::CloudSpec;
 use deco_core::estimate::deadline_anchors;
-use deco_core::Deco;
 use deco_serve::{Arrival, ArrivalTrace, PlanRequest, PlanServer, ServeConfig, ServeOutcome};
 use deco_workflow::generators;
 use std::fmt::Write as _;
@@ -27,15 +27,6 @@ use std::time::Instant;
 const WORKERS: usize = 4;
 const OFFERED: u32 = 200;
 const MULTIPLIERS: [f64; 3] = [2.0, 5.0, 10.0];
-
-fn engine() -> Deco {
-    let spec = CloudSpec::amazon_ec2();
-    let store = MetadataStore::from_ground_truth(spec, 25);
-    let mut d = Deco::new(store);
-    d.options.mc_iters = 30;
-    d.options.search.max_states = 150;
-    d
-}
 
 /// One arrival per tick step, each a Montage with its own seed, so
 /// every request is a distinct cache key (a cold solve — the offered
@@ -75,7 +66,7 @@ fn cold_trace(spec: &CloudSpec, n: u32, gap: f64, window: f64) -> ArrivalTrace {
 }
 
 fn main() {
-    let deco = engine();
+    let deco = ground_truth_engine(30, 150);
     let spec = deco.store.spec.clone();
 
     // --- calibration: service ticks per cold solve ---------------------

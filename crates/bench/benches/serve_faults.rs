@@ -11,28 +11,15 @@
 //! the goodput, crash, and retry counters of the faulted smoke run
 //! (acceptance: goodput ≥ 0.95 at 10 % crashes).
 
-use deco_cloud::{CloudSpec, MetadataStore};
-use deco_core::estimate::deadline_anchors;
-use deco_core::Deco;
-use deco_serve::{
-    Arrival, ArrivalTrace, PlanRequest, PlanServer, Priority, ServeConfig, ServeSession,
-    WorkerFaultPlan,
-};
+use deco_bench::common::{ground_truth_engine, request_for};
+use deco_cloud::CloudSpec;
+use deco_serve::{Arrival, ArrivalTrace, PlanServer, ServeConfig, ServeSession, WorkerFaultPlan};
 use deco_workflow::generators;
 use deco_workflow::Workflow;
 use std::time::Instant;
 
 const WORKERS: usize = 4;
 const CRASH_PROB: f64 = 0.10;
-
-fn engine() -> Deco {
-    let spec = CloudSpec::amazon_ec2();
-    let store = MetadataStore::from_ground_truth(spec, 25);
-    let mut d = Deco::new(store);
-    d.options.mc_iters = 30;
-    d.options.search.max_states = 150;
-    d
-}
 
 fn shapes() -> Vec<Workflow> {
     let mut shapes = Vec::new();
@@ -41,18 +28,6 @@ fn shapes() -> Vec<Workflow> {
         shapes.push(generators::ligo(12, 80 + s));
     }
     shapes
-}
-
-fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
-    let (dmin, dmax) = deadline_anchors(&wf, spec);
-    PlanRequest {
-        tenant,
-        workflow: wf,
-        deadline: 0.5 * (dmin + dmax),
-        percentile: 0.9,
-        budget_hint: None,
-        priority: Priority::default(),
-    }
 }
 
 /// One request per distinct shape, all at tick 0: warm after one replay.
@@ -81,7 +56,7 @@ fn smoke_trace(spec: &CloudSpec) -> ArrivalTrace {
 }
 
 fn main() {
-    let deco = engine();
+    let deco = ground_truth_engine(30, 150);
     let spec = deco.store.spec.clone();
     let trace = distinct_trace(&spec);
     let quiescent = ServeSession::default();

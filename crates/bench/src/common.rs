@@ -4,7 +4,8 @@ use crate::Scale;
 use deco_cloud::calibration::{calibrate, CalibrationReport};
 use deco_cloud::{CloudSpec, MetadataStore};
 use deco_core::estimate::deadline_anchors;
-use deco_core::DecoOptions;
+use deco_core::{Deco, DecoOptions};
+use deco_serve::{PlanRequest, Priority};
 use deco_solver::{EvalBackend, SearchOptions};
 use deco_workflow::Workflow;
 
@@ -71,6 +72,31 @@ impl Env {
     /// Loose deadline: `0.75 * Dmax`.
     pub fn loose_deadline(&self, wf: &Workflow) -> f64 {
         deadline_anchors(wf, &self.spec).1 * 0.75
+    }
+}
+
+/// A Deco engine over the ground-truth metadata store (25 bins): the
+/// serving benches' engine, sized by its Monte-Carlo iterations and its
+/// search budget in states.
+pub fn ground_truth_engine(mc_iters: usize, max_states: usize) -> Deco {
+    let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 25);
+    let mut d = Deco::new(store);
+    d.options.mc_iters = mc_iters;
+    d.options.search.max_states = max_states;
+    d
+}
+
+/// A serving request for `wf` at the medium deadline `(Dmin + Dmax) / 2`,
+/// percentile 0.9 and default priority.
+pub fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
+    let (dmin, dmax) = deadline_anchors(&wf, spec);
+    PlanRequest {
+        tenant,
+        workflow: wf,
+        deadline: 0.5 * (dmin + dmax),
+        percentile: 0.9,
+        budget_hint: None,
+        priority: Priority::default(),
     }
 }
 

@@ -33,7 +33,11 @@ pub struct Fig1Result {
 /// Run the Figure 1 experiment: Montage with a deadline constraint under
 /// the seven configurations of the introduction.
 pub fn fig1(env: &Env) -> Fig1Result {
-    let degree = *env.scale.montage_degrees().last().unwrap();
+    let degree = *env
+        .scale
+        .montage_degrees()
+        .last()
+        .expect("every scale lists at least one Montage degree");
     let wf = generators::montage(degree, ROOT_SEED);
     let wms = Pegasus::new(env.store.clone());
     let req = Requirements {

@@ -98,7 +98,7 @@ pub fn fig10(env: &Env) -> Fig10Result {
         })
         .collect();
     // (b) by threshold, on the largest size at this scale.
-    let size = *sizes.last().unwrap();
+    let size = *sizes.last().expect("every scale lists at least one size");
     let by_threshold = [0.1, 0.3, 0.5, 0.7, 0.9]
         .into_iter()
         .map(|th| {

@@ -12,6 +12,8 @@
 //! and where the crossovers fall. EXPERIMENTS.md records paper-vs-measured
 //! for every row.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod ablation;
 pub mod common;
 pub mod ensemble_exp;

@@ -105,7 +105,11 @@ pub struct Fig11Result {
 }
 
 pub fn fig11(env: &Env) -> Fig11Result {
-    let degree = *env.scale.montage_degrees().last().unwrap();
+    let degree = *env
+        .scale
+        .montage_degrees()
+        .last()
+        .expect("every scale lists at least one Montage degree");
     let wf = generators::montage(degree, ROOT_SEED);
     let wms = Pegasus::new(env.store.clone());
     let settings = [

@@ -10,17 +10,13 @@
 //! The faulted run's per-cycle [`deco_serve::CycleRow`] accounting is
 //! what the `serve` experiments subcommand writes to disk.
 
-use crate::common::Env;
+use crate::common::{request_for, Env};
 use crate::Scale;
-use deco_cloud::CloudSpec;
-use deco_core::estimate::deadline_anchors;
 use deco_core::Deco;
 use deco_serve::{
-    Arrival, ArrivalTrace, PlanRequest, PlanServer, Priority, ServeConfig, ServeSession,
-    ServeStats, WorkerFaultPlan,
+    Arrival, ArrivalTrace, PlanServer, ServeConfig, ServeSession, ServeStats, WorkerFaultPlan,
 };
 use deco_workflow::generators;
-use deco_workflow::Workflow;
 
 /// Solver workers in the serving pool.
 pub const WORKERS: usize = 4;
@@ -96,18 +92,6 @@ impl ServeFaultsResult {
             out.push('\n');
         }
         out
-    }
-}
-
-fn request_for(wf: Workflow, tenant: u32, spec: &CloudSpec) -> PlanRequest {
-    let (dmin, dmax) = deadline_anchors(&wf, spec);
-    PlanRequest {
-        tenant,
-        workflow: wf,
-        deadline: 0.5 * (dmin + dmax),
-        percentile: 0.9,
-        budget_hint: None,
-        priority: Priority::default(),
     }
 }
 

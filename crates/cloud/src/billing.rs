@@ -6,6 +6,9 @@
 //! Co-Scheduling transformation operations exist precisely to "fully
 //! utilize the instance partial hour".
 
+use crate::instance::CloudSpec;
+use crate::plan::VmSlot;
+
 /// Number of billing quanta charged for a busy interval of `seconds`.
 pub fn quanta_charged(seconds: f64, quantum: f64) -> u64 {
     assert!(quantum > 0.0, "billing quantum must be positive");
@@ -52,6 +55,37 @@ pub fn additional_quanta(paid: u64, busy_seconds: f64, quantum: f64) -> u64 {
     } else {
         quanta_charged(busy_seconds, quantum).saturating_sub(paid)
     }
+}
+
+/// `span` widened to cover a busy interval `[start, end]`.
+pub(crate) fn widen_span(span: Option<(f64, f64)>, start: f64, end: f64) -> (f64, f64) {
+    match span {
+        None => (start, end),
+        Some((a, b)) => (a.min(start), b.max(end)),
+    }
+}
+
+/// The bill of a schedule: every slot with a busy span pays its quanta at
+/// its type's price in its region (slots that ran nothing are free), and
+/// `cross_bytes` pay the inter-region transfer price.
+pub(crate) fn bill(
+    spec: &CloudSpec,
+    slots: &[VmSlot],
+    spans: &[Option<(f64, f64)>],
+    cross_bytes: f64,
+) -> CostLedger {
+    let mut cost = CostLedger::default();
+    for (slot, span) in slots.iter().zip(spans) {
+        if let Some((a, b)) = span {
+            cost.add_instance(
+                b - a,
+                spec.billing_quantum,
+                spec.price(slot.itype, slot.region),
+            );
+        }
+    }
+    cost.add_transfer(cross_bytes, spec.inter_region_price_per_gb);
+    cost
 }
 
 /// A ledger accumulating the cost components the paper reports:

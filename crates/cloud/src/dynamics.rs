@@ -8,6 +8,7 @@
 //! second until the phase's bytes are consumed.
 
 use crate::instance::{CloudSpec, InstanceTypeId};
+use crate::plan::VmSlot;
 use deco_prob::dist::Dist;
 use deco_prob::DecoRng;
 
@@ -87,23 +88,16 @@ pub fn partition_release(windows: &[(f64, f64)], at: f64) -> f64 {
     at
 }
 
-/// Sampled transfer time of `bytes` between two instances.
+/// Sampled transfer time of `bytes` between two distinct instances, over
+/// their `CloudSpec::link_law`.
 pub fn transfer_seconds(
     spec: &CloudSpec,
-    from_type: InstanceTypeId,
-    to_type: InstanceTypeId,
-    cross_region: bool,
+    from: VmSlot,
+    to: VmSlot,
     bytes: f64,
     rng: &mut DecoRng,
 ) -> f64 {
-    if bytes == 0.0 {
-        return 0.0;
-    }
-    if cross_region {
-        phase_seconds(bytes, &spec.cross_region_net(), rng)
-    } else {
-        phase_seconds(bytes, &spec.pair_net(from_type, to_type), rng)
-    }
+    phase_seconds(bytes, &spec.link_law(from, to), rng)
 }
 
 #[cfg(test)]
@@ -179,12 +173,13 @@ mod tests {
     fn cross_region_transfers_are_slower() {
         let spec = crate::instance::CloudSpec::amazon_ec2();
         let mut rng = seeded(7);
+        let large = |region| VmSlot { itype: 2, region };
         let local: f64 = (0..20)
-            .map(|_| transfer_seconds(&spec, 2, 2, false, 100.0 * MB, &mut rng))
+            .map(|_| transfer_seconds(&spec, large(0), large(0), 100.0 * MB, &mut rng))
             .sum::<f64>()
             / 20.0;
         let cross: f64 = (0..20)
-            .map(|_| transfer_seconds(&spec, 2, 2, true, 100.0 * MB, &mut rng))
+            .map(|_| transfer_seconds(&spec, large(0), large(1), 100.0 * MB, &mut rng))
             .sum::<f64>()
             / 20.0;
         assert!(

@@ -8,6 +8,7 @@
 //! whose variance depends on the instance type (Figures 6 and 7: m1.medium
 //! has far higher network variance than m1.large).
 
+use crate::plan::VmSlot;
 use deco_prob::dist::{Gamma, Normal};
 use serde::{Deserialize, Serialize};
 
@@ -158,6 +159,18 @@ impl CloudSpec {
     /// Inter-region network law.
     pub fn cross_region_net(&self) -> Normal {
         Normal::new(self.inter_region_net.0, self.inter_region_net.1)
+    }
+
+    /// Network law of a transfer between two distinct instances: the
+    /// inter-region law across regions, otherwise [`CloudSpec::pair_net`]
+    /// of their types. Every planner, scorer and the simulator time
+    /// transfers through this one rule.
+    pub(crate) fn link_law(&self, from: VmSlot, to: VmSlot) -> Normal {
+        if from.region != to.region {
+            self.cross_region_net()
+        } else {
+            self.pair_net(from.itype, to.itype)
+        }
     }
 
     /// Look up a type id by name.

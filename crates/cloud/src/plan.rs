@@ -7,6 +7,7 @@
 //! same-type tasks on one slot (the Merge / Co-Scheduling transformations)
 //! halves their cost.
 
+use crate::billing::{bill, quanta_charged, widen_span, CostLedger};
 use crate::instance::{CloudSpec, InstanceTypeId};
 use crate::region::RegionId;
 use deco_prob::hist::Histogram;
@@ -122,49 +123,18 @@ impl Plan {
         spec: &CloudSpec,
     ) -> Plan {
         assert_eq!(types.len(), wf.len());
-        let mean_exec: Vec<f64> = wf
-            .task_ids()
-            .map(|t| mean_exec_seconds(spec, types[t.index()], wf, t))
-            .collect();
-        let mut slots: Vec<VmSlot> = Vec::new();
-        let mut slot_free: Vec<f64> = Vec::new();
-        let mut assign = vec![usize::MAX; wf.len()];
-        let mut finish = vec![0.0f64; wf.len()];
-        let mut order = vec![0u32; wf.len()];
-        for (rank, t) in wf.topo_order().into_iter().enumerate() {
-            let ready = wf
-                .parents(t)
-                .map(|p| finish[p.index()])
-                .fold(0.0f64, f64::max);
-            let ty = types[t.index()];
+        let mean_exec = mean_execs(wf, types, spec);
+        let order = wf.topo_order();
+        pack(wf, &order, types, region, &mean_exec, |k, t, ready| {
             // Best fit: the same-type slot free the latest but still by
             // `ready` (keeps instances busy without delaying the task).
-            let candidate = (0..slots.len())
-                .filter(|&s| slots[s].itype == ty && slot_free[s] <= ready + 1e-9)
-                .max_by(|&a, &b| slot_free[a].total_cmp(&slot_free[b]));
-            let s = match candidate {
-                Some(s) => s,
-                None => {
-                    slots.push(VmSlot { itype: ty, region });
-                    slot_free.push(0.0);
-                    slots.len() - 1
-                }
-            };
-            assign[t.index()] = s;
-            order[t.index()] = rank as u32;
-            let start = ready.max(slot_free[s]);
-            finish[t.index()] = start + mean_exec[t.index()];
-            slot_free[s] = finish[t.index()];
-        }
-        Plan {
-            slots,
-            assign,
-            order,
-        }
+            let ty = types[t.index()];
+            (0..k.slots.len())
+                .filter(|&s| k.slots[s].itype == ty && k.free[s] <= ready + 1e-9)
+                .max_by(|&a, &b| k.free[a].total_cmp(&k.free[b]))
+        })
     }
-}
 
-impl Plan {
     /// Deadline-aware consolidation — the Move and Merge transformation
     /// operations. A task may *wait* for a busy same-type instance when its
     /// latest feasible finish time (backward pass from `deadline` on mean
@@ -180,10 +150,7 @@ impl Plan {
     ) -> Plan {
         assert_eq!(types.len(), wf.len());
         assert!(deadline > 0.0);
-        let mean_exec: Vec<f64> = wf
-            .task_ids()
-            .map(|t| mean_exec_seconds(spec, types[t.index()], wf, t))
-            .collect();
+        let mean_exec = mean_execs(wf, types, spec);
         // Latest finish times: backward pass over reverse topo order.
         let order = wf.topo_order();
         let mut lft = vec![deadline; wf.len()];
@@ -193,77 +160,37 @@ impl Plan {
             }
         }
         let quantum = spec.billing_quantum;
-        let mut slots: Vec<VmSlot> = Vec::new();
-        let mut slot_free: Vec<f64> = Vec::new();
-        let mut slot_span: Vec<Option<(f64, f64)>> = Vec::new();
-        let mut assign = vec![usize::MAX; wf.len()];
-        let mut finish = vec![0.0f64; wf.len()];
         let quanta = |span: Option<(f64, f64)>| -> f64 {
-            match span {
-                None => 0.0,
-                Some((a, b)) => crate::billing::quanta_charged(b - a, quantum) as f64,
-            }
+            span.map_or(0.0, |(a, b)| quanta_charged(b - a, quantum) as f64)
         };
-        let mut ranks = vec![0u32; wf.len()];
-        let mut next_rank = 0u32;
-        for t in order {
-            let ready = wf
-                .parents(t)
-                .map(|p| finish[p.index()])
-                .fold(0.0f64, f64::max);
+        pack(wf, &order, types, region, &mean_exec, |k, t, ready| {
             let ty = types[t.index()];
             let dur = mean_exec[t.index()];
             // Candidate reuse: cheapest additional quanta among same-type
             // slots whose (possibly delayed) finish meets the task's LFT;
             // ties broken by earliest start.
             let mut best: Option<(usize, f64, f64)> = None; // (slot, extra_quanta, start)
-            for s in 0..slots.len() {
-                if slots[s].itype != ty {
+            for s in 0..k.slots.len() {
+                if k.slots[s].itype != ty {
                     continue;
                 }
-                let start = ready.max(slot_free[s]);
+                let start = ready.max(k.free[s]);
                 let end = start + dur;
                 if end > lft[t.index()] + 1e-9 {
                     continue;
                 }
-                let old = quanta(slot_span[s]);
-                let new_span = match slot_span[s] {
-                    None => (start, end),
-                    Some((a, b)) => (a.min(start), b.max(end)),
-                };
-                let extra = quanta(Some(new_span)) - old;
+                let old = quanta(k.span[s]);
+                let extra = quanta(Some(widen_span(k.span[s], start, end))) - old;
                 if best.is_none_or(|(_, be, bs)| (extra, start) < (be, bs)) {
                     best = Some((s, extra, start));
                 }
             }
             // A fresh instance costs quanta(dur); reuse wins on cost, then
             // on start time.
-            let fresh_cost = crate::billing::quanta_charged(dur, quantum) as f64;
-            let s = match best {
-                Some((s, extra, _)) if extra <= fresh_cost => s,
-                _ => {
-                    slots.push(VmSlot { itype: ty, region });
-                    slot_free.push(0.0);
-                    slot_span.push(None);
-                    slots.len() - 1
-                }
-            };
-            let start = ready.max(slot_free[s]);
-            finish[t.index()] = start + dur;
-            slot_free[s] = finish[t.index()];
-            slot_span[s] = Some(match slot_span[s] {
-                None => (start, finish[t.index()]),
-                Some((a, b)) => (a.min(start), b.max(finish[t.index()])),
-            });
-            assign[t.index()] = s;
-            ranks[t.index()] = next_rank;
-            next_rank += 1;
-        }
-        Plan {
-            slots,
-            assign,
-            order: ranks,
-        }
+            let fresh_cost = quanta_charged(dur, quantum) as f64;
+            best.filter(|&(_, extra, _)| extra <= fresh_cost)
+                .map(|(s, _, _)| s)
+        })
     }
 
     /// The precedence-respecting task sequence that honors the plan's
@@ -297,6 +224,66 @@ impl Plan {
     }
 }
 
+/// Slots opened so far by [`pack`]: the instance, its next free time and
+/// its busy span, per slot.
+#[derive(Default)]
+struct Packing {
+    slots: Vec<VmSlot>,
+    free: Vec<f64>,
+    span: Vec<Option<(f64, f64)>>,
+}
+
+/// The packing walk both packers share: tasks in `order` on mean execution
+/// times, each ready when its last parent finishes, placed on the slot
+/// `choose(packing, task, ready)` picks or, when it picks none, on a fresh
+/// slot of the task's type. Dispatch ranks follow `order`.
+fn pack(
+    wf: &Workflow,
+    order: &[TaskId],
+    types: &[InstanceTypeId],
+    region: RegionId,
+    mean_exec: &[f64],
+    mut choose: impl FnMut(&Packing, TaskId, f64) -> Option<usize>,
+) -> Plan {
+    let mut k = Packing::default();
+    let mut assign = vec![usize::MAX; wf.len()];
+    let mut finish = vec![0.0f64; wf.len()];
+    let mut ranks = vec![0u32; wf.len()];
+    for (rank, &t) in order.iter().enumerate() {
+        let ready = wf
+            .parents(t)
+            .map(|p| finish[p.index()])
+            .fold(0.0f64, f64::max);
+        let s = choose(&k, t, ready).unwrap_or_else(|| {
+            k.slots.push(VmSlot {
+                itype: types[t.index()],
+                region,
+            });
+            k.free.push(0.0);
+            k.span.push(None);
+            k.slots.len() - 1
+        });
+        let start = ready.max(k.free[s]);
+        finish[t.index()] = start + mean_exec[t.index()];
+        k.free[s] = finish[t.index()];
+        k.span[s] = Some(widen_span(k.span[s], start, finish[t.index()]));
+        assign[t.index()] = s;
+        ranks[t.index()] = rank as u32;
+    }
+    Plan {
+        slots: k.slots,
+        assign,
+        order: ranks,
+    }
+}
+
+/// [`mean_exec_seconds`] of every task on its type in `types`.
+fn mean_execs(wf: &Workflow, types: &[InstanceTypeId], spec: &CloudSpec) -> Vec<f64> {
+    wf.task_ids()
+        .map(|t| mean_exec_seconds(spec, types[t.index()], wf, t))
+        .collect()
+}
+
 /// Expected execution seconds of a task on a type: deterministic CPU phase
 /// plus I/O at the type's mean sequential bandwidth.
 pub fn mean_exec_seconds(spec: &CloudSpec, itype: InstanceTypeId, wf: &Workflow, t: TaskId) -> f64 {
@@ -305,15 +292,25 @@ pub fn mean_exec_seconds(spec: &CloudSpec, itype: InstanceTypeId, wf: &Workflow,
     p.cpu_seconds / ty.ecu + crate::dynamics::phase_seconds_mean(p.io_bytes(), &ty.seq_io())
 }
 
-/// Planning-time estimate of a plan's schedule on mean performance: the
-/// same list schedule the execution engine follows, with every dynamic
-/// phase at its mean. Used by baselines for admission decisions and by
-/// Deco's A* scores; the real (sampled) outcome comes from
+/// Mean-time transfer of `bytes` between two distinct instances, over
+/// their `CloudSpec::link_law`: `(seconds, billed_bytes)`, where only
+/// cross-region bytes are billed. An edge within one instance moves
+/// nothing; callers skip it.
+pub fn mean_transfer(spec: &CloudSpec, from: VmSlot, to: VmSlot, bytes: f64) -> (f64, f64) {
+    let seconds = crate::dynamics::phase_seconds_mean(bytes, &spec.link_law(from, to));
+    let billed = if from.region != to.region { bytes } else { 0.0 };
+    (seconds, billed)
+}
+
+/// A plan's list schedule: the same walk the execution engine follows.
+/// [`mean_schedule`] runs it on mean performance — used by baselines for
+/// admission decisions and by Deco's A* scores — and the Monte-Carlo
+/// reference on sampled durations; the real (sampled) outcome comes from
 /// [`crate::sim::run_plan`].
 #[derive(Debug, Clone)]
 pub struct MeanSchedule {
     pub makespan: f64,
-    pub cost: crate::billing::CostLedger,
+    pub cost: CostLedger,
     pub finish: Vec<f64>,
     /// Busy span `(first_start, last_finish)` per plan slot, `None` for
     /// slots no task landed on. These are the task groups the fleet tier
@@ -326,8 +323,22 @@ pub struct MeanSchedule {
 /// Compute the [`MeanSchedule`] of `plan` on `wf`.
 pub fn mean_schedule(wf: &Workflow, plan: &Plan, spec: &CloudSpec) -> MeanSchedule {
     plan.validate(wf, spec).expect("invalid plan");
+    list_schedule(wf, plan, spec, |t, ty| mean_exec_seconds(spec, ty, wf, t))
+}
+
+/// The fixed-plan walk every plan scorer shares: tasks in the plan's
+/// dispatch order, each starting once its inputs have arrived (a
+/// [`mean_transfer`] per edge between distinct slots) and its slot is free,
+/// and running for `dur(task, type)`, which is called once per task in
+/// dispatch order. The schedule is billed with `billing::bill`.
+pub fn list_schedule(
+    wf: &Workflow,
+    plan: &Plan,
+    spec: &CloudSpec,
+    mut dur: impl FnMut(TaskId, InstanceTypeId) -> f64,
+) -> MeanSchedule {
     let mut slot_free = vec![0.0f64; plan.slots.len()];
-    let mut slot_span: Vec<Option<(f64, f64)>> = vec![None; plan.slots.len()];
+    let mut slot_spans = vec![None; plan.slots.len()];
     let mut finish = vec![0.0f64; wf.len()];
     let mut cross_bytes = 0.0;
     for t in plan.dispatch_order(wf) {
@@ -338,46 +349,23 @@ pub fn mean_schedule(wf: &Workflow, plan: &Plan, spec: &CloudSpec) -> MeanSchedu
             let mut at = finish[p.index()];
             if p_slot != my_slot {
                 let bytes = wf.edge_bytes(p, t).unwrap_or(0.0);
-                let from = plan.slots[p_slot];
-                let to = plan.slots[my_slot];
-                if from.region != to.region {
-                    at += crate::dynamics::phase_seconds_mean(bytes, &spec.cross_region_net());
-                    cross_bytes += bytes;
-                } else {
-                    at += crate::dynamics::phase_seconds_mean(
-                        bytes,
-                        &spec.pair_net(from.itype, to.itype),
-                    );
-                }
+                let (seconds, billed) =
+                    mean_transfer(spec, plan.slots[p_slot], plan.slots[my_slot], bytes);
+                at += seconds;
+                cross_bytes += billed;
             }
             ready = ready.max(at);
         }
         let start = ready.max(slot_free[my_slot]);
-        let dur = mean_exec_seconds(spec, plan.slots[my_slot].itype, wf, t);
-        finish[t.index()] = start + dur;
+        finish[t.index()] = start + dur(t, plan.slots[my_slot].itype);
         slot_free[my_slot] = finish[t.index()];
-        slot_span[my_slot] = Some(match slot_span[my_slot] {
-            None => (start, finish[t.index()]),
-            Some((a, b)) => (a.min(start), b.max(finish[t.index()])),
-        });
+        slot_spans[my_slot] = Some(widen_span(slot_spans[my_slot], start, finish[t.index()]));
     }
-    let mut cost = crate::billing::CostLedger::default();
-    for (slot, span) in plan.slots.iter().zip(&slot_span) {
-        if let Some((a, b)) = span {
-            cost.add_instance(
-                b - a,
-                spec.billing_quantum,
-                spec.price(slot.itype, slot.region),
-            );
-        }
-    }
-    cost.add_transfer(cross_bytes, spec.inter_region_price_per_gb);
-    let makespan = finish.iter().cloned().fold(0.0f64, f64::max);
     MeanSchedule {
-        makespan,
-        cost,
+        makespan: finish.iter().cloned().fold(0.0f64, f64::max),
+        cost: bill(spec, &plan.slots, &slot_spans, cross_bytes),
         finish,
-        slot_spans: slot_span,
+        slot_spans,
     }
 }
 
@@ -460,6 +448,47 @@ mod tests {
         // Types alternate, so slots of both types exist.
         let types: std::collections::HashSet<_> = plan.slots.iter().map(|s| s.itype).collect();
         assert_eq!(types.len(), 2);
+    }
+
+    #[test]
+    fn mean_schedule_times_and_bills_transfers_by_the_link_rule() {
+        use deco_prob::dist::Dist;
+        // A two-task chain whose edge carries B bytes.
+        const B: u64 = 256 << 20;
+        let spec = CloudSpec::amazon_ec2();
+        let wf = generators::pipeline(2, 10.0, B);
+        let (a, b) = (TaskId(0), TaskId(1));
+        let slot = |itype, region| VmSlot { itype, region };
+        // (transfer seconds on the edge, transfer bill) of one placement.
+        let edge = |slots: Vec<VmSlot>, assign: Vec<usize>| {
+            let plan = Plan {
+                slots,
+                assign,
+                order: vec![0, 1],
+            };
+            let s = mean_schedule(&wf, &plan, &spec);
+            let exec_b = mean_exec_seconds(&spec, plan.task_type(b), &wf, b);
+            (
+                s.finish[b.index()] - exec_b - s.finish[a.index()],
+                s.cost.transfer,
+            )
+        };
+        let mb = B as f64 / (1024.0 * 1024.0);
+        // One slot: nothing moves.
+        let (secs, bill) = edge(vec![slot(1, 0)], vec![0, 0]);
+        assert!(secs.abs() < 1e-9, "same-slot transfer {secs}");
+        assert_eq!(bill, 0.0);
+        // m1.medium -> m1.large in one region: the slower party's law, free.
+        let (secs, bill) = edge(vec![slot(1, 0), slot(2, 0)], vec![0, 1]);
+        let want = mb / spec.types[1].net().mean();
+        assert!((secs - want).abs() < 1e-9, "{secs} vs {want}");
+        assert_eq!(bill, 0.0);
+        // Across regions: the inter-region law, and the bytes are billed.
+        let (secs, bill) = edge(vec![slot(1, 0), slot(1, 1)], vec![0, 1]);
+        let want = mb / spec.cross_region_net().mean();
+        assert!((secs - want).abs() < 1e-9, "{secs} vs {want}");
+        let want = B as f64 / (1024.0 * 1024.0 * 1024.0) * spec.inter_region_price_per_gb;
+        assert!((bill - want).abs() < 1e-12, "{bill} vs {want}");
     }
 
     #[test]

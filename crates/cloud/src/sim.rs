@@ -19,13 +19,15 @@
 //! bit-identical results (pinned by a proptest in the workspace test
 //! suite).
 
-use crate::billing::CostLedger;
+use crate::billing::{bill, widen_span, CostLedger};
 use crate::dynamics;
 use crate::instance::CloudSpec;
 use crate::outage::{DisruptionSchedule, SlotFate};
-use crate::plan::Plan;
+use crate::plan::{Plan, VmSlot};
+use crate::region::RegionId;
 use deco_prob::DecoRng;
 use deco_workflow::{TaskId, Workflow};
+use std::collections::BTreeMap;
 
 /// One dispatch of one task onto one instance — the event trace consumed
 /// by ledger audits and by the recovery driver's reporting. Recorded in
@@ -225,14 +227,14 @@ impl<'a> Simulation<'a> {
 
     /// Reassign an unstarted task to a fresh instance. Used by runtime
     /// re-optimization; panics if the task has already been dispatched.
-    pub fn reassign(&mut self, t: TaskId, slot: crate::plan::VmSlot) {
+    pub fn reassign(&mut self, t: TaskId, slot: VmSlot) {
         self.reassign_group(std::slice::from_ref(&t), slot);
     }
 
     /// Reassign a group of unstarted tasks onto **one** fresh instance —
     /// migration preserves consolidation (the Merge/Co-Scheduling
     /// operations) rather than paying a partial instance-hour per task.
-    pub fn reassign_group(&mut self, tasks: &[TaskId], slot: crate::plan::VmSlot) {
+    pub fn reassign_group(&mut self, tasks: &[TaskId], slot: VmSlot) {
         if tasks.is_empty() {
             return;
         }
@@ -247,7 +249,7 @@ impl<'a> Simulation<'a> {
     pub fn reassign_group_after(
         &mut self,
         tasks: &[TaskId],
-        slot: crate::plan::VmSlot,
+        slot: VmSlot,
         not_before: f64,
     ) -> usize {
         assert!(!tasks.is_empty(), "cannot migrate an empty group");
@@ -283,6 +285,23 @@ impl<'a> Simulation<'a> {
         idx
     }
 
+    /// Move unstarted `tasks` to `region` — the follow-the-cost policies'
+    /// migration step. Tasks that share an instance move together onto
+    /// one fresh instance of its type, so consolidation survives the move.
+    pub fn migrate(&mut self, tasks: &[TaskId], region: RegionId) {
+        let mut by_slot: BTreeMap<usize, Vec<TaskId>> = BTreeMap::new();
+        for &t in tasks {
+            by_slot
+                .entry(self.plan.assign[t.index()])
+                .or_default()
+                .push(t);
+        }
+        for (slot, group) in by_slot {
+            let itype = self.plan.slots[slot].itype;
+            self.reassign_group(&group, VmSlot { itype, region });
+        }
+    }
+
     /// When every parent's output has arrived at `t`'s instance. `None`
     /// while some parent is still pending. Memoized: each transfer is
     /// sampled and billed exactly once.
@@ -303,26 +322,15 @@ impl<'a> Simulation<'a> {
             let mut at = pf;
             if p_slot != my_slot {
                 let bytes = self.wf.edge_bytes(p, t).unwrap_or(0.0);
-                let from = self.plan.slots[p_slot];
-                let to = self.plan.slots[my_slot];
-                let cross = from.region != to.region;
-                if cross {
+                let (from, to) = (self.plan.slots[p_slot], self.plan.slots[my_slot]);
+                if from.region != to.region {
                     // A cross-region transfer that would begin inside a
                     // partition window waits for the link to return
                     // (identity when no partitions are scheduled).
                     at = self.faults.partition_release(at);
-                }
-                at += dynamics::transfer_seconds(
-                    self.spec,
-                    from.itype,
-                    to.itype,
-                    cross,
-                    bytes,
-                    &mut self.rng,
-                );
-                if cross {
                     cross_bytes += bytes;
                 }
+                at += dynamics::transfer_seconds(self.spec, from, to, bytes, &mut self.rng);
             }
             ready = ready.max(at);
         }
@@ -394,10 +402,8 @@ impl<'a> Simulation<'a> {
                     // re-dispatch elsewhere.
                     self.state[t.index()] = TaskState::Failed { at: fate.crash_at };
                     self.slot_free[slot] = f64::INFINITY;
-                    self.slot_span[slot] = Some(match self.slot_span[slot] {
-                        None => (start, fate.crash_at),
-                        Some((a, b)) => (a.min(start), b.max(fate.crash_at)),
-                    });
+                    self.slot_span[slot] =
+                        Some(widen_span(self.slot_span[slot], start, fate.crash_at));
                     self.attempts.push(TaskAttempt {
                         task: t,
                         slot,
@@ -411,10 +417,7 @@ impl<'a> Simulation<'a> {
                 }
                 self.state[t.index()] = TaskState::Started { start, finish };
                 self.slot_free[slot] = finish;
-                self.slot_span[slot] = Some(match self.slot_span[slot] {
-                    None => (start, finish),
-                    Some((a, b)) => (a.min(start), b.max(finish)),
-                });
+                self.slot_span[slot] = Some(widen_span(self.slot_span[slot], start, finish));
                 self.attempts.push(TaskAttempt {
                     task: t,
                     slot,
@@ -477,17 +480,12 @@ impl<'a> Simulation<'a> {
                 makespan = makespan.max(f);
             }
         }
-        let mut cost = CostLedger::default();
-        for (slot, span) in self.plan.slots.iter().zip(&self.slot_span) {
-            if let Some((a, b)) = span {
-                cost.add_instance(
-                    b - a,
-                    self.spec.billing_quantum,
-                    self.spec.price(slot.itype, slot.region),
-                );
-            }
-        }
-        cost.add_transfer(self.cross_bytes, self.spec.inter_region_price_per_gb);
+        let cost = bill(
+            self.spec,
+            &self.plan.slots,
+            &self.slot_span,
+            self.cross_bytes,
+        );
         let result = RunResult {
             makespan,
             cost,

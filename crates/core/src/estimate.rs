@@ -7,7 +7,7 @@
 //! *distribution* — here a histogram derived from the calibrated metadata
 //! store, never from the simulator's ground truth.
 
-use deco_cloud::plan::{exec_time_hist, Plan};
+use deco_cloud::plan::{exec_time_hist, list_schedule, mean_transfer, Plan};
 use deco_cloud::{CloudSpec, MetadataStore, RetryConfig};
 use deco_prob::rng::split_indexed;
 use deco_prob::{BinSampler, DecoRng, Histogram};
@@ -154,57 +154,10 @@ pub fn sampled_schedule(
     spec: &CloudSpec,
     rng: &mut DecoRng,
 ) -> (f64, f64) {
-    let mut slot_free = vec![0.0f64; plan.slots.len()];
-    let mut slot_span: Vec<Option<(f64, f64)>> = vec![None; plan.slots.len()];
-    let mut finish = vec![0.0f64; wf.len()];
-    let mut cross_bytes = 0.0;
-    for t in plan.dispatch_order(wf) {
-        let my_slot = plan.assign[t.index()];
-        let mut ready = 0.0f64;
-        for p in wf.parents(t) {
-            let p_slot = plan.assign[p.index()];
-            let mut at = finish[p.index()];
-            if p_slot != my_slot {
-                let bytes = wf.edge_bytes(p, t).unwrap_or(0.0);
-                let from = plan.slots[p_slot];
-                let to = plan.slots[my_slot];
-                if from.region != to.region {
-                    at += deco_cloud::dynamics::phase_seconds_mean(bytes, &spec.cross_region_net());
-                    cross_bytes += bytes;
-                } else {
-                    at += deco_cloud::dynamics::phase_seconds_mean(
-                        bytes,
-                        &spec.pair_net(from.itype, to.itype),
-                    );
-                }
-            }
-            ready = ready.max(at);
-        }
-        let start = ready.max(slot_free[my_slot]);
-        let dur = table
-            .hist(t.index(), plan.slots[my_slot].itype)
-            .sample(rng)
-            .max(0.0);
-        finish[t.index()] = start + dur;
-        slot_free[my_slot] = finish[t.index()];
-        slot_span[my_slot] = Some(match slot_span[my_slot] {
-            None => (start, finish[t.index()]),
-            Some((a, b)) => (a.min(start), b.max(finish[t.index()])),
-        });
-    }
-    let mut cost = deco_cloud::billing::CostLedger::default();
-    for (slot, span) in plan.slots.iter().zip(&slot_span) {
-        if let Some((a, b)) = span {
-            cost.add_instance(
-                b - a,
-                spec.billing_quantum,
-                spec.price(slot.itype, slot.region),
-            );
-        }
-    }
-    cost.add_transfer(cross_bytes, spec.inter_region_price_per_gb);
-    let makespan = finish.iter().cloned().fold(0.0f64, f64::max);
-    (makespan, cost.total())
+    let s = list_schedule(wf, plan, spec, |t, ty| {
+        table.hist(t.index(), ty).sample(rng).max(0.0)
+    });
+    (s.makespan, s.cost.total())
 }
 
 /// Monte-Carlo evaluation of a plan over `iters` realizations (Algorithm 1
@@ -505,27 +458,15 @@ impl FrontierColumn {
                 (my_slot * FRONTIER_LANES) as u32
             };
             for e in skel.eoff[i] as usize..skel.eoff[i + 1] as usize {
-                let p = skel.order[skel.epar[e] as usize] as usize;
-                let p_slot = plan.assign[p];
-                let mut tr = 0.0;
-                if p_slot != my_slot {
-                    let bytes = skel.ebytes[e];
-                    let from = plan.slots[p_slot];
-                    let to = plan.slots[my_slot];
-                    if from.region != to.region {
-                        tr = deco_cloud::dynamics::phase_seconds_mean(
-                            bytes,
-                            &spec.cross_region_net(),
-                        );
-                        cross += bytes;
-                    } else {
-                        tr = deco_cloud::dynamics::phase_seconds_mean(
-                            bytes,
-                            &spec.pair_net(from.itype, to.itype),
-                        );
-                    }
-                }
-                self.transfer[e] = tr;
+                let p_slot = plan.assign[skel.order[skel.epar[e] as usize] as usize];
+                self.transfer[e] = if p_slot == my_slot {
+                    0.0
+                } else {
+                    let (from, to) = (plan.slots[p_slot], plan.slots[my_slot]);
+                    let (seconds, billed) = mean_transfer(spec, from, to, skel.ebytes[e]);
+                    cross += billed;
+                    seconds
+                };
             }
         }
         self.cross_bytes = cross;

@@ -21,7 +21,7 @@
 //! tasks finishing early ⇒ cheaper children; degraded inter-cloud
 //! bandwidth ⇒ cancel a migration).
 
-use deco_cloud::plan::{mean_exec_seconds, VmSlot};
+use deco_cloud::plan::mean_exec_seconds;
 use deco_cloud::sim::{RuntimePolicy, Simulation};
 use deco_cloud::CloudSpec;
 use deco_solver::{
@@ -279,26 +279,7 @@ impl RuntimePolicy for DecoFollowCost {
         };
         let target = state[0];
         if target != snaps[0].current_region {
-            // Preserve consolidation: pending tasks that shared an instance
-            // keep sharing one in the target region.
-            let mut by_slot: std::collections::BTreeMap<usize, Vec<deco_workflow::TaskId>> =
-                std::collections::BTreeMap::new();
-            for &t in &snaps[0].pending {
-                by_slot
-                    .entry(sim.plan().assign[t.index()])
-                    .or_default()
-                    .push(t);
-            }
-            for (_, tasks) in by_slot {
-                let itype = self.types[tasks[0].index()];
-                sim.reassign_group(
-                    &tasks,
-                    VmSlot {
-                        itype,
-                        region: target,
-                    },
-                );
-            }
+            sim.migrate(&snaps[0].pending, target);
         }
     }
 }
