@@ -6,7 +6,8 @@
 //!
 //! 1. **Deadline assignment** — distribute the workflow deadline over the
 //!    DAG's levels proportionally to each level's expected duration on a
-//!    reference (fastest) type, so every task receives a sub-deadline.
+//!    reference (fastest) type, so every task receives its level's
+//!    duration budget.
 //! 2. **Instance selection** — for each task, the most *cost-efficient*
 //!    type that still meets the task's sub-deadline on mean execution
 //!    times (deterministic — Autoscaling has no notion of performance
@@ -23,44 +24,6 @@
 use deco_cloud::plan::mean_exec_seconds;
 use deco_cloud::{CloudSpec, Plan};
 use deco_workflow::Workflow;
-
-/// Per-task sub-deadlines via proportional level-based deadline assignment.
-///
-/// Returns `(level_of_task, subdeadline_of_task)`; the sub-deadline of a
-/// task is the absolute time by which its level must complete.
-pub fn assign_deadlines(
-    wf: &Workflow,
-    spec: &CloudSpec,
-    deadline: f64,
-    reference_type: usize,
-) -> Vec<f64> {
-    assert!(deadline > 0.0);
-    let groups = wf.level_groups();
-    // Level weight: slowest task of the level on the reference type.
-    let weights: Vec<f64> = groups
-        .iter()
-        .map(|g| {
-            g.iter()
-                .map(|&t| mean_exec_seconds(spec, reference_type, wf, t))
-                .fold(0.0f64, f64::max)
-        })
-        .collect();
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "workflow has no work");
-    // Absolute deadline per level (prefix sums).
-    let mut acc = 0.0;
-    let level_deadline: Vec<f64> = weights
-        .iter()
-        .map(|w| {
-            acc += w / total * deadline;
-            acc
-        })
-        .collect();
-    let levels = wf.levels();
-    wf.task_ids()
-        .map(|t| level_deadline[levels[t.index()]])
-        .collect()
-}
 
 /// The per-level *duration budget* each task must fit into.
 fn level_budgets(
@@ -133,8 +96,20 @@ mod tests {
     fn subdeadlines_are_monotone_over_levels() {
         let spec = spec();
         let wf = generators::montage(1, 1);
-        let d = assign_deadlines(&wf, &spec, 1000.0, 3);
+        // A level's sub-deadline is the prefix sum of the level budgets.
+        let mut acc = 0.0;
+        let level_deadline: Vec<f64> = level_budgets(&wf, &spec, 1000.0, 3)
+            .iter()
+            .map(|b| {
+                acc += b;
+                acc
+            })
+            .collect();
         let levels = wf.levels();
+        let d: Vec<f64> = wf
+            .task_ids()
+            .map(|t| level_deadline[levels[t.index()]])
+            .collect();
         for e in wf.edges() {
             assert!(
                 d[e.from.index()] <= d[e.to.index()] + 1e-9,

@@ -131,11 +131,6 @@ impl MetadataStore {
         self.hist(slower, PerfComponent::Net)
     }
 
-    /// Inter-region network histogram.
-    pub fn cross_region_hist(&self) -> &Histogram {
-        &self.cross_region_net
-    }
-
     /// Observed failure rate per instance-hour of one type in one region.
     pub fn fail_rate(&self, itype: InstanceTypeId, region: crate::region::RegionId) -> f64 {
         self.fail_rates[itype][region]
@@ -258,7 +253,8 @@ mod tests {
     #[test]
     fn cross_region_hist_is_slow() {
         let store = MetadataStore::from_ground_truth(CloudSpec::amazon_ec2(), 40);
-        assert!(store.cross_region_hist().mean() < store.hist(0, PerfComponent::Net).mean());
+        let (_, _, cross_region, _, _) = store.raw_parts();
+        assert!(cross_region.mean() < store.hist(0, PerfComponent::Net).mean());
     }
 
     #[test]

@@ -273,14 +273,10 @@ impl<'a> Simulation<'a> {
         // Placement changed: every pending task's transfer picture may have
         // changed (its own slot, or a parent's). Drop all pending caches —
         // nothing has been billed for them yet.
-        let pending_no_cache: Vec<usize> = self
-            .wf
-            .task_ids()
-            .filter(|&t| !self.is_started(t))
-            .map(|t| t.index())
-            .collect();
-        for i in pending_no_cache {
-            self.iready[i] = None;
+        for (cache, state) in self.iready.iter_mut().zip(&self.state) {
+            if !matches!(state, TaskState::Started { .. }) {
+                *cache = None;
+            }
         }
         idx
     }
@@ -312,8 +308,8 @@ impl<'a> Simulation<'a> {
         let my_slot = self.plan.assign[t.index()];
         let mut ready = 0.0f64;
         let mut cross_bytes = 0.0f64;
-        let parents: Vec<TaskId> = self.wf.parents(t).collect();
-        for p in parents {
+        let wf = self.wf;
+        for p in wf.parents(t) {
             let pf = match self.state[p.index()] {
                 TaskState::Started { finish, .. } => finish,
                 TaskState::Pending | TaskState::Failed { .. } => return None,
@@ -321,7 +317,7 @@ impl<'a> Simulation<'a> {
             let p_slot = self.plan.assign[p.index()];
             let mut at = pf;
             if p_slot != my_slot {
-                let bytes = self.wf.edge_bytes(p, t).unwrap_or(0.0);
+                let bytes = wf.edge_bytes(p, t).unwrap_or(0.0);
                 let (from, to) = (self.plan.slots[p_slot], self.plan.slots[my_slot]);
                 if from.region != to.region {
                     // A cross-region transfer that would begin inside a

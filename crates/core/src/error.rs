@@ -42,17 +42,6 @@ pub enum DecoError {
         /// The admission queue's capacity.
         capacity: usize,
     },
-    /// A serving front end refused the request because its tenant already
-    /// holds its full per-tenant share of the admission queue. Only the
-    /// over-quota tenant is refused — other tenants keep being admitted.
-    QuotaExceeded {
-        /// The tenant that exceeded its share.
-        tenant: u64,
-        /// Requests that tenant already had waiting.
-        queued: usize,
-        /// The per-tenant queue quota.
-        quota: usize,
-    },
     /// The durable plan store failed: an unreadable WAL directory, a
     /// corrupt frame payload, or an I/O error while appending. Serving
     /// degrades (a shard falls back to memory-only operation) rather than
@@ -78,14 +67,6 @@ impl std::fmt::Display for DecoError {
             DecoError::Overloaded { queued, capacity } => write!(
                 f,
                 "overloaded: admission queue full ({queued} waiting, capacity {capacity})"
-            ),
-            DecoError::QuotaExceeded {
-                tenant,
-                queued,
-                quota,
-            } => write!(
-                f,
-                "quota exceeded: tenant {tenant} already has {queued} queued (quota {quota})"
             ),
             DecoError::Store(m) => write!(f, "store error: {m}"),
             DecoError::Transport(m) => write!(f, "transport error: {m}"),
@@ -158,14 +139,6 @@ mod tests {
         };
         assert!(overloaded.to_string().starts_with("overloaded:"));
         assert!(overloaded.to_string().contains("64 waiting"));
-        let quota = DecoError::QuotaExceeded {
-            tenant: 3,
-            queued: 4,
-            quota: 4,
-        };
-        assert!(quota.to_string().starts_with("quota exceeded:"));
-        assert!(quota.to_string().contains("tenant 3"));
-        assert!(quota.to_string().contains("quota 4"));
         assert!(DecoError::Transport("pipe closed".into())
             .to_string()
             .starts_with("transport error:"));

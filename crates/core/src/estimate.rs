@@ -418,6 +418,8 @@ struct FrontierColumn {
     /// Total inter-region bytes (accumulated in dispatch-edge order — the
     /// reference's f64 addition order).
     cross_bytes: f64,
+    /// Resolve-time scratch: whether a slot has had its first dispatch.
+    slot_seen: Vec<bool>,
 }
 
 impl FrontierColumn {
@@ -439,7 +441,8 @@ impl FrontierColumn {
         self.slot_price
             .extend(plan.slots.iter().map(|s| spec.price(s.itype, s.region)));
         let mut cross = 0.0f64;
-        let mut slot_seen = vec![false; plan.slots.len()];
+        self.slot_seen.clear();
+        self.slot_seen.resize(plan.slots.len(), false);
         for i in 0..n {
             let t = skel.order[i] as usize;
             let my_slot = plan.assign[t];
@@ -451,10 +454,10 @@ impl FrontierColumn {
             self.row_lo[i] = lo;
             self.row_w[i] = w;
             self.task_slot[i] = my_slot as u32;
-            self.start_idx[i] = if slot_seen[my_slot] {
+            self.start_idx[i] = if self.slot_seen[my_slot] {
                 (plan.slots.len() * FRONTIER_LANES) as u32
             } else {
-                slot_seen[my_slot] = true;
+                self.slot_seen[my_slot] = true;
                 (my_slot * FRONTIER_LANES) as u32
             };
             for e in skel.eoff[i] as usize..skel.eoff[i + 1] as usize {

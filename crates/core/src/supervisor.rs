@@ -12,7 +12,8 @@
 //!    instance type whose *mean* critical path meets the deadline, placed
 //!    in the region chosen by [`offline_region_choice`].
 //! 3. **Autoscaling** — the deadline-proportional static plan
-//!    ([`autoscaling_plan`]), which always produces *some* plan.
+//!    ([`autoscaling_plan`](deco_baselines::autoscaling::autoscaling_plan)),
+//!    which always produces *some* plan.
 //!
 //! The resulting [`PlanProvenance`] lets the WMS distinguish a deadline
 //! met by the optimizer (`Met`) from one met by a degraded fallback

@@ -55,20 +55,26 @@ fn read_version(r: &mut Reader<'_>, what: &str) -> Result<(), DecoError> {
 // ---------------------------------------------------------------------------
 
 /// Append a [`SearchBudget`] to `out` (no version byte — budgets are
-/// always embedded in a versioned parent payload).
+/// always embedded in a versioned parent payload). A retired slot
+/// follows the ticks, where a wall-clock guard used to sit: it is always
+/// written as `None`, so the format (and every journal on disk) stays
+/// unchanged.
 pub fn encode_budget(out: &mut Vec<u8>, b: &SearchBudget) {
     put_opt(out, b.ticks, put_f64);
-    put_opt(out, b.wall_seconds, put_f64);
+    put_opt(out, None, put_f64);
 }
 
 /// Decode a [`SearchBudget`] written by [`encode_budget`]. Reader-level:
 /// failures keep the reader's error type, for the enclosing decoder to
-/// map at its boundary.
+/// map at its boundary. A set retired slot is corruption.
 pub fn decode_budget(r: &mut Reader<'_>) -> Result<SearchBudget, DecoError> {
-    Ok(SearchBudget {
-        ticks: r.opt(Reader::f64)?,
-        wall_seconds: r.opt(Reader::f64)?,
-    })
+    let ticks = r.opt(Reader::f64)?;
+    if r.opt(Reader::f64)?.is_some() {
+        return Err(DecoError::Store(
+            "retired wall-clock budget slot is set".into(),
+        ));
+    }
+    Ok(SearchBudget { ticks })
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +360,8 @@ fn read_engine(r: &mut Reader<'_>) -> Result<Deco, DecoError> {
 
 /// Append a [`DecoError`] to `out`. Display-exact for every variant a
 /// solve can produce; the structured parser/evaluator variants degrade to
-/// a rendered-message passthrough (tag 9).
+/// a rendered-message passthrough (tag 9). Tag 8 is retired (a
+/// per-tenant quota refusal) and decodes as an unknown tag.
 pub fn encode_error(out: &mut Vec<u8>, e: &DecoError) {
     let (tag, msg) = match e {
         DecoError::Program(m) => (1, m),
@@ -367,17 +374,6 @@ pub fn encode_error(out: &mut Vec<u8>, e: &DecoError) {
             put_u8(out, 7);
             put_u64(out, *queued as u64);
             put_u64(out, *capacity as u64);
-            return;
-        }
-        DecoError::QuotaExceeded {
-            tenant,
-            queued,
-            quota,
-        } => {
-            put_u8(out, 8);
-            put_u64(out, *tenant);
-            put_u64(out, *queued as u64);
-            put_u64(out, *quota as u64);
             return;
         }
         // Structured source-position errors never occur on a worker's
@@ -406,11 +402,6 @@ pub fn decode_error(r: &mut Reader<'_>) -> Result<DecoError, DecoError> {
         7 => DecoError::Overloaded {
             queued: r.u64()? as usize,
             capacity: r.u64()? as usize,
-        },
-        8 => DecoError::QuotaExceeded {
-            tenant: r.u64()?,
-            queued: r.u64()? as usize,
-            quota: r.u64()? as usize,
         },
         9 => DecoError::Transport(format!("remote solve failed: {}", r.str()?)),
         t => return Err(corrupt(format!("unknown error tag {t}"))),
@@ -472,10 +463,7 @@ mod tests {
         deco.options.mc_iters = 37;
         deco.options.beam_width = 5;
         deco.options.search.seed = 0xDEAD_BEEF;
-        deco.options.search.budget = SearchBudget {
-            ticks: Some(1.5e9),
-            wall_seconds: None,
-        };
+        deco.options.search.budget = SearchBudget { ticks: Some(1.5e9) };
         deco.options.retry = Some(RetryConfig {
             max_attempts: 3,
             backoff_base: 8.0,
@@ -486,10 +474,26 @@ mod tests {
         assert_eq!(back.options.beam_width, 5);
         assert_eq!(back.options.search.seed, 0xDEAD_BEEF);
         assert_eq!(back.options.search.budget.ticks, Some(1.5e9));
-        assert_eq!(back.options.search.budget.wall_seconds, None);
         let rc = back.options.retry.expect("retry config");
         assert_eq!(rc.max_attempts, 3);
         assert_eq!(encode_engine(&deco), encode_engine(&back));
+    }
+
+    #[test]
+    fn a_set_retired_wall_slot_is_a_store_error() {
+        let mut out = Vec::new();
+        encode_budget(&mut out, &SearchBudget::ticks(40.0));
+        // ticks: tag + f64; the retired slot: one `None` tag.
+        assert_eq!(out.len(), 1 + 8 + 1);
+        assert_eq!(out[9], 0, "the retired slot is written as None");
+        let back = decode_budget(&mut Reader::new(&out)).expect("round trip");
+        assert_eq!(back, SearchBudget::ticks(40.0));
+        out.truncate(9);
+        put_opt(&mut out, Some(2.5), put_f64);
+        match decode_budget(&mut Reader::new(&out)) {
+            Err(DecoError::Store(msg)) => assert!(msg.contains("retired"), "{msg}"),
+            other => panic!("expected a store error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -519,11 +523,6 @@ mod tests {
                 queued: 64,
                 capacity: 64,
             },
-            DecoError::QuotaExceeded {
-                tenant: 3,
-                queued: 4,
-                quota: 4,
-            },
         ];
         for e in cases {
             let mut out = Vec::new();
@@ -533,6 +532,10 @@ mod tests {
             assert!(r.done());
             assert_eq!(back.to_string(), e.to_string(), "display-exact");
         }
+        // The retired quota tag with its three `u64` fields.
+        let mut retired = vec![8u8];
+        retired.extend_from_slice(&[0; 24]);
+        assert!(decode_error(&mut Reader::new(&retired)).is_err());
     }
 
     #[test]

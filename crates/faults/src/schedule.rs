@@ -1,7 +1,7 @@
 //! Seeded generation of concrete disruption schedules.
 //!
 //! Every random draw is keyed by a domain-separated
-//! [`StableHasher`](deco_prob::hash::StableHasher) digest of the injector
+//! [`StableHasher`] digest of the injector
 //! seed: per-slot fates hash `("slot", index)`, bulk-event membership
 //! hashes `("bulk-hit", event, slot)`, and the global event streams hash
 //! their own domains. Consequences:

@@ -57,15 +57,6 @@ impl ExecutableWorkflow {
             mapped,
         })
     }
-
-    /// Tasks bound to a given site.
-    pub fn tasks_on_site(&self, site: usize) -> Vec<TaskId> {
-        self.mapped
-            .iter()
-            .filter(|m| m.site == site)
-            .map(|m| m.task)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +76,7 @@ mod tests {
         assert!(exe.mapped[0].site_label.contains("m1.medium"));
         // Site partitioning covers all tasks exactly once.
         let total: usize = (0..plan.slots.len())
-            .map(|s| exe.tasks_on_site(s).len())
+            .map(|s| exe.mapped.iter().filter(|m| m.site == s).count())
             .sum();
         assert_eq!(total, wf.len());
     }

@@ -8,7 +8,6 @@ use deco_cloud::{CloudSpec, MetadataStore, RetryConfig};
 use deco_core::supervisor::{plan_with_fallback, PlanProvenance, SupervisedPlan};
 use deco_core::{Deco, DecoError};
 use deco_faults::{run_with_faults, FaultInjector};
-use deco_prob::stats::Summary;
 use deco_solver::SearchBudget;
 use deco_workflow::dax::{parse_dax, DaxError};
 use deco_workflow::Workflow;
@@ -355,9 +354,6 @@ impl FaultCampaignReport {
     pub fn incomplete(&self) -> usize {
         self.count(|o| matches!(o, RunOutcome::Incomplete { .. }))
     }
-    pub fn total_crashes(&self) -> usize {
-        self.reports.iter().map(|r| r.crashes).sum()
-    }
     pub fn mean_cost(&self) -> f64 {
         let costs: Vec<f64> = self.reports.iter().map(|r| r.cost).collect();
         deco_prob::stats::mean(&costs)
@@ -373,10 +369,6 @@ impl CampaignReport {
     }
     pub fn mean_makespan(&self) -> f64 {
         deco_prob::stats::mean(&self.makespans)
-    }
-    /// Five-number summary of normalized makespans (Figure 2's box data).
-    pub fn makespan_summary(&self) -> Summary {
-        Summary::of(&self.makespans)
     }
 }
 
@@ -428,7 +420,7 @@ mod tests {
         let r = req(&wf, &wms.spec);
         let exe = wms.plan(&wf, &SingleTypeScheduler { itype: 1 }, r).unwrap();
         let campaign = wms.run_many(&exe, r, "m1.medium", 20, 7);
-        let s = campaign.makespan_summary();
+        let s = deco_prob::stats::Summary::of(&campaign.makespans);
         assert!(s.max > s.min, "cloud dynamics must show up across runs");
         assert!(campaign.mean_cost() > 0.0);
     }
@@ -495,7 +487,8 @@ mod tests {
             campaign.reports.len(),
             "every run lands in exactly one bucket"
         );
-        assert!(campaign.total_crashes() > 0, "rate 1/h over 12 runs");
+        let crashes: usize = campaign.reports.iter().map(|r| r.crashes).sum();
+        assert!(crashes > 0, "rate 1/h over 12 runs");
         assert!(campaign.mean_cost() > 0.0);
     }
 

@@ -203,7 +203,7 @@ impl Histogram {
             .min(1.0)
     }
 
-    /// The `q`-quantile (q in [0,1]): smallest bin center whose cumulative
+    /// The `q`-quantile (q in \[0, 1\]): smallest bin center whose cumulative
     /// mass reaches `q`. This is the paper's "p-th percentile of the
     /// distribution" used in probabilistic deadline checks.
     pub fn percentile(&self, q: f64) -> f64 {

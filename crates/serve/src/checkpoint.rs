@@ -19,10 +19,12 @@
 //! observability, excluded from the stats digest, and a failover run
 //! only owes byte-identity on digested state.
 //!
-//! The head keeps one retired slot: a `u64` count, always zero, where a
-//! per-shape solve-cost map used to sit. Writing the zero keeps the
-//! journal format (and every journal on disk) unchanged; a non-zero
-//! count is corruption.
+//! The head keeps two retired slots, each a `u64` that is always zero:
+//! the count of a per-shape solve-cost map, and the stats counter of a
+//! per-tenant queue quota. Writing the zeros keeps the journal format
+//! (and every journal on disk) unchanged; a non-zero value is
+//! corruption. A budget's retired wall-clock slot is
+//! [`deco_core::wire::decode_budget`]'s to police.
 
 use crate::queue::QueuedRequest;
 use crate::request::{PlanRequest, Priority};
@@ -153,7 +155,7 @@ fn put_stats(out: &mut Vec<u8>, s: &ServeStats) {
         s.coalesced,
         s.rejected_overload,
         s.rejected_invalid,
-        s.rejected_quota,
+        0, // retired: rejected_quota
         s.solve_failures,
         s.evictions,
         s.stale_purged,
@@ -180,6 +182,7 @@ fn put_stats(out: &mut Vec<u8>, s: &ServeStats) {
 
 fn read_stats(r: &mut Reader<'_>) -> Result<ServeStats, DecoError> {
     let mut s = ServeStats::default();
+    let mut retired_quota = 0;
     for slot in [
         &mut s.requests,
         &mut s.planned,
@@ -188,7 +191,7 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServeStats, DecoError> {
         &mut s.coalesced,
         &mut s.rejected_overload,
         &mut s.rejected_invalid,
-        &mut s.rejected_quota,
+        &mut retired_quota,
         &mut s.solve_failures,
         &mut s.evictions,
         &mut s.stale_purged,
@@ -204,6 +207,9 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServeStats, DecoError> {
         &mut s.refreshes,
     ] {
         *slot = r.u64()?;
+    }
+    if retired_quota != 0 {
+        return Err(corrupt("retired tenant-quota counter is not zero"));
     }
     s.straggler_ticks = r.f64()?;
     let tenants = r.len("planned_by_tenant")?;
@@ -432,19 +438,23 @@ mod tests {
     #[test]
     fn a_non_empty_retired_slot_is_a_store_error() {
         let ck = sample();
-        let mut bytes = ck.encode();
-        // The slot is the last `u64` before the stats, the emitted count
-        // and the waits block.
+        let bytes = ck.encode();
+        // The shape-cost slot is the last `u64` before the stats, the
+        // emitted count and the waits block; the tenant-quota counter is
+        // the eighth `u64` of the stats.
         let mut tail = Vec::new();
         put_stats(&mut tail, &ck.stats);
         put_u64(&mut tail, ck.emitted);
         put_waits(&mut tail, &ck.stats.waits);
-        let slot = bytes.len() - tail.len() - 8;
-        assert_eq!(bytes[slot..slot + 8], [0u8; 8], "the slot holds a zero");
-        bytes[slot..slot + 8].copy_from_slice(&1u64.to_le_bytes());
-        match ServeCheckpoint::decode(&bytes) {
-            Err(DecoError::Store(msg)) => assert!(msg.contains("retired"), "{msg}"),
-            other => panic!("expected a store error, got {other:?}"),
+        let stats_at = bytes.len() - tail.len();
+        for slot in [stats_at - 8, stats_at + 7 * 8] {
+            assert_eq!(bytes[slot..slot + 8], [0u8; 8], "the slot holds a zero");
+            let mut bad = bytes.clone();
+            bad[slot..slot + 8].copy_from_slice(&1u64.to_le_bytes());
+            match ServeCheckpoint::decode(&bad) {
+                Err(DecoError::Store(msg)) => assert!(msg.contains("retired"), "{msg}"),
+                other => panic!("expected a store error at {slot}, got {other:?}"),
+            }
         }
     }
 

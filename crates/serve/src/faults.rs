@@ -5,7 +5,7 @@
 //! solver workers that crash mid-solve or straggle through a cycle. The
 //! discipline is the same as `deco_faults::FaultInjector`'s per-slot
 //! fates — every draw is a domain-separated
-//! [`StableHasher`](deco_prob::hash::StableHasher) digest of the plan
+//! [`StableHasher`] digest of the plan
 //! seed, so a fault schedule is a pure value: identical across platforms,
 //! Rust releases, and (crucially) *physical worker counts*.
 //!

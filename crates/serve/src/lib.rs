@@ -12,7 +12,7 @@
 //! layer in front of [`deco_core::supervisor::plan_with_fallback`]:
 //!
 //! * [`queue`] — bounded admission with priority-class drain ordering,
-//!   per-tenant queue quotas, shedding of already-expired waiters, and
+//!   shedding of already-expired waiters, and
 //!   [`deco_core::DecoError::Overloaded`] backpressure, plus the
 //!   per-request search budget (the cap tightened by the request's hint);
 //! * [`cache`] — a content-addressed plan cache keyed by the canonical

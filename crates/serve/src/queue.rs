@@ -7,9 +7,7 @@
 //! instead (see [`AdmissionQueue::shed_unmeetable`]). Draining is ordered by
 //! [`Priority`] class first, then FIFO within a class, so a queue of
 //! all-default-priority requests drains exactly like the original FIFO
-//! queue. An optional per-tenant quota rejects only the over-quota tenant
-//! ([`DecoError::QuotaExceeded`]) while other tenants keep being
-//! admitted. A solve's budget is the per-request cap, tightened by the
+//! queue. A solve's budget is the per-request cap, tightened by the
 //! request's own hint ([`effective_budget`]).
 
 use crate::request::{PlanRequest, Priority};
@@ -32,8 +30,6 @@ pub struct QueuedRequest {
 pub struct AdmissionQueue {
     pending: VecDeque<QueuedRequest>,
     capacity: usize,
-    /// Optional per-tenant bound on waiting requests.
-    tenant_quota: Option<usize>,
 }
 
 impl AdmissionQueue {
@@ -42,15 +38,7 @@ impl AdmissionQueue {
         AdmissionQueue {
             pending: VecDeque::new(),
             capacity,
-            tenant_quota: None,
         }
-    }
-
-    /// Bound each tenant to at most `quota` waiting requests.
-    pub fn with_tenant_quota(mut self, quota: usize) -> Self {
-        assert!(quota >= 1, "a zero quota admits nothing for anyone");
-        self.tenant_quota = Some(quota);
-        self
     }
 
     pub fn len(&self) -> usize {
@@ -61,29 +49,14 @@ impl AdmissionQueue {
         self.pending.is_empty()
     }
 
-    /// Admit a request, or refuse it: [`DecoError::QuotaExceeded`] when
-    /// its tenant already holds its full share of the queue,
-    /// [`DecoError::Overloaded`] when the queue itself is full.
+    /// Admit a request, or refuse it with [`DecoError::Overloaded`] when
+    /// the queue is full.
     pub fn try_admit(
         &mut self,
         seq: u64,
         arrived_at: f64,
         request: PlanRequest,
     ) -> Result<(), DecoError> {
-        if let Some(quota) = self.tenant_quota {
-            let queued = self
-                .pending
-                .iter()
-                .filter(|q| q.request.tenant == request.tenant)
-                .count();
-            if queued >= quota {
-                return Err(DecoError::QuotaExceeded {
-                    tenant: u64::from(request.tenant),
-                    queued,
-                    quota,
-                });
-            }
-        }
         if self.pending.len() >= self.capacity {
             return Err(DecoError::Overloaded {
                 queued: self.pending.len(),
@@ -128,7 +101,7 @@ impl AdmissionQueue {
     }
 
     /// Replace the queue contents with a checkpointed snapshot (FIFO
-    /// order preserved). Capacity and quota stay as configured; a resume
+    /// order preserved). Capacity stays as configured; a resume
     /// restores exactly what [`AdmissionQueue::pending_snapshot`] saw.
     pub fn restore_pending(&mut self, pending: Vec<QueuedRequest>) {
         self.pending = pending.into();
@@ -170,7 +143,7 @@ impl AdmissionQueue {
 }
 
 /// Clamp the per-request budget cap by the request's own budget hint:
-/// the effective budget is the tighter of the two on every axis.
+/// the effective tick budget is the tighter of the two.
 pub fn effective_budget(cap: &SearchBudget, hint: Option<f64>) -> SearchBudget {
     let ticks = match (cap.ticks, hint) {
         (Some(s), Some(h)) => Some(s.min(h)),
@@ -178,10 +151,7 @@ pub fn effective_budget(cap: &SearchBudget, hint: Option<f64>) -> SearchBudget {
         (None, Some(h)) => Some(h),
         (None, None) => None,
     };
-    SearchBudget {
-        ticks,
-        wall_seconds: cap.wall_seconds,
-    }
+    SearchBudget { ticks }
 }
 
 #[cfg(test)]
@@ -245,30 +215,6 @@ mod tests {
         );
         let rest = q.drain_batch(3);
         assert_eq!(rest.iter().map(|b| b.seq).collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn tenant_quota_rejects_only_the_over_quota_tenant() {
-        let mut q = AdmissionQueue::new(8).with_tenant_quota(2);
-        q.try_admit(0, 0.0, req(1)).expect("admit");
-        q.try_admit(1, 0.0, req(1)).expect("admit");
-        let err = q
-            .try_admit(2, 0.0, req(1))
-            .expect_err("tenant 1 over quota");
-        assert!(matches!(
-            err,
-            DecoError::QuotaExceeded {
-                tenant: 1,
-                queued: 2,
-                quota: 2
-            }
-        ));
-        // Another tenant is still welcome.
-        q.try_admit(3, 0.0, req(2)).expect("tenant 2 within quota");
-        assert_eq!(q.len(), 3);
-        // Draining tenant 1's requests frees its quota again.
-        q.drain_batch(10);
-        q.try_admit(4, 0.0, req(1)).expect("admit after drain");
     }
 
     #[test]

@@ -150,9 +150,8 @@ pub struct ServedPlan {
 pub enum ServeOutcome {
     Planned(Box<ServedPlan>),
     /// Refused without planning: backpressure
-    /// ([`deco_core::DecoError::Overloaded`]), a per-tenant quota breach
-    /// ([`deco_core::DecoError::QuotaExceeded`]), or a structurally
-    /// invalid request. The string is the `DecoError` rendering.
+    /// ([`deco_core::DecoError::Overloaded`]) or a structurally invalid
+    /// request. The string is the `DecoError` rendering.
     Rejected {
         reason: String,
     },

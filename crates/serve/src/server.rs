@@ -4,10 +4,10 @@
 //! a deterministic cycle loop:
 //!
 //! 1. **Admit** every arrival whose tick has passed, up to the queue
-//!    capacity and the optional per-tenant quota; a full queue first tries
-//!    the deadline-aware shed policy (drop a waiter whose canonical
-//!    deadline has already expired) and only then answers the newcomer
-//!    `Rejected` with the [`DecoError::Overloaded`] rendering.
+//!    capacity; a full queue first tries the deadline-aware shed policy
+//!    (drop a waiter whose canonical deadline has already expired) and
+//!    only then answers the newcomer `Rejected` with the
+//!    [`DecoError::Overloaded`] rendering.
 //! 2. **Drain** one batch — priority classes first, FIFO within a class —
 //!    and classify each request against the content-addressed cache: warm
 //!    hits answer immediately; quarantined keys answer from the fallback
@@ -86,9 +86,6 @@ pub struct ServeConfig {
     pub deadline_bucket: f64,
     /// Per-request search budget cap; a request's hint can only tighten it.
     pub budget: SearchBudget,
-    /// Optional per-tenant bound on queued requests; breaches reject only
-    /// the over-quota tenant ([`DecoError::QuotaExceeded`]).
-    pub tenant_quota: Option<usize>,
     /// Retry policy for solves lost to worker crashes: backoff ticks are
     /// `capped_backoff(base, cap, retry)` (the same shared helper
     /// `deco_faults::recovery` uses) and are charged against the
@@ -110,7 +107,6 @@ impl Default for ServeConfig {
             cache_capacity: 256,
             deadline_bucket: 60.0,
             budget: SearchBudget::unlimited(),
-            tenant_quota: None,
             retry: RetryConfig::default(),
             quarantine_threshold: 6,
         }
@@ -262,11 +258,12 @@ pub trait ServeBackend {
         false
     }
     /// Durably record one cycle boundary: the loop's full continuation
-    /// plus the responses appended since the previous commit. Returning
-    /// `false` halts the replay immediately — the supervisor's fault
-    /// injection uses this to simulate a crash in the window between
-    /// commit and emission. Only called when
-    /// [`ServeBackend::wants_commits`] is `true`.
+    /// plus the responses appended since the previous commit, which the
+    /// loop emits only after this returns `true`. Returning `false`
+    /// halts the replay immediately — the supervisor's fault injection
+    /// uses this to simulate a crash in the window between commit and
+    /// emission. Only called when [`ServeBackend::wants_commits`] is
+    /// `true`.
     fn commit_cycle(
         &mut self,
         checkpoint: &ServeCheckpoint,
@@ -362,7 +359,7 @@ pub fn serve_trace_backend<B: ServeBackend>(
     workers: usize,
     session: &ServeSession,
 ) -> (Vec<PlanResponse>, ServeStats) {
-    serve_trace_resumable(backend, trace, workers, session, None)
+    serve_trace_resumable(backend, trace, workers, session, None, &mut |_, _| {})
 }
 
 /// [`serve_trace_backend`] with an optional resume point. `resume` is
@@ -372,14 +369,21 @@ pub fn serve_trace_backend<B: ServeBackend>(
 /// stats from it and serves only the remainder,
 /// producing exactly the responses the dead process had not yet
 /// committed (the backend's own state — cache, books, epoch — must
-/// already have been rebuilt by its recovery path). With `resume: None`
-/// this is `serve_trace_backend`.
+/// already have been rebuilt by its recovery path).
+///
+/// `emit` receives each response, tagged with its global stream index,
+/// once [`ServeBackend::commit_cycle`] has accepted the commit that
+/// covers it: commit first, then the backend's crash check (a `false`
+/// return halts before anything of that cycle is emitted), then emit.
+/// A backend that does not want commits never emits. With `resume:
+/// None` and a no-op `emit` this is `serve_trace_backend`.
 pub fn serve_trace_resumable<B: ServeBackend>(
     backend: &mut B,
     trace: &ArrivalTrace,
     workers: usize,
     session: &ServeSession,
     resume: Option<ServeCheckpoint>,
+    emit: &mut dyn FnMut(u64, &PlanResponse),
 ) -> (Vec<PlanResponse>, ServeStats) {
     assert!(workers >= 1, "the pool needs at least one worker");
     let cfg = backend.config().clone();
@@ -390,9 +394,6 @@ pub fn serve_trace_resumable<B: ServeBackend>(
     refreshes.sort_by(|a, b| a.at_tick.total_cmp(&b.at_tick));
 
     let mut queue = AdmissionQueue::new(cfg.queue_capacity);
-    if let Some(quota) = cfg.tenant_quota {
-        queue = queue.with_tenant_quota(quota);
-    }
     let mut stats;
     let mut refresh_next;
     let mut retries: Vec<PendingCheckpoint>;
@@ -468,9 +469,8 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             }
         }
 
-        // Admit everything that has arrived by now. Quota breaches
-        // reject the offending tenant only; a full queue first tries
-        // to shed a waiter whose canonical deadline has already
+        // Admit everything that has arrived by now. A full queue first
+        // tries to shed a waiter whose canonical deadline has already
         // expired in queue, and rejects the newcomer only when every
         // waiter is still viable: viable work is never sacrificed to
         // a forecast.
@@ -479,60 +479,41 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             let seq = next as u64;
             let tenant = request.tenant;
             next += 1;
-            match queue.try_admit(seq, at_tick, request.clone()) {
-                Ok(()) => {}
-                Err(e @ DecoError::QuotaExceeded { .. }) => {
-                    stats.rejected_quota += 1;
+            let Err(full) = queue.try_admit(seq, at_tick, request.clone()) else {
+                continue;
+            };
+            let refusal = match queue.shed_unmeetable(now, cfg.deadline_bucket) {
+                Some(victim) => {
+                    stats.shed += 1;
+                    shed_pending += 1;
+                    let cd = canonical_deadline(victim.request.deadline, cfg.deadline_bucket);
                     responses.push(PlanResponse {
-                        seq,
-                        tenant,
+                        seq: victim.seq,
+                        tenant: victim.request.tenant,
                         key: 0,
-                        outcome: ServeOutcome::Rejected {
-                            reason: e.to_string(),
+                        outcome: ServeOutcome::Shed {
+                            reason: format!(
+                                "canonical deadline {cd} already unmeetable \
+                                     at queue overflow"
+                            ),
                         },
                     });
+                    match queue.try_admit(seq, at_tick, request) {
+                        Ok(()) => continue,
+                        Err(e) => e,
+                    }
                 }
-                Err(e) => match queue.shed_unmeetable(now, cfg.deadline_bucket) {
-                    Some(victim) => {
-                        stats.shed += 1;
-                        shed_pending += 1;
-                        let cd = canonical_deadline(victim.request.deadline, cfg.deadline_bucket);
-                        responses.push(PlanResponse {
-                            seq: victim.seq,
-                            tenant: victim.request.tenant,
-                            key: 0,
-                            outcome: ServeOutcome::Shed {
-                                reason: format!(
-                                    "canonical deadline {cd} already unmeetable \
-                                         at queue overflow"
-                                ),
-                            },
-                        });
-                        if let Err(e2) = queue.try_admit(seq, at_tick, request) {
-                            stats.rejected_overload += 1;
-                            responses.push(PlanResponse {
-                                seq,
-                                tenant,
-                                key: 0,
-                                outcome: ServeOutcome::Rejected {
-                                    reason: e2.to_string(),
-                                },
-                            });
-                        }
-                    }
-                    None => {
-                        stats.rejected_overload += 1;
-                        responses.push(PlanResponse {
-                            seq,
-                            tenant,
-                            key: 0,
-                            outcome: ServeOutcome::Rejected {
-                                reason: e.to_string(),
-                            },
-                        });
-                    }
+                None => full,
+            };
+            stats.rejected_overload += 1;
+            responses.push(PlanResponse {
+                seq,
+                tenant,
+                key: 0,
+                outcome: ServeOutcome::Rejected {
+                    reason: refusal.to_string(),
                 },
-            }
+            });
         }
 
         let batch = queue.drain_batch(cfg.batch_size);
@@ -580,6 +561,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
                 emitted_base,
                 &mut committed,
                 &responses,
+                emit,
             );
             if !go {
                 // The backend vetoed continuation: a simulated crash in
@@ -606,6 +588,7 @@ pub fn serve_trace_resumable<B: ServeBackend>(
             emitted_base,
             &mut committed,
             &responses,
+            emit,
         );
     }
 
@@ -614,10 +597,11 @@ pub fn serve_trace_resumable<B: ServeBackend>(
 }
 
 /// Build the cycle-commit checkpoint and hand it — plus the responses
-/// appended since the previous commit — to the backend. `stats` grows
-/// with the run, so it is lent to the checkpoint for the call and moved
-/// back, never copied; `cycle_rows` stay behind
-/// (observability, not digested, not checkpointed).
+/// appended since the previous commit — to the backend, then emit those
+/// responses if the backend accepted the commit. `stats` grows with the
+/// run, so it is lent to the checkpoint for the call and moved back,
+/// never copied; `cycle_rows` stay behind (observability, not digested,
+/// not checkpointed).
 #[allow(clippy::too_many_arguments)]
 fn commit_boundary<B: ServeBackend>(
     backend: &mut B,
@@ -630,6 +614,7 @@ fn commit_boundary<B: ServeBackend>(
     emitted_base: u64,
     committed: &mut usize,
     responses: &[PlanResponse],
+    emit: &mut dyn FnMut(u64, &PlanResponse),
 ) -> bool {
     let cycle_rows = std::mem::take(&mut stats.cycle_rows);
     let ck = ServeCheckpoint {
@@ -641,11 +626,18 @@ fn commit_boundary<B: ServeBackend>(
         stats: std::mem::take(stats),
         emitted: emitted_base + responses.len() as u64,
     };
-    let new = &responses[*committed..];
+    let base = *committed;
     *committed = responses.len();
+    let new = &responses[base..];
     let go = backend.commit_cycle(&ck, new);
     *stats = ck.stats;
     stats.cycle_rows = cycle_rows;
+    if go {
+        let first = emitted_base + base as u64;
+        for (i, r) in new.iter().enumerate() {
+            emit(first + i as u64, r);
+        }
+    }
     go
 }
 
@@ -1369,37 +1361,6 @@ mod tests {
             stats.waits
         );
         assert_eq!(stats.cycles, 2);
-    }
-
-    #[test]
-    fn tenant_quota_rejections_are_typed_and_counted() {
-        let config = ServeConfig {
-            tenant_quota: Some(1),
-            batch_size: 4,
-            ..ServeConfig::default()
-        };
-        let mut server = PlanServer::new(small_deco(), config);
-        let trace = ArrivalTrace::new(vec![
-            Arrival {
-                at_tick: 0.0,
-                request: request(1, 7),
-            },
-            Arrival {
-                at_tick: 0.0,
-                request: request(1, 11), // tenant 1 again: over quota
-            },
-            Arrival {
-                at_tick: 0.0,
-                request: request(2, 13), // tenant 2: admitted
-            },
-        ]);
-        let (responses, stats) = server.serve_trace(&trace, 1);
-        assert_eq!(stats.rejected_quota, 1);
-        assert_eq!(stats.rejected_overload, 0);
-        assert_eq!(stats.planned, 2);
-        assert!(responses[1]
-            .canonical_line()
-            .contains("quota exceeded: tenant 1"));
     }
 
     #[test]

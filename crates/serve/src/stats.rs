@@ -141,8 +141,6 @@ pub struct ServeStats {
     pub rejected_overload: u64,
     /// Requests refused for structural invalidity.
     pub rejected_invalid: u64,
-    /// Requests refused by a per-tenant quota breach.
-    pub rejected_quota: u64,
     /// Cold solves where even the fallback chain failed.
     pub solve_failures: u64,
     /// Cache entries evicted by LRU pressure.
@@ -221,8 +219,7 @@ impl ServeStats {
     /// True when none of the robustness counters fired — the run behaved
     /// exactly like a pre-fault server and must digest identically to one.
     fn robustness_quiet(&self) -> bool {
-        self.rejected_quota == 0
-            && self.shed == 0
+        self.shed == 0
             && self.worker_crashes == 0
             && self.retries == 0
             && self.escalated == 0
@@ -234,7 +231,9 @@ impl ServeStats {
     /// Canonical single-line rendering (floats as raw bits) for
     /// byte-comparison across worker counts. Robustness counters are
     /// appended only when at least one fired, keeping quiescent runs
-    /// byte-identical to the pre-fault format.
+    /// byte-identical to the pre-fault format. `rej_quota=0` is a
+    /// retired counter (a per-tenant queue quota), kept as literal text
+    /// so stats digests do not move.
     pub fn canonical_line(&self) -> String {
         let mut line = format!(
             "requests={} planned={} hits={} misses={} coalesced={} \
@@ -260,9 +259,8 @@ impl ServeStats {
         );
         if !self.robustness_quiet() {
             line.push_str(&format!(
-                " rej_quota={} shed={} crashes={} retries={} escalated={} \
+                " rej_quota=0 shed={} crashes={} retries={} escalated={} \
                  quarantined={} refreshes={} straggler_ticks={:016x}",
-                self.rejected_quota,
                 self.shed,
                 self.worker_crashes,
                 self.retries,

@@ -4,7 +4,7 @@
 //! ([`deco_serve::WorkerFaultPlan`]); this module injects the next
 //! failure domain up: a whole shard process dying and restarting between
 //! solve cycles. Draws follow the same discipline — a domain-separated
-//! [`StableHasher`](deco_prob::hash::StableHasher) digest of the seed,
+//! [`StableHasher`] digest of the seed,
 //! keyed by **(shard, cycle)** — so a restart schedule is a pure value:
 //! identical across platforms and physical thread counts, and
 //! independent of which requests the trace happens to contain.

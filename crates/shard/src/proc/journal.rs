@@ -553,8 +553,8 @@ impl SupervisorJournal {
     }
 
     /// Buffer one mutation frame into the open group. Infallible by
-    /// design: the bytes become durable at the sealing [`seal`]
-    /// (Self::seal), and a crash before that loses exactly the frames
+    /// design: the bytes become durable at the sealing
+    /// [`seal`](Self::seal), and a crash before that loses exactly the frames
     /// recovery would discard as a torn group anyway.
     pub fn append(&mut self, frame: &JournalFrame) {
         self.stats.appends += 1;

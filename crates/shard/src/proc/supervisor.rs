@@ -32,7 +32,13 @@
 //! * every wait runs on one event pump (`Inner::next_event`), which
 //!   applies acks and owns all failure detection; a waiter keeps only
 //!   the frame it waits for and, after a revive, re-sends what the
-//!   replay buffer does not carry (its `AssignJobs` or `CycleBarrier`).
+//!   replay buffer does not carry (its `AssignJobs` or `CycleBarrier`);
+//! * the supervisor answers the loop's commit hooks itself: it wants
+//!   commits only inside [`ShardSupervisor::serve_trace_journaled`],
+//!   where each `commit_cycle` seals the cycle into the journal and then
+//!   fires any scheduled supervisor crash; the serve loop emits the
+//!   cycle's responses only after that returns `true` — commit, then
+//!   crash check, then emit.
 
 use super::journal::{CommitRef, JournalFrame, ShardHealth, SupervisorJournal};
 use super::monitor::{Liveness, LivenessMonitor};
@@ -509,6 +515,15 @@ struct Inner {
     cycle: u64,
     fault_plan: ShardFaultPlan,
     chaos_kills: ShardFaultPlan,
+    /// The journaled replay in flight: its supervisor crash schedule.
+    /// `Some` only inside `serve_trace_journaled`, and the tier wants
+    /// cycle commits exactly then.
+    crash_plan: Option<SupervisorFaultPlan>,
+    /// Serve-loop cycles whose commit has been processed — the crash
+    /// schedule keys on the global cycle count, resume-aware.
+    committed_cycles: u64,
+    /// A `Halt` crash stopped the journaled replay.
+    halted: bool,
     stats: SuperviseStats,
     config: SuperviseConfig,
     /// Current engine bytes for `Hello` — refreshed on calibration swap.
@@ -555,6 +570,9 @@ impl Inner {
             cycle: 0,
             fault_plan: ShardFaultPlan::quiescent(),
             chaos_kills: ShardFaultPlan::quiescent(),
+            crash_plan: None,
+            committed_cycles: 0,
+            halted: false,
             stats: SuperviseStats::default(),
             config: config.clone(),
             engine: encode_engine(deco),
@@ -1199,6 +1217,68 @@ impl Inner {
         }
     }
 
+    /// Seal one cycle into the journal, then fire any scheduled
+    /// supervisor crash. `false` halts the replay before the serve loop
+    /// emits the cycle's responses, so everything the caller ever sees
+    /// is provable from the journal.
+    fn commit_cycle(
+        &mut self,
+        checkpoint: &ServeCheckpoint,
+        new_responses: &[PlanResponse],
+    ) -> bool {
+        // 1. Seal the cycle. A journal write failure degrades the run to
+        //    unjournaled (counted and reported, never fatal): serving
+        //    availability outranks failover cover, and the torn tail
+        //    stays harmless — recovery discards anything after the last
+        //    sealed commit.
+        if let Some(j) = self.journal.as_mut() {
+            let shard_seqs: Vec<u64> = self.children.iter().map(|c| c.seq).collect();
+            let shard_health: Vec<ShardHealth> = self
+                .children
+                .iter()
+                .map(|c| ShardHealth {
+                    strikes: c.monitor.strikes(),
+                    quarantined: c.monitor.state() == Liveness::Quarantined,
+                })
+                .collect();
+            let lines: Vec<String> = new_responses.iter().map(|r| r.canonical_line()).collect();
+            let rec = CommitRef {
+                cycle: self.cycle,
+                clock: self.books.clock(),
+                shard_seqs: &shard_seqs,
+                shard_health: &shard_health,
+                serve: checkpoint,
+                lines: &lines,
+            };
+            if let Err(e) = j.seal(rec) {
+                eprintln!(
+                    "deco-shard: supervisor journal lost at cycle {}, serving on \
+                     without failover cover: {e}",
+                    self.cycle
+                );
+                self.stats.journal_failures += 1;
+                self.stats.journal_lost_at_cycle = Some(self.cycle);
+                self.journal = None;
+            }
+        }
+        // 2. Scheduled self-crash: after the durable commit, before the
+        //    serve loop emits — the widest window a failover must close.
+        if checkpoint.stats.cycles > self.committed_cycles {
+            let completed = checkpoint.stats.cycles - 1;
+            self.committed_cycles = checkpoint.stats.cycles;
+            let firing = self.crash_plan.as_ref().filter(|p| p.fires_at(completed));
+            match firing.map(SupervisorFaultPlan::mode) {
+                Some(SupervisorCrashMode::Abort) => std::process::abort(),
+                Some(SupervisorCrashMode::Halt) => {
+                    self.halted = true;
+                    return false;
+                }
+                None => {}
+            }
+        }
+        true
+    }
+
     fn shutdown(&mut self) {
         for si in 0..self.children.len() {
             if let Some(stdin) = self.children[si].stdin.as_mut() {
@@ -1520,38 +1600,30 @@ impl ShardSupervisor {
         resume: Option<ServeCheckpoint>,
         emit: &mut dyn FnMut(u64, &PlanResponse),
     ) -> (Vec<PlanResponse>, ServeStats, bool) {
+        let workers = self.config.workers_per_shard;
         {
             let inner = self.inner_mut();
             inner.fault_plan = session.shard_faults.clone();
             inner.chaos_kills = session.chaos_kills.clone();
+            inner.crash_plan = Some(session.supervisor.clone());
+            // A resumed run has already committed (and re-emitted) every
+            // cycle the checkpoint covers; the crash schedule must count
+            // completed cycles from there, not from zero.
+            inner.committed_cycles = resume.as_ref().map_or(0, |ck| ck.stats.cycles);
+            inner.halted = false;
             // A resumed run continues the wait log the journal
             // recovered; a fresh one restarts it.
             if let (None, Some(j)) = (&resume, inner.journal.as_mut()) {
                 j.restart_waits();
             }
         }
-        let workers = self.config.workers_per_shard;
-        // A resumed run has already committed (and re-emitted) every
-        // cycle the checkpoint covers; the crash schedule must count
-        // completed cycles from there, not from zero.
-        let committed_cycles = resume.as_ref().map(|ck| ck.stats.cycles).unwrap_or(0);
-        let mut run = JournaledRun {
-            sup: self,
-            emit,
-            faults: session.supervisor.clone(),
-            committed_cycles,
-            halted: false,
-        };
         let (responses, stats) =
-            serve_trace_resumable(&mut run, trace, workers, &session.serve, resume);
-        let halted = run.halted;
-        drop(run);
-        {
-            let inner = self.inner_mut();
-            inner.fault_plan = ShardFaultPlan::quiescent();
-            inner.chaos_kills = ShardFaultPlan::quiescent();
-        }
-        (responses, stats, halted)
+            serve_trace_resumable(self, trace, workers, &session.serve, resume, emit);
+        let inner = self.inner_mut();
+        inner.fault_plan = ShardFaultPlan::quiescent();
+        inner.chaos_kills = ShardFaultPlan::quiescent();
+        inner.crash_plan = None;
+        (responses, stats, inner.halted)
     }
 }
 
@@ -1649,88 +1721,9 @@ impl ServeBackend for ShardSupervisor {
             restarts: inner.stats.restarts,
         }
     }
-}
-
-/// The journaled replay's backend: full delegation to the supervisor,
-/// plus cycle commits. Each `commit_cycle` seals the pending mutation
-/// frames behind a commit record (the serve-loop continuation, every
-/// shard's seq high-water mark and health verdict, and the cycle's
-/// canonical response lines), *then* fires any scheduled supervisor
-/// crash, *then* emits — so everything the caller ever sees is provable
-/// from the journal.
-struct JournaledRun<'a> {
-    sup: &'a mut ShardSupervisor,
-    emit: &'a mut dyn FnMut(u64, &PlanResponse),
-    faults: SupervisorFaultPlan,
-    /// Serve-loop cycles whose commit has been processed — the crash
-    /// schedule keys on the global cycle count, resume-aware.
-    committed_cycles: u64,
-    halted: bool,
-}
-
-impl ServeBackend for JournaledRun<'_> {
-    fn deco(&self) -> &Deco {
-        &self.sup.deco
-    }
-
-    fn config(&self) -> &ServeConfig {
-        &self.sup.config.serve
-    }
-
-    fn cache_get(&mut self, key: u64) -> Option<SupervisedPlan> {
-        self.sup.cache_get(key)
-    }
-
-    fn cache_insert(&mut self, key: u64, plan: &SupervisedPlan, epoch: u64) -> usize {
-        self.sup.cache_insert(key, plan, epoch)
-    }
-
-    fn cache_purge_stale(&mut self, epoch: u64) -> usize {
-        self.sup.cache_purge_stale(epoch)
-    }
-
-    fn is_key_quarantined(&self, key: u64) -> bool {
-        self.sup.is_key_quarantined(key)
-    }
-
-    fn strike_count(&self, key: u64) -> Option<u32> {
-        self.sup.strike_count(key)
-    }
-
-    fn add_strike(&mut self, key: u64) -> u32 {
-        self.sup.add_strike(key)
-    }
-
-    fn quarantine_key(&mut self, key: u64) {
-        self.sup.quarantine_key(key)
-    }
-
-    fn clear_strikes(&mut self, key: u64) {
-        self.sup.clear_strikes(key)
-    }
-
-    fn solve_jobs(
-        &self,
-        jobs: Vec<SolveJob>,
-        workers: usize,
-    ) -> BTreeMap<u64, (SearchBudget, Result<SupervisedPlan, DecoError>)> {
-        self.sup.solve_jobs(jobs, workers)
-    }
-
-    fn refresh_calibration(&mut self, store: MetadataStore) -> (u64, usize) {
-        self.sup.refresh_calibration(store)
-    }
-
-    fn on_cycle_boundary(&mut self, cycle: u64) {
-        self.sup.on_cycle_boundary(cycle)
-    }
-
-    fn observability(&self) -> BackendObservability {
-        self.sup.observability()
-    }
 
     fn wants_commits(&self) -> bool {
-        true
+        self.inner().crash_plan.is_some()
     }
 
     fn commit_cycle(
@@ -1738,63 +1731,7 @@ impl ServeBackend for JournaledRun<'_> {
         checkpoint: &ServeCheckpoint,
         new_responses: &[PlanResponse],
     ) -> bool {
-        // 1. Seal the cycle. A journal write failure degrades the run to
-        //    unjournaled (counted and reported, never fatal): serving
-        //    availability outranks failover cover, and the torn tail
-        //    stays harmless — recovery discards anything after the last
-        //    sealed commit.
-        let inner = self.sup.inner_mut();
-        if let Some(j) = inner.journal.as_mut() {
-            let shard_seqs: Vec<u64> = inner.children.iter().map(|c| c.seq).collect();
-            let shard_health: Vec<ShardHealth> = inner
-                .children
-                .iter()
-                .map(|c| ShardHealth {
-                    strikes: c.monitor.strikes(),
-                    quarantined: c.monitor.state() == Liveness::Quarantined,
-                })
-                .collect();
-            let lines: Vec<String> = new_responses.iter().map(|r| r.canonical_line()).collect();
-            let rec = CommitRef {
-                cycle: inner.cycle,
-                clock: inner.books.clock(),
-                shard_seqs: &shard_seqs,
-                shard_health: &shard_health,
-                serve: checkpoint,
-                lines: &lines,
-            };
-            if let Err(e) = j.seal(rec) {
-                eprintln!(
-                    "deco-shard: supervisor journal lost at cycle {}, serving on \
-                     without failover cover: {e}",
-                    inner.cycle
-                );
-                inner.stats.journal_failures += 1;
-                inner.stats.journal_lost_at_cycle = Some(inner.cycle);
-                inner.journal = None;
-            }
-        }
-        // 2. Scheduled self-crash: after the durable commit, before any
-        //    emission — the widest window a failover must close.
-        if checkpoint.stats.cycles > self.committed_cycles {
-            let completed = checkpoint.stats.cycles - 1;
-            self.committed_cycles = checkpoint.stats.cycles;
-            if self.faults.fires_at(completed) {
-                match self.faults.mode() {
-                    SupervisorCrashMode::Abort => std::process::abort(),
-                    SupervisorCrashMode::Halt => {
-                        self.halted = true;
-                        return false;
-                    }
-                }
-            }
-        }
-        // 3. Emit the now-provable lines, stamped with stream indices.
-        let base = checkpoint.emitted - new_responses.len() as u64;
-        for (i, r) in new_responses.iter().enumerate() {
-            (self.emit)(base + i as u64, r);
-        }
-        true
+        self.inner_mut().commit_cycle(checkpoint, new_responses)
     }
 }
 

@@ -806,10 +806,7 @@ mod tests {
                 key: 77,
                 deadline: 3600.0,
                 percentile: 0.9,
-                budget: SearchBudget {
-                    ticks: Some(500.0),
-                    wall_seconds: None,
-                },
+                budget: SearchBudget { ticks: Some(500.0) },
                 workflow: wf.clone(),
             }],
         };

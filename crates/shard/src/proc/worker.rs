@@ -5,7 +5,7 @@
 //! [`PlanStore`], plus a solver pool. It makes no decisions: every
 //! mutation frame is the supervisor's, folded with
 //! [`Partition::apply`] and logged when it changes something. It speaks the
-//! [`Frame`](super::wire::Frame) protocol on stdin/stdout: the main
+//! [`Frame`] protocol on stdin/stdout: the main
 //! thread processes frames strictly serially (which is what makes a
 //! `BarrierAck` acknowledge everything before it), while a dedicated
 //! heartbeat thread keeps beating even when the main thread is deep in

@@ -9,18 +9,14 @@ use std::time::Instant;
 /// An anytime budget for one search (Section 6's requirement that solver
 /// overhead stays small relative to workflow makespan).
 ///
-/// The primary budget is **deterministic**: device-model ticks computed by
+/// The budget is **deterministic**: device-model ticks computed by
 /// [`deco_gpu::model_ticks`] from launch shapes alone, so the same seed and
 /// the same budget always truncate at the same batch boundary and return
-/// the same incumbent. The wall-clock guard is an optional safety net for
-/// pathological evaluators; it trades that reproducibility for a hard
-/// real-time ceiling, so leave it `None` in deterministic pipelines.
+/// the same incumbent. No host clock enters it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchBudget {
-    /// Deterministic budget in device-model ticks ([`deco_gpu::model_ticks`]).
+    /// Budget in device-model ticks ([`deco_gpu::model_ticks`]).
     pub ticks: Option<f64>,
-    /// Non-deterministic wall-clock guard in host seconds.
-    pub wall_seconds: Option<f64>,
 }
 
 impl SearchBudget {
@@ -29,16 +25,13 @@ impl SearchBudget {
         SearchBudget::default()
     }
 
-    /// A deterministic tick budget with no wall-clock guard.
+    /// A tick budget.
     pub fn ticks(ticks: f64) -> Self {
-        SearchBudget {
-            ticks: Some(ticks),
-            wall_seconds: None,
-        }
+        SearchBudget { ticks: Some(ticks) }
     }
 
     pub fn is_unlimited(&self) -> bool {
-        self.ticks.is_none() && self.wall_seconds.is_none()
+        self.ticks.is_none()
     }
 
     /// Remaining tick budget after `spent`, floored at zero. Unlimited
@@ -46,15 +39,11 @@ impl SearchBudget {
     pub fn minus_ticks(&self, spent: f64) -> Self {
         SearchBudget {
             ticks: self.ticks.map(|t| (t - spent).max(0.0)),
-            wall_seconds: self.wall_seconds,
         }
     }
 
-    fn exhausted(&self, spent_ticks: f64, t0: &Instant) -> bool {
+    fn exhausted(&self, spent_ticks: f64) -> bool {
         self.ticks.is_some_and(|b| spent_ticks >= b)
-            || self
-                .wall_seconds
-                .is_some_and(|b| t0.elapsed().as_secs_f64() >= b)
     }
 }
 
@@ -226,11 +215,7 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
                 improved = true;
             }
         }
-        if self
-            .opts
-            .budget
-            .exhausted(self.stats.budget_spent, &self.t0)
-        {
+        if self.opts.budget.exhausted(self.stats.budget_spent) {
             self.stats.truncated = true;
             return None;
         }

@@ -2,8 +2,8 @@
 //! ProLog built-ins the paper's programs use (Section 4.1).
 //!
 //! Clauses are compiled once, when they are asserted, into node templates
-//! with interned symbols and per-clause variable numbers (see
-//! [`crate::unify`]). Activating a clause reserves a block of binding slots
+//! with interned symbols and per-clause variable numbers (see the
+//! private `unify` module). Activating a clause reserves a block of binding slots
 //! instead of renaming the clause.
 //!
 //! Resolution is a loop over explicit stacks. The goals still to prove are

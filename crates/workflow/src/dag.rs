@@ -275,11 +275,6 @@ impl Workflow {
         (path, len)
     }
 
-    /// Sum of `weight(t)` over every task (Equation (1)'s total-cost shape).
-    pub fn total_weight(&self, weight: impl Fn(TaskId) -> f64) -> f64 {
-        self.task_ids().map(weight).sum()
-    }
-
     /// Scale every task profile and edge payload by `factor`. The
     /// scientific-application generators use this to bring their published
     /// per-task profile *shapes* up to the data scales the paper describes
@@ -457,12 +452,6 @@ mod tests {
         assert_eq!(w.input_bytes(d), 10.0);
         assert_eq!(w.input_bytes(a), 0.0);
         let _ = c;
-    }
-
-    #[test]
-    fn total_weight_sums_all_tasks() {
-        let (w, _) = diamond();
-        assert_eq!(w.total_weight(|_| 2.0), 8.0);
     }
 
     #[test]
