@@ -255,9 +255,10 @@ pub struct SuperviseSession {
     /// SIGKILLs delivered right after `AssignJobs` — detection must flow
     /// through EOF and heartbeats, never through this schedule.
     pub chaos_kills: ShardFaultPlan,
-    /// Supervisor self-crash schedule, honored only by
-    /// [`ShardSupervisor::serve_trace_journaled`] (the journaled driver
-    /// is what makes dying survivable).
+    /// Supervisor self-crash schedule, honored only by journaled runs:
+    /// [`ShardSupervisor::serve_trace_journaled`], and
+    /// [`ShardSupervisor::serve_trace_session`] on a supervisor with a
+    /// `journal_dir` (the journal is what makes dying survivable).
     pub supervisor: SupervisorFaultPlan,
 }
 
@@ -1553,12 +1554,19 @@ impl ShardSupervisor {
     /// Byte-identical to `PlanServer::serve_trace_session` on the same
     /// `(trace, session.serve)` for any shard count — including under
     /// `shard_faults` rotations and `chaos_kills` SIGKILLs when
-    /// persistence is on.
+    /// persistence is on. With a `journal_dir`, this is a fresh
+    /// [`serve_trace_journaled`](Self::serve_trace_journaled) run that
+    /// emits nowhere, so every cycle is sealed.
     pub fn serve_trace_session(
         &mut self,
         trace: &ArrivalTrace,
         session: &SuperviseSession,
     ) -> (Vec<PlanResponse>, ServeStats) {
+        if self.config.journal_dir.is_some() {
+            let (responses, stats, _) =
+                self.serve_trace_journaled(trace, session, None, &mut |_, _| {});
+            return (responses, stats);
+        }
         {
             let inner = self.inner_mut();
             inner.fault_plan = session.shard_faults.clone();

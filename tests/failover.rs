@@ -837,6 +837,51 @@ fn a_version_1_journal_starts_the_supervisor_fresh() {
     }
 }
 
+/// A plain `serve_trace` on a supervisor with a journal is a journaled
+/// run: every cycle is sealed, so the journal covers the run and the next
+/// journaled run's groups hold only the frames that run appended — none
+/// left over from the plain one.
+fn a_plain_run_on_a_journaled_supervisor_seals_every_cycle() {
+    let n = 64;
+    let (ref_lines, ref_stats) = reference(n, &ServeSession::default());
+    let journal = temp_dir(TMP, "plain_j");
+    let persist = temp_dir(TMP, "plain_p");
+    let deco = small_deco();
+    let trace = spread_trace(&deco.store.spec, n);
+    let mut config = supervise_config(2, persist.clone(), journal.clone(), None);
+    config.snapshot_every = 0; // keep every commit group in the WAL
+    let mut tier = ShardSupervisor::new(deco, config).expect("tier");
+    let (responses, stats) = tier.serve_trace(&trace);
+    assert_eq!(lines(&responses), ref_lines);
+    assert_eq!(stats.digest(), ref_stats.digest());
+    let plain = tier.stats();
+    // One seal per cycle, and the final flush that records the trace's end.
+    let seals = stats.cycles + 1;
+    assert_eq!(plain.journal_commits, seals);
+    let wal = std::fs::read(journal.join(WAL_FILE)).expect("journal wal exists");
+    assert!(!wal.is_empty(), "the plain run left its journal empty");
+    assert_eq!(journal_groups(&wal).len() as u64, seals);
+
+    let mut emit = |_: u64, _: &PlanResponse| {};
+    let (_, _, halted) =
+        tier.serve_trace_journaled(&trace, &SuperviseSession::default(), None, &mut emit);
+    assert!(!halted);
+    let appended = tier.stats().journal_appends - plain.journal_appends;
+    assert!(appended > 0, "the journaled run appends its own frames");
+    let after = std::fs::read(journal.join(WAL_FILE)).expect("journal wal exists");
+    let groups = journal_groups(&after[wal.len()..]);
+    assert_eq!(
+        groups.iter().map(|g| g.mutations).sum::<u64>(),
+        appended,
+        "the journaled run sealed frames it did not append"
+    );
+    assert_eq!(groups[0].wait_blocks.first().map(|b| b.0), Some(0));
+    drop(tier);
+    for d in [&journal, &persist] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
 // ---------------------------------------------------------------------------
 
 fn main() {
@@ -888,6 +933,10 @@ fn main() {
         (
             "a_version_1_journal_starts_the_supervisor_fresh",
             a_version_1_journal_starts_the_supervisor_fresh,
+        ),
+        (
+            "a_plain_run_on_a_journaled_supervisor_seals_every_cycle",
+            a_plain_run_on_a_journaled_supervisor_seals_every_cycle,
         ),
     ];
 
