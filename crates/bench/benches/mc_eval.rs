@@ -8,13 +8,16 @@
 //! measured medians and speedups so the trajectory can be tracked without
 //! parsing bench logs. Each case also records the device model's 1-core
 //! time for the same work (`tasks × mc_iters × HOST_SECONDS_PER_CELL`) and
-//! its ratio to the measured `mc_evaluate_plan` time.
+//! its ratio to the measured `mc_evaluate_plan` time, and the time to pack
+//! the case's type vector with `Plan::packed_deadline` at `0.85 ×` the
+//! medium deadline — the packing `SchedulingProblem::plan_of` performs
+//! before every state's kernel pass.
 
 use deco_bench::median_secs;
 use deco_cloud::{CloudSpec, MetadataStore, Plan};
 use deco_core::estimate::{
-    mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier, ExecTimeTable, FrontierScratch,
-    FrontierSkeleton,
+    deadline_anchors, mc_evaluate_plan, mc_evaluate_plan_reference, CompiledFrontier,
+    ExecTimeTable, FrontierScratch, FrontierSkeleton,
 };
 use deco_gpu::HOST_SECONDS_PER_CELL;
 use deco_workflow::generators;
@@ -145,7 +148,8 @@ fn main() {
         let table = ExecTimeTable::build(wf, &store, HIST_BINS);
         let skel = FrontierSkeleton::build(wf, &table);
         let mut scratch = FrontierScratch::new();
-        let plan = Plan::packed(wf, &vec![1; wf.len()], 0, &spec);
+        let types = vec![1; wf.len()];
+        let plan = Plan::packed(wf, &types, 0, &spec);
         let one = std::slice::from_ref(&plan);
         let deadline = 0.75
             * mc_evaluate_plan_reference(wf, &plan, &table, &spec, f64::INFINITY, 0.9, 32, SEED)
@@ -287,6 +291,17 @@ fn main() {
             7,
             budget,
         );
+        // The search's packing of one state: its safety factor times the
+        // medium deadline.
+        let (dmin, dmax) = deadline_anchors(wf, &spec);
+        let pack_deadline = 0.85 * 0.5 * (dmin + dmax);
+        let plan_of_s = median_secs(
+            || {
+                black_box(Plan::packed_deadline(wf, &types, 0, &spec, pack_deadline));
+            },
+            7,
+            budget,
+        );
         let speedup = ref_s / k1_s;
         // The device model's 1-core time for the same work, beside the
         // measured one: a drifting ratio means `HOST_SECONDS_PER_CELL` no
@@ -308,19 +323,21 @@ fn main() {
         }
         println!(
             "mc_eval {:<12} tasks={:<5} slots={:<5} reference {:>10.1} us  frontier_k1 {:>10.1} us  \
-             mc_evaluate_plan {:>10.1} us  speedup {:.2}x",
+             mc_evaluate_plan {:>10.1} us  speedup {:.2}x  plan_of {:>10.1} us",
             case.name,
             wf.len(),
             plan.slots.len(),
             ref_s * 1e6,
             k1_s * 1e6,
             fresh_s * 1e6,
-            speedup
+            speedup,
+            plan_of_s * 1e6
         );
         rows.push(format!(
             "    {{\"name\": \"{}\", \"tasks\": {}, \"mc_iters\": {}, \
              \"reference_us\": {:.3}, \"frontier_k1_us\": {:.3}, \"mc_evaluate_plan_us\": {:.3}, \
-             \"speedup\": {:.3}, \"modeled_1core_us\": {:.3}, \"modeled_over_measured\": {:.3}}}",
+             \"speedup\": {:.3}, \"modeled_1core_us\": {:.3}, \"modeled_over_measured\": {:.3}, \
+             \"plan_of_us\": {:.3}}}",
             case.name,
             wf.len(),
             MC_ITERS,
@@ -329,7 +346,8 @@ fn main() {
             fresh_s * 1e6,
             speedup,
             modeled_s * 1e6,
-            model_ratio
+            model_ratio,
+            plan_of_s * 1e6
         ));
     }
 
