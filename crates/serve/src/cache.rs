@@ -38,27 +38,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hasher;
 
 /// Domain-separation seed: bump when the key derivation changes shape.
+/// The workflow field's seed (`KEY_DOMAIN ^ 0x0DA6`) lives with the
+/// digest it seeds, in [`Workflow::shape_hash`].
 const KEY_DOMAIN: u64 = 0x5E72_ECAC_4E00_0001;
 
 /// Canonical structural hash of a workflow: profiles and edges, no names.
+/// Computed once per shared graph ([`Workflow::shape_hash`]).
 pub fn workflow_shape_hash(wf: &Workflow) -> u64 {
-    let mut h = StableHasher::with_seed(KEY_DOMAIN ^ 0x0DA6);
-    h.write_usize(wf.len());
-    for t in wf.tasks() {
-        h.write_f64(t.profile.cpu_seconds);
-        h.write_f64(t.profile.read_bytes);
-        h.write_f64(t.profile.write_bytes);
-    }
-    // Canonical edge order: (from, to) — insertion order is not content.
-    let mut edges: Vec<(u32, u32, f64)> = wf.edges().map(|e| (e.from.0, e.to.0, e.bytes)).collect();
-    edges.sort_by_key(|e| (e.0, e.1));
-    h.write_usize(edges.len());
-    for (from, to, bytes) in edges {
-        h.write_u32(from);
-        h.write_u32(to);
-        h.write_f64(bytes);
-    }
-    h.finish()
+    wf.shape_hash()
 }
 
 /// Fingerprint of the catalog the planner consults: the epoch (the

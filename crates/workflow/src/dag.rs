@@ -8,7 +8,10 @@
 //! path).
 
 use crate::task::{Task, TaskId, TaskProfile};
+use deco_prob::hash::StableHasher;
 use serde::{Deserialize, Serialize};
+use std::hash::Hasher;
+use std::sync::{Arc, OnceLock};
 
 /// Why path lengths compare: every task weight is checked non-negative, so
 /// no distance is NaN.
@@ -45,27 +48,75 @@ pub struct Edge {
     pub bytes: f64,
 }
 
+/// Seed of the shape digest's hasher. The plan cache derives its key
+/// domains from `0x5E72_ECAC_4E00_0001`; this is that domain's workflow
+/// field. Persisted keys (plan-store WALs, supervisor journals) embed
+/// the digest, so the seed, the field order and the edge order of
+/// [`Workflow::shape_hash`] are fixed.
+const SHAPE_SEED: u64 = 0x5E72_ECAC_4E00_0001 ^ 0x0DA6;
+
 /// A scientific workflow: a DAG of [`Task`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The graph sits behind one [`Arc`], so a clone is a reference-count
+/// bump and clones share one graph until one of them is mutated: every
+/// mutation goes through `graph_mut`, which copies a shared graph first
+/// (copy on write), so no clone ever sees another's changes.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Workflow {
     pub name: String,
+    graph: Arc<Graph>,
+}
+
+/// The part of a [`Workflow`] its clones share.
+#[derive(Debug, Clone, Default)]
+struct Graph {
     tasks: Vec<Task>,
     edges: Vec<Edge>,
     /// children[i] = outgoing edge indices of task i.
     children: Vec<Vec<usize>>,
     /// parents[i] = incoming edge indices of task i.
     parents: Vec<Vec<usize>>,
+    /// [`Workflow::shape_hash`], computed on first use. A cache of the
+    /// fields above: `==` ignores it and `graph_mut` clears it.
+    shape: OnceLock<u64>,
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.tasks == other.tasks
+            && self.edges == other.edges
+            && self.children == other.children
+            && self.parents == other.parents
+    }
+}
+
+impl std::fmt::Debug for Workflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = &*self.graph;
+        f.debug_struct("Workflow")
+            .field("name", &self.name)
+            .field("tasks", &g.tasks)
+            .field("edges", &g.edges)
+            .field("children", &g.children)
+            .field("parents", &g.parents)
+            .finish()
+    }
 }
 
 impl Workflow {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            tasks: Vec::new(),
-            edges: Vec::new(),
-            children: Vec::new(),
-            parents: Vec::new(),
+            graph: Arc::default(),
         }
+    }
+
+    /// The graph, unshared from every clone and with its shape digest
+    /// cleared: the one way in for a mutation.
+    fn graph_mut(&mut self) -> &mut Graph {
+        let g = Arc::make_mut(&mut self.graph);
+        g.shape.take();
+        g
     }
 
     /// Add a task and return its id.
@@ -75,41 +126,75 @@ impl Workflow {
         executable: impl Into<String>,
         profile: TaskProfile,
     ) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(Task::new(id, name, executable, profile));
-        self.children.push(Vec::new());
-        self.parents.push(Vec::new());
+        let g = self.graph_mut();
+        let id = TaskId(g.tasks.len() as u32);
+        g.tasks.push(Task::new(id, name, executable, profile));
+        g.children.push(Vec::new());
+        g.parents.push(Vec::new());
         id
     }
 
     /// Add a data dependency `from -> to` carrying `bytes`.
     pub fn add_edge(&mut self, from: TaskId, to: TaskId, bytes: f64) -> Result<(), WorkflowError> {
-        if from.index() >= self.tasks.len() {
+        let g = &*self.graph;
+        if from.index() >= g.tasks.len() {
             return Err(WorkflowError::UnknownTask(from.to_string()));
         }
-        if to.index() >= self.tasks.len() {
+        if to.index() >= g.tasks.len() {
             return Err(WorkflowError::UnknownTask(to.to_string()));
         }
-        if self.children[from.index()]
+        if g.children[from.index()]
             .iter()
-            .any(|&e| self.edges[e].to == to)
+            .any(|&e| g.edges[e].to == to)
         {
             return Err(WorkflowError::DuplicateEdge(from, to));
         }
         if from == to || self.reaches(to, from) {
             return Err(WorkflowError::Cycle(from, to));
         }
-        let idx = self.edges.len();
-        self.edges.push(Edge { from, to, bytes });
-        self.children[from.index()].push(idx);
-        self.parents[to.index()].push(idx);
+        let g = self.graph_mut();
+        let idx = g.edges.len();
+        g.edges.push(Edge { from, to, bytes });
+        g.children[from.index()].push(idx);
+        g.parents[to.index()].push(idx);
         Ok(())
+    }
+
+    /// Canonical structural digest: task profiles and data edges, no
+    /// names. Edges are hashed in `(from, to)` order, so two workflows
+    /// that add the same edges in a different order share a digest. The
+    /// plan cache keys on it. Computed once per graph: clones share the
+    /// value until one of them is mutated.
+    pub fn shape_hash(&self) -> u64 {
+        *self.graph.shape.get_or_init(|| {
+            let g = &*self.graph;
+            let mut h = StableHasher::with_seed(SHAPE_SEED);
+            h.write_usize(g.tasks.len());
+            for t in &g.tasks {
+                h.write_f64(t.profile.cpu_seconds);
+                h.write_f64(t.profile.read_bytes);
+                h.write_f64(t.profile.write_bytes);
+            }
+            let mut edges: Vec<(u32, u32, f64)> = g
+                .edges
+                .iter()
+                .map(|e| (e.from.0, e.to.0, e.bytes))
+                .collect();
+            edges.sort_by_key(|e| (e.0, e.1));
+            h.write_usize(edges.len());
+            for (from, to, bytes) in edges {
+                h.write_u32(from);
+                h.write_u32(to);
+                h.write_f64(bytes);
+            }
+            h.finish()
+        })
     }
 
     /// Whether `from` reaches `to` through directed edges (DFS).
     fn reaches(&self, from: TaskId, to: TaskId) -> bool {
         let mut stack = vec![from];
-        let mut seen = vec![false; self.tasks.len()];
+        let mut seen = vec![false; self.graph.tasks.len()];
         while let Some(t) = stack.pop() {
             if t == to {
                 return true;
@@ -117,50 +202,54 @@ impl Workflow {
             if std::mem::replace(&mut seen[t.index()], true) {
                 continue;
             }
-            for &e in &self.children[t.index()] {
-                stack.push(self.edges[e].to);
+            for &e in &self.graph.children[t.index()] {
+                stack.push(self.graph.edges[e].to);
             }
         }
         false
     }
 
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.graph.tasks.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.graph.tasks.is_empty()
     }
 
     pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
+        &self.graph.tasks[id.index()]
     }
 
     pub fn tasks(&self) -> impl Iterator<Item = &Task> {
-        self.tasks.iter()
+        self.graph.tasks.iter()
     }
 
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
-        (0..self.tasks.len() as u32).map(TaskId)
+        (0..self.graph.tasks.len() as u32).map(TaskId)
     }
 
     pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter()
+        self.graph.edges.iter()
     }
 
     pub fn children(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.children[id.index()].iter().map(|&e| self.edges[e].to)
+        self.graph.children[id.index()]
+            .iter()
+            .map(|&e| self.graph.edges[e].to)
     }
 
     pub fn parents(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.parents[id.index()].iter().map(|&e| self.edges[e].from)
+        self.graph.parents[id.index()]
+            .iter()
+            .map(|&e| self.graph.edges[e].from)
     }
 
     /// Bytes flowing along edge `from -> to`, if the edge exists.
     pub fn edge_bytes(&self, from: TaskId, to: TaskId) -> Option<f64> {
-        self.children[from.index()]
+        self.graph.children[from.index()]
             .iter()
-            .map(|&e| &self.edges[e])
+            .map(|&e| &self.graph.edges[e])
             .find(|e| e.to == to)
             .map(|e| e.bytes)
     }
@@ -168,46 +257,46 @@ impl Workflow {
     /// Total bytes the task receives from its parents (the migration unit's
     /// transferred data in the follow-the-cost problem).
     pub fn input_bytes(&self, id: TaskId) -> f64 {
-        self.parents[id.index()]
+        self.graph.parents[id.index()]
             .iter()
-            .map(|&e| self.edges[e].bytes)
+            .map(|&e| self.graph.edges[e].bytes)
             .sum()
     }
 
     /// Entry tasks (no parents).
     pub fn roots(&self) -> Vec<TaskId> {
         self.task_ids()
-            .filter(|t| self.parents[t.index()].is_empty())
+            .filter(|t| self.graph.parents[t.index()].is_empty())
             .collect()
     }
 
     /// Exit tasks (no children).
     pub fn sinks(&self) -> Vec<TaskId> {
         self.task_ids()
-            .filter(|t| self.children[t.index()].is_empty())
+            .filter(|t| self.graph.children[t.index()].is_empty())
             .collect()
     }
 
     /// Topological order (Kahn). The graph is acyclic by construction, so
     /// this always succeeds.
     pub fn topo_order(&self) -> Vec<TaskId> {
-        let mut indeg: Vec<usize> = self.parents.iter().map(|p| p.len()).collect();
+        let mut indeg: Vec<usize> = self.graph.parents.iter().map(|p| p.len()).collect();
         let mut queue: Vec<TaskId> = self.task_ids().filter(|t| indeg[t.index()] == 0).collect();
-        let mut order = Vec::with_capacity(self.tasks.len());
+        let mut order = Vec::with_capacity(self.graph.tasks.len());
         let mut head = 0;
         while head < queue.len() {
             let t = queue[head];
             head += 1;
             order.push(t);
-            for &e in &self.children[t.index()] {
-                let c = self.edges[e].to;
+            for &e in &self.graph.children[t.index()] {
+                let c = self.graph.edges[e].to;
                 indeg[c.index()] -= 1;
                 if indeg[c.index()] == 0 {
                     queue.push(c);
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.tasks.len());
+        debug_assert_eq!(order.len(), self.graph.tasks.len());
         order
     }
 
@@ -215,7 +304,7 @@ impl Workflow {
     /// the same level are structurally parallel; the Autoscaling baseline
     /// assigns per-level sub-deadlines.
     pub fn levels(&self) -> Vec<usize> {
-        let mut level = vec![0usize; self.tasks.len()];
+        let mut level = vec![0usize; self.graph.tasks.len()];
         for t in self.topo_order() {
             for c in self.children(t) {
                 level[c.index()] = level[c.index()].max(level[t.index()] + 1);
@@ -242,14 +331,17 @@ impl Workflow {
     /// This is the critical path CP of Equation (3): the makespan of the
     /// workflow is the total weight along it.
     pub fn critical_path(&self, weight: impl Fn(TaskId) -> f64) -> (Vec<TaskId>, f64) {
-        assert!(!self.tasks.is_empty(), "critical path of empty workflow");
+        assert!(
+            !self.graph.tasks.is_empty(),
+            "critical path of empty workflow"
+        );
         let order = self.topo_order();
-        let mut dist = vec![f64::NEG_INFINITY; self.tasks.len()];
-        let mut pred: Vec<Option<TaskId>> = vec![None; self.tasks.len()];
+        let mut dist = vec![f64::NEG_INFINITY; self.graph.tasks.len()];
+        let mut pred: Vec<Option<TaskId>> = vec![None; self.graph.tasks.len()];
         for &t in &order {
             let w = weight(t);
             assert!(w >= 0.0, "negative task weight on {t}");
-            if self.parents[t.index()].is_empty() {
+            if self.graph.parents[t.index()].is_empty() {
                 dist[t.index()] = w;
             } else {
                 // parents processed earlier in topo order
@@ -288,14 +380,15 @@ impl Workflow {
     /// CPU time to reproduce the paper's I/O-driven runtime variance.
     pub fn scale_cpu_and_bytes(&mut self, cpu_factor: f64, bytes_factor: f64) {
         assert!(cpu_factor > 0.0 && bytes_factor > 0.0);
-        for t in &mut self.tasks {
+        let g = self.graph_mut();
+        for t in &mut g.tasks {
             t.profile = crate::task::TaskProfile::new(
                 t.profile.cpu_seconds * cpu_factor,
                 t.profile.read_bytes * bytes_factor,
                 t.profile.write_bytes * bytes_factor,
             );
         }
-        for e in &mut self.edges {
+        for e in &mut g.edges {
             e.bytes *= bytes_factor;
         }
     }
@@ -336,6 +429,85 @@ mod tests {
         w.add_edge(b, d, 5.0).unwrap();
         w.add_edge(c, d, 5.0).unwrap();
         (w, [a, b, c, d])
+    }
+
+    /// Apply `mutate` to a clone whose shape digest was read (so the
+    /// memo is set in the graph the clone shares with its original), and
+    /// to a workflow that shares nothing.
+    fn check_copy_on_write(mutate: impl Fn(&mut Workflow)) {
+        let (original, _) = diamond();
+        let before = original.shape_hash();
+        let mut copy = original.clone();
+        assert_eq!(copy.shape_hash(), before);
+        mutate(&mut copy);
+
+        // The original, and its memoized digest, are untouched.
+        let (untouched, _) = diamond();
+        assert_eq!(original, untouched);
+        assert_eq!(original.shape_hash(), before);
+        assert_eq!(untouched.shape_hash(), before);
+
+        // The clone is the workflow built fresh with the same mutation.
+        let (mut fresh, _) = diamond();
+        mutate(&mut fresh);
+        assert_eq!(copy, fresh);
+        assert_ne!(copy, original);
+        assert_eq!(copy.shape_hash(), fresh.shape_hash());
+        assert_ne!(copy.shape_hash(), before);
+
+        // Unshared: a mutation after a read clears the memo too.
+        let (mut alone, _) = diamond();
+        assert_eq!(alone.shape_hash(), before);
+        mutate(&mut alone);
+        assert_eq!(alone.shape_hash(), fresh.shape_hash());
+    }
+
+    #[test]
+    fn add_task_on_a_clone_copies_the_graph() {
+        check_copy_on_write(|w| {
+            w.add_task("e", "x", TaskProfile::new(2.0, 1.0, 1.0));
+        });
+    }
+
+    #[test]
+    fn add_edge_on_a_clone_copies_the_graph() {
+        check_copy_on_write(|w| {
+            w.add_edge(TaskId(1), TaskId(2), 7.0).unwrap();
+        });
+    }
+
+    #[test]
+    fn scale_profiles_on_a_clone_copies_the_graph() {
+        check_copy_on_write(|w| w.scale_profiles(3.0));
+    }
+
+    #[test]
+    fn scale_cpu_and_bytes_on_a_clone_copies_the_graph() {
+        check_copy_on_write(|w| w.scale_cpu_and_bytes(1.0, 4.0));
+    }
+
+    #[test]
+    fn equality_ignores_the_memoized_digest() {
+        let (read, _) = diamond();
+        let (unread, _) = diamond();
+        read.shape_hash();
+        assert_eq!(read, unread);
+        assert_eq!(format!("{read:?}"), format!("{unread:?}"));
+        let mut renamed = read.clone();
+        renamed.name = "other".into();
+        assert_ne!(renamed, read);
+        assert_eq!(renamed.shape_hash(), unread.shape_hash());
+    }
+
+    #[test]
+    fn a_rejected_edge_leaves_the_digest() {
+        let (mut w, [a, b, _, d]) = diamond();
+        let before = w.shape_hash();
+        let copy = w.clone();
+        assert!(w.add_edge(d, a, 1.0).is_err());
+        assert!(w.add_edge(a, b, 1.0).is_err());
+        assert_eq!(w.shape_hash(), before);
+        assert_eq!(w, copy);
     }
 
     #[test]
